@@ -5,7 +5,7 @@ null-experiment. Exit codes are a stable contract:
 
     0  success
     2  non-convergence (or verify-suite failure); reports are still written
-    3  input error (unreadable/malformed CSV, wrong grid)
+    3  input error (unreadable/malformed CSV, non-finite value, wrong grid)
     4  parameter error (bad mu/eta, missing mean value, bad sizes)
 """
 
@@ -16,6 +16,7 @@ import enum
 import sys
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .fht import (
     m_analysis_sgrid,
 )
 from .grids import (
+    MAX_DEGREE,
     Basis,
     ChebCoeffs,
     GridFn,
@@ -357,13 +359,25 @@ def _config_from_args(args) -> RunConfig:
             cfg.sizes = tuple(int(v) for v in args.sizes.split(","))
         except ValueError as exc:
             raise ParameterError(f"bad --sizes: {exc}") from exc
+        # null-experiment resamples a degree N-1 series, so N <= MAX_DEGREE + 1
+        bad = [n for n in cfg.sizes if not 2 <= n <= MAX_DEGREE + 1]
+        if bad:
+            raise ParameterError(
+                f"--sizes must lie in [2, {MAX_DEGREE + 1}], got {bad[0]}"
+            )
     if cfg.n < 8:
         raise ParameterError(f"--n must be >= 8, got {cfg.n}")
     return cfg
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
         return _COMMANDS[cfg.command](cfg)

@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,7 +45,7 @@ from .grids import (
     norm,
     resample,
 )
-from .transforms import TransformKind, apply, build
+from .transforms import TransformKind, TransformMatrix, apply, build
 
 
 class WeightFlavor(enum.Enum):
@@ -61,6 +63,13 @@ class WeightParam:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ParameterError("weight parameter must be finite")
+        if self.flavor is WeightFlavor.COSH_REAL:
+            try:
+                math.cosh(self.value)
+            except OverflowError:
+                raise ParameterError(
+                    f"cosh(|mu|) overflows float64 for mu = {self.value}"
+                ) from None
         if self.flavor is WeightFlavor.COS_IMAGINARY and abs(self.value) >= math.pi / 4:
             raise ParameterError(
                 f"|eta| must be < pi/4 for the cos flavor, got {self.value}"
@@ -200,19 +209,65 @@ def system_matrix(p: WeightParam, n: int) -> np.ndarray:
     return np.eye(n) - m
 
 
+def _system_apply(dw: DiagWeights, c3: TransformMatrix, s1: TransformMatrix,
+                  v: np.ndarray) -> np.ndarray:
+    """(I - S1 C3^T D_s C3 S1^T D_t) v, the direct system applied matrix-free."""
+    inner = apply(c3, apply(s1, dw.d_t * v, transposed=True))
+    return v - apply(s1, apply(c3, dw.d_s * inner, transposed=True))
+
+
+# Plans of the direct solver, one per (weight, N). Each holds one N x N
+# array, so the bound caps the memory they keep.
+_PLAN_CACHE_SIZE = 4
+
+
+@dataclass
+class _DirectPlan:
+    dw: DiagWeights
+    matrix: np.ndarray | None = None  # the system matrix, from the second solve its inverse
+    inverted: bool = False
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+@lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _direct_plan(p: WeightParam, n: int) -> _DirectPlan:
+    return _DirectPlan(diag_weights(p, n))
+
+
 def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
-    """Solve [I - S1 C3^T D_s C3 S1^T D_t] fhat = S1 C3^T (F_mu / cosh_s) by LU."""
+    """Solve [I - S1 C3^T D_s C3 S1^T D_t] fhat = S1 C3^T (F_mu / cosh_s).
+
+    Solves at one (weight, N) share a plan, kept for the few most recently
+    used keys. The first solve of a key builds the system matrix and solves
+    by LU, so a one-shot call costs one factorisation. The second replaces
+    the stored matrix by its inverse; that solve and every later one is a
+    product with the inverse plus one step of iterative refinement, O(N^2)
+    instead of O(N^3), whose residuals are computed matrix-free.
+    """
     if F_mu.grid.kind is not GridKind.SNODES:
         raise ParameterError("cosh_invert_direct expects samples on S-nodes")
     n = F_mu.grid.n
-    dw = diag_weights(p, n)
+    plan = _direct_plan(p, n)
+    dw = plan.dw
     c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
     b = apply(s1, apply(c3, F_mu.values / dw.cosh_s, transposed=True))
-    a = system_matrix(p, n)
-    fhat = np.linalg.solve(a, b)
+    with plan.lock:
+        first = plan.matrix is None
+        if first:
+            plan.matrix = system_matrix(p, n)
+        elif not plan.inverted:
+            plan.matrix, plan.inverted = np.linalg.inv(plan.matrix), True
+        m = plan.matrix
+    if first:
+        fhat = np.linalg.solve(m, b)
+        residual = m @ fhat - b
+    else:
+        fhat = m @ b
+        fhat += m @ (b - _system_apply(dw, c3, s1, fhat))
+        residual = _system_apply(dw, c3, s1, fhat) - b
     fvals = fhat / dw.cosh_t
     fvals[0] = 0.0
-    defect = _norm_d_tvals(a @ fhat - b)
+    defect = _norm_d_tvals(residual)
     report = SolveReport(
         iterations=0,
         residual_history=[],

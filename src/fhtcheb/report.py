@@ -8,6 +8,7 @@ plots are self-contained 800x500 documents built from inline polylines.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +61,12 @@ def read_csv(path) -> CsvData:
         if len(parts) != ncol:
             raise InputError(f"{path}:{lineno}: expected {ncol} columns, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError as exc:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise InputError(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
     if not rows:
         raise InputError(f"{path}: no data rows")
     arr = np.array(rows, dtype=float)

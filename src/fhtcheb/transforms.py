@@ -1,8 +1,10 @@
 """Dense DCT-III / DST-I matrices and the shifted trigonometric analysis matrices.
 
-Everything here is O(N^2) on purpose: sizes stay <= 512, a dense apply is
-sub-millisecond, and the explicit matrix doubles as the object whose
-condition number the weighted solver bounds.
+Everything here is O(N^2) on purpose: a dense apply is sub-millisecond up
+to N = 512 and a few milliseconds at N = 2048, and the explicit matrix
+doubles as the object whose condition number the weighted solver bounds.
+The matrices are cached per (kind, N); an N x N matrix takes 8 N^2 bytes
+(32 MB at N = 2048), so each cache keeps only the most recently used few.
 """
 
 from __future__ import annotations
@@ -14,6 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import GridMismatchError, InvalidSizeError
+
+
+# Cache bounds: build holds the four kinds at two sizes, the synthesis
+# tables two sizes each.
+_BUILD_CACHE_SIZE = 8
+_SYNTHESIS_CACHE_SIZE = 2
 
 
 class TransformKind(enum.Enum):
@@ -33,7 +41,7 @@ class TransformMatrix:
         self.entries.flags.writeable = False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def build(kind: TransformKind, n: int) -> TransformMatrix:
     """Build (and cache) one of the four transform matrices.
 
@@ -74,7 +82,7 @@ def apply(m: TransformMatrix, v: np.ndarray, transposed: bool = False) -> np.nda
 
 # Internal synthesis helpers (cached alongside the spec matrices).
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYNTHESIS_CACHE_SIZE)
 def u_synthesis(n: int) -> np.ndarray:
     """U_k(u_j) table on U-nodes: rows j = 1..n, columns k = 0..n-1."""
     ph = np.arange(1, n + 1) * np.pi / (n + 1)
@@ -84,7 +92,7 @@ def u_synthesis(n: int) -> np.ndarray:
     return tbl
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_SYNTHESIS_CACHE_SIZE)
 def t_shift_synthesis(n: int) -> np.ndarray:
     """T_{k+1}(s_m) table on S-nodes: rows m, columns k = 0..n-1."""
     th = (np.arange(n) + 0.5) * np.pi / n

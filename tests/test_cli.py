@@ -14,6 +14,42 @@ def _write_tgrid_csv(path, n, func, reference=None):
     return tg
 
 
+# (case, argv with {placeholders} for the files written below, exit code)
+EXIT_CASES = [
+    ("forward-ok", ["forward", "--input", "{f}"], 0),
+    ("cosh-invert-direct-ok", ["cosh-invert", "--mu", "3", "--input", "{F}"], 0),
+    ("neumann-not-converged", ["cosh-invert", "--method", "neumann", "--mu", "2",
+                               "--tol", "1e-15", "--max-iter", "2", "--input", "{F}"], 2),
+    ("missing-input", ["forward", "--input", "{dir}/missing.csv"], 3),
+    ("wrong-grid", ["forward", "--input", "{offgrid}"], 3),
+    ("nan-value", ["forward", "--input", "{nan}"], 3),
+    ("inf-reference", ["invert", "--input", "{inf}"], 3),
+    ("mu-and-eta", ["cosh-forward", "--mu", "1", "--eta", "0.3", "--input", "{f}"], 4),
+    ("eta-out-of-range", ["cosh-forward", "--eta", "0.9", "--input", "{f}"], 4),
+    ("cosh-overflow", ["cosh-forward", "--mu", "800", "--input", "{f}"], 4),
+    ("size-too-small", ["null-experiment", "--mu", "3", "--sizes", "1"], 4),
+    ("size-negative", ["null-experiment", "--mu", "3", "--sizes", "64,-4"], 4),
+    ("size-too-large", ["null-experiment", "--mu", "3", "--sizes", "2050"], 4),
+]
+
+
+@pytest.mark.parametrize("argv, code", [c[1:] for c in EXIT_CASES],
+                         ids=[c[0] for c in EXIT_CASES])
+def test_exit_codes(tmp_path, argv, code):
+    n = 64
+    tg = _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
+    sg = cgl_nodes(GridKind.SNODES, n)
+    write_csv(tmp_path / "F.csv", sg.nodes, sg.nodes)
+    write_csv(tmp_path / "offgrid.csv", np.linspace(-0.9, 0.9, n), np.zeros(n))
+    vals = weight_w(tg.nodes)
+    vals[5] = np.nan
+    write_csv(tmp_path / "nan.csv", tg.nodes, vals)
+    write_csv(tmp_path / "inf.csv", sg.nodes, sg.nodes, np.full(n, np.inf))
+    files = {stem: tmp_path / f"{stem}.csv" for stem in ("f", "F", "offgrid", "nan", "inf")}
+    argv = [a.format(dir=tmp_path, **files) for a in argv]
+    assert main([*argv, "--json", str(tmp_path / "r.json")]) == code
+
+
 class TestCsvRoundTrip:
     def test_lossless(self, tmp_path):
         p = tmp_path / "t.csv"

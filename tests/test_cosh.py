@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from fhtcheb import (
     resample,
     weight_w,
 )
+from fhtcheb.cosh import _direct_plan
 
 
 class TestWeightParam:
@@ -34,6 +37,12 @@ class TestWeightParam:
         with pytest.raises(ParameterError):
             WeightParam.cos_imaginary(math.pi / 4)
         WeightParam.cos_imaginary(0.78)  # just inside
+
+    def test_cosh_overflow_rejected(self):
+        WeightParam.cosh_real(710.0)  # cosh(710) ~ 1.1e308, still finite
+        for mu in (711.0, -800.0):
+            with pytest.raises(ParameterError):
+                WeightParam.cosh_real(mu)
 
     def test_contraction(self):
         assert WeightParam.cosh_real(0.5).contraction == pytest.approx(math.tanh(0.5) ** 2)
@@ -84,15 +93,28 @@ class TestCoshForward:
         assert got == pytest.approx(0.2658915778251403, abs=1e-12)
 
 
+def _fresh_solves(F, p, count=3):
+    """count direct solves of F at a key with no plan yet: the first by LU,
+    the second and later by the reused (inverted) plan."""
+    _direct_plan.cache_clear()
+    return [cosh_invert_direct(F, p) for _ in range(count)]
+
+
+def _assert_reuse_matches_lu(solves):
+    first = solves[0][0].values
+    for got, _ in solves[1:]:
+        assert np.max(np.abs(got.values - first)) <= 1e-12
+
+
 class TestDirect:
     def test_mu_zero_degenerates(self):
         n = 64
         rng = np.random.default_rng(1)
         sg = cgl_nodes(GridKind.SNODES, n)
         F = GridFn(sg, rng.standard_normal(n))
-        a, _ = cosh_invert_direct(F, WeightParam.cosh_real(0.0))
         b = fht_inverse_d(F)
-        assert np.max(np.abs(a.values - b.values)) <= 1e-14
+        for a, _ in _fresh_solves(F, WeightParam.cosh_real(0.0)):
+            assert np.max(np.abs(a.values - b.values)) <= 1e-14
 
     def test_roundtrip_mu3(self):
         n = 256
@@ -100,25 +122,75 @@ class TestDirect:
         tg = cgl_nodes(GridKind.TNODES, n)
         f = tg.weights * (1.0 + 0.3 * tg.nodes)
         F = cosh_forward(GridFn(tg, f), p)
-        got, rep = cosh_invert_direct(F, p)
-        assert np.max(np.abs(got.values[1:] - f[1:])) < 1e-8
-        assert rep.converged
-        assert rep.final_defect < 1e-10
+        solves = _fresh_solves(F, p)
+        for got, rep in solves:
+            assert np.max(np.abs(got.values[1:] - f[1:])) < 1e-8
+            assert rep.converged
+            assert rep.final_defect < 1e-10
+        _assert_reuse_matches_lu(solves)
 
     def test_roundtrip_cos_flavor(self):
-        n = 128
+        n = 256
         p = WeightParam.cos_imaginary(0.5)
         tg = cgl_nodes(GridKind.TNODES, n)
         f = tg.weights * cheb_eval(Basis.SECOND_U, 2, tg.nodes)
         F = cosh_forward(GridFn(tg, f), p)
-        got, _ = cosh_invert_direct(F, p)
-        assert np.max(np.abs(got.values[1:] - f[1:])) < 1e-8
+        solves = _fresh_solves(F, p)
+        for got, rep in solves:
+            assert np.max(np.abs(got.values[1:] - f[1:])) < 1e-8
+            assert rep.final_defect < 1e-10
+        _assert_reuse_matches_lu(solves)
 
     def test_node0_zeroed(self):
         n = 64
         sg = cgl_nodes(GridKind.SNODES, n)
-        got, _ = cosh_invert_direct(GridFn(sg, np.ones(n)), WeightParam.cosh_real(1.0))
-        assert got.values[0] == 0.0
+        for got, _ in _fresh_solves(GridFn(sg, np.ones(n)), WeightParam.cosh_real(1.0)):
+            assert got.values[0] == 0.0
+
+    def test_reuse_as_accurate_as_lu_at_large_mu(self):
+        # cond <= (1+c)/(1-c) ~ 4.4e6 at mu = 8: the reused inverse plus one
+        # refinement step must recover f no worse than the LU solve does.
+        n = 256
+        p = WeightParam.cosh_real(8.0)
+        tg = cgl_nodes(GridKind.TNODES, n)
+        f = tg.weights * (1.0 + 0.3 * tg.nodes)
+        F = cosh_forward(GridFn(tg, f), p)
+        errs = [np.max(np.abs(got.values[1:] - f[1:])) for got, _ in _fresh_solves(F, p)]
+        assert errs[0] < 1e-7
+        assert max(errs[1:]) <= errs[0]
+
+    def test_plan_cache_bounded(self):
+        n = 32
+        sg = cgl_nodes(GridKind.SNODES, n)
+        F = GridFn(sg, np.ones(n))
+        _direct_plan.cache_clear()
+        maxsize = _direct_plan.cache_info().maxsize
+        for k in range(2 * maxsize + 1):
+            cosh_invert_direct(F, WeightParam.cosh_real(0.1 * (k + 1)))
+            assert _direct_plan.cache_info().currsize <= maxsize
+        assert _direct_plan.cache_info().currsize == maxsize
+
+    def test_concurrent_solves_share_plan(self):
+        # Threads racing through the first (LU) and second (inverting) solve
+        # of one key must never invert the stored matrix twice.
+        n = 64
+        p = WeightParam.cosh_real(2.0)
+        tg = cgl_nodes(GridKind.TNODES, n)
+        f = tg.weights * (1.0 - 0.4 * tg.nodes)
+        F = cosh_forward(GridFn(tg, f), p)
+        want = _fresh_solves(F, p, count=1)[0][0].values
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                _direct_plan.cache_clear()
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(cosh_invert_direct, F, p) for _ in range(24)]
+                    results = [fut.result(timeout=60) for fut in futures]
+                for got, _ in results:
+                    assert np.max(np.abs(got.values - want)) <= 1e-12
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNeumann:

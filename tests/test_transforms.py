@@ -43,6 +43,17 @@ class TestBuild:
         assert np.all(m[0] == 0.0)
         assert np.all(m[:, 0] == 0.0)
 
+    def test_caches_bounded(self):
+        from fhtcheb.transforms import t_shift_synthesis, u_synthesis
+
+        for n in range(2, 20):
+            build(TransformKind.C3, n)
+            u_synthesis(n)
+            t_shift_synthesis(n)
+            for cached in (build, u_synthesis, t_shift_synthesis):
+                info = cached.cache_info()
+                assert info.maxsize is not None and info.currsize <= info.maxsize
+
     def test_entries_immutable(self):
         m = build(TransformKind.C3, 8)
         with pytest.raises(ValueError):
