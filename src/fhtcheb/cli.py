@@ -5,7 +5,8 @@ null-experiment. Exit codes are a stable contract:
 
     0  success
     2  non-convergence (or verify-suite failure); reports are still written
-    3  input error (unreadable/malformed CSV, non-finite value, wrong grid)
+    3  input error (unreadable/malformed CSV, non-finite value, wrong grid,
+       fewer than 8 or more than MAX_DEGREE + 1 rows)
     4  parameter error (bad mu/eta, missing mean value, bad sizes)
 """
 
@@ -35,12 +36,9 @@ from .fht import (
     coeffs_from_tgrid,
     fht_forward_d,
     fht_inverse_d,
-    m_analysis_sgrid,
 )
 from .grids import (
     MAX_DEGREE,
-    Basis,
-    ChebCoeffs,
     GridFn,
     GridKind,
     ResampleMode,
@@ -100,6 +98,9 @@ def _load_grid_fn(cfg: RunConfig, kind: GridKind):
     n = data.x.shape[0]
     if n < 8:
         raise InputError(f"{cfg.input_path}: need at least 8 rows, got {n}")
+    # the uniform display grid resamples a degree N-1 series
+    if n > MAX_DEGREE + 1:
+        raise InputError(f"{cfg.input_path}: at most {MAX_DEGREE + 1} rows, got {n}")
     grid = cgl_nodes(kind, n)
     if np.max(np.abs(data.x - grid.nodes)) > 1e-8:
         raise InputError(
@@ -123,10 +124,8 @@ def _uniform_from_sgrid_tseries(out: GridFn) -> tuple[np.ndarray, np.ndarray]:
 def _uniform_from_sgrid_general(out: GridFn) -> tuple[np.ndarray, np.ndarray]:
     """General S-grid function: interpolate f*w as a T-series, divide by w."""
     xs = uniform_grid(out.grid.n)
-    c0, d = m_analysis_sgrid(out)
-    tc = np.concatenate(([c0], d))
-    vals = resample(ChebCoeffs(Basis.FIRST_T, tc), xs, ResampleMode.T_SERIES)
-    return xs, vals / weight_w(xs)
+    fw = coeffs_from_sgrid(GridFn(out.grid, out.values * out.grid.weights))
+    return xs, resample(fw, xs, ResampleMode.T_SERIES) / weight_w(xs)
 
 
 def _uniform_path(path: str) -> str:
@@ -299,7 +298,6 @@ _COMMANDS = {
 
 
 def _add_common(sp, weighted=False, io=False, iterative=False):
-    sp.add_argument("--n", type=int, default=256)
     sp.add_argument("--json", dest="json_path", default=None,
                     help="write the JSON report here instead of stdout")
     if weighted:
@@ -331,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub.add_parser("verify"), weighted=True)
     cs = sub.add_parser("cond-sweep")
     _add_common(cs)
+    cs.add_argument("--n", type=int, default=256)
     cs.add_argument("--mu-list", default=None,
                     help="comma-separated mu values")
     cs.add_argument("--output", dest="output_path", default=None)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .fht import (
+    _u_analysis,
     coeffs_from_sgrid,
     fht_forward_m,
     fht_inverse_m,
@@ -39,13 +40,13 @@ from .grids import (
     GridFn,
     GridKind,
     ResampleMode,
-    Role,
     Space,
+    _clenshaw,
     cgl_nodes,
     norm,
     resample,
 )
-from .transforms import TransformKind, TransformMatrix, apply, build
+from .transforms import TransformKind, apply, build
 
 
 class WeightFlavor(enum.Enum):
@@ -63,16 +64,15 @@ class WeightParam:
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ParameterError("weight parameter must be finite")
-        if self.flavor is WeightFlavor.COSH_REAL:
-            try:
-                math.cosh(self.value)
-            except OverflowError:
-                raise ParameterError(
-                    f"cosh(|mu|) overflows float64 for mu = {self.value}"
-                ) from None
         if self.flavor is WeightFlavor.COS_IMAGINARY and abs(self.value) >= math.pi / 4:
             raise ParameterError(
                 f"|eta| must be < pi/4 for the cos flavor, got {self.value}"
+            )
+        # tanh^2(|mu|) rounds to 1 from |mu| = 19.0615 on, where the system is
+        # singular in float64; this also keeps cosh(mu t) far from overflow.
+        if not self.contraction < 1.0:
+            raise ParameterError(
+                f"contraction tanh^2(|mu|) rounds to 1 in float64 for mu = {self.value}"
             )
 
     @staticmethod
@@ -197,23 +197,21 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
     main = apply(c3, apply(s1, fhat, transposed=True))
     cross = dw.d_s * apply(c3, apply(s1, dw.d_t * fhat, transposed=True))
     out = dw.cosh_s * (main - cross)
-    return GridFn(cgl_nodes(GridKind.SNODES, n), out, Role.TRANSFORM)
+    return GridFn(cgl_nodes(GridKind.SNODES, n), out)
 
 
 def system_matrix(p: WeightParam, n: int) -> np.ndarray:
     """I - S1 C3^T D_s C3 S1^T D_t, the matrix inverted by the direct solver."""
     dw = diag_weights(p, n)
-    c3 = build(TransformKind.C3, n).entries
-    s1 = build(TransformKind.S1, n).entries
+    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
     m = s1 @ (c3.T @ (dw.d_s[:, None] * (c3 @ (s1.T * dw.d_t[None, :]))))
     return np.eye(n) - m
 
 
-def _system_apply(dw: DiagWeights, c3: TransformMatrix, s1: TransformMatrix,
-                  v: np.ndarray) -> np.ndarray:
-    """(I - S1 C3^T D_s C3 S1^T D_t) v, the direct system applied matrix-free."""
+def _contract(dw: DiagWeights, c3: np.ndarray, s1: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S1 C3^T D_s C3 S1^T D_t v, the contraction both division-flavor solvers apply."""
     inner = apply(c3, apply(s1, dw.d_t * v, transposed=True))
-    return v - apply(s1, apply(c3, dw.d_s * inner, transposed=True))
+    return apply(s1, apply(c3, dw.d_s * inner, transposed=True))
 
 
 # Plans of the direct solver, one per (weight, N). Each holds one N x N
@@ -263,8 +261,8 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
         residual = m @ fhat - b
     else:
         fhat = m @ b
-        fhat += m @ (b - _system_apply(dw, c3, s1, fhat))
-        residual = _system_apply(dw, c3, s1, fhat) - b
+        fhat += m @ (b - fhat + _contract(dw, c3, s1, fhat))
+        residual = fhat - _contract(dw, c3, s1, fhat) - b
     fvals = fhat / dw.cosh_t
     fvals[0] = 0.0
     defect = _norm_d_tvals(residual)
@@ -277,7 +275,7 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
         final_defect=defect,
         converged=True,
     )
-    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals, Role.PLAIN), report
+    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
 
 
 def cosh_invert_neumann(
@@ -293,19 +291,14 @@ def cosh_invert_neumann(
         raise ParameterError("tol must be positive")
     n = F_mu.grid.n
     dw = diag_weights(p, n)
-    c3 = build(TransformKind.C3, n).entries
-    s1 = build(TransformKind.S1, n).entries
-    f0 = s1 @ (c3.T @ (F_mu.values / dw.cosh_s))
-
-    def contraction_op(v):
-        return s1 @ (c3.T @ (dw.d_s * (c3 @ (s1.T @ (dw.d_t * v)))))
-
+    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
+    f0 = apply(s1, apply(c3, F_mu.values / dw.cosh_s, transposed=True))
     history: list[float] = []
     fhat = f0.copy()
     converged = False
     iterations = 0
     for _ in range(max_iter):
-        nxt = f0 + contraction_op(fhat)
+        nxt = f0 + _contract(dw, c3, s1, fhat)
         diff = _norm_d_tvals(nxt - fhat)
         history.append(diff)
         fhat = nxt
@@ -324,7 +317,7 @@ def cosh_invert_neumann(
         final_defect=history[-1] if history else 0.0,
         converged=converged,
     )
-    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals, Role.PLAIN), report
+    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +403,11 @@ def cosh_invert_mean_constrained(
         final_defect=history[-1] if history else 0.0,
         converged=converged,
     )
-    return GridFn(sg, out, Role.PLAIN), report
+    return GridFn(sg, out), report
 
 
 # ---------------------------------------------------------------------------
 # kernels, conditioning, null-function experiment
-
-def _u_series_eval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_{n>=1} c_n U_{n-1}(x), stable at x = +-1 (pure recurrence)."""
-    x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)   # U_{-1}
-    cur = np.ones_like(x)     # U_0
-    out = np.zeros_like(x)
-    for k in range(1, c.shape[0]):
-        out = out + c[k] * cur
-        prev, cur = cur, 2.0 * x * cur - prev
-    return out
-
 
 def kernel(kind: str, p: WeightParam, eval_grid: Grid) -> KernelFn:
     """Polynomial kernels K_d / K_m generated by the slope function.
@@ -440,11 +421,10 @@ def kernel(kind: str, p: WeightParam, eval_grid: Grid) -> KernelFn:
     if kind == "Kd":
         sg = cgl_nodes(GridKind.SNODES, n)
         series = coeffs_from_sgrid(GridFn(sg, p.slope(sg.nodes)))
-        vals = _u_series_eval(series.coeffs, eval_grid.nodes)
+        vals = _clenshaw(series.coeffs[1:], eval_grid.nodes, second_kind=True)
     elif kind == "Km":
         ug = cgl_nodes(GridKind.UNODES, n)
-        ms = build(TransformKind.M_SYNTHESIS_SIN, n)
-        d = apply(ms, p.slope(ug.nodes), transposed=True)
+        d = _u_analysis(GridFn(ug, p.slope(ug.nodes)))
         series = ChebCoeffs(Basis.SECOND_U, d)
         tcoeffs = np.concatenate(([0.0], d))  # shift: d_n multiplies T_{n+1}
         vals = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), eval_grid.nodes,

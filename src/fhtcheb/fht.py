@@ -9,6 +9,10 @@ analyzed in the basis {T_{n+1}/w}; the residual constant-over-w component
 maps to zero. The basis map is T_{n+1}/w <-> U_n with the positive sign of
 the classical Tricomi pairs; see the sign note in cosh.py for how this
 composes with the plain-convention transform.
+
+Both flavors use only the two transforms of transforms.py: C3 of size N
+analyzes (or synthesizes) T-series on S-nodes, and S1 of size N+1, on its
+interior rows and columns, does the same for w U-series on U-nodes.
 """
 
 from __future__ import annotations
@@ -22,18 +26,16 @@ from .errors import GridMismatchError
 from .grids import (
     Basis,
     ChebCoeffs,
-    Grid,
     GridFn,
     GridKind,
     ResampleMode,
-    Role,
     Space,
     cgl_nodes,
     inner_product,
     norm,
     resample,
 )
-from .transforms import TransformKind, apply, build, t_shift_synthesis, u_synthesis
+from .transforms import TransformKind, apply, build
 
 
 class Flavor(enum.Enum):
@@ -80,23 +82,26 @@ def m_analysis_sgrid(f: GridFn) -> tuple[float, np.ndarray]:
     """Split f on S-nodes as (c0 + sum_n d_n T_{n+1}) / w.
 
     Returns (c0, d); c0/w is the component the forward transform annihilates.
+    d has N entries; the last is 0 because T_N vanishes on the S-nodes.
     """
     _require(f, GridKind.SNODES)
-    n = f.grid.n
-    g = f.values * f.grid.weights
-    ma = build(TransformKind.M_ANALYSIS_COS, n)
-    d = apply(ma, g, transposed=True)
-    c0 = float(np.sum(g) / n)
-    return c0, d
+    a = coeffs_from_sgrid(GridFn(f.grid, f.values * f.grid.weights)).coeffs
+    return float(a[0]), np.append(a[1:], 0.0)
+
+
+def _u_analysis(F: GridFn) -> np.ndarray:
+    """Coefficients d_k of a U-grid function F = sum_k d_k U_k, k = 0..N-1."""
+    n = F.grid.n
+    s1 = build(TransformKind.S1, n + 1)
+    sv = apply(s1, np.concatenate(([0.0], F.grid.weights * F.values)), transposed=True)
+    return np.sqrt(2.0 / (n + 1)) * sv[1:]
 
 
 def sgrid_to_unodes(f: GridFn) -> np.ndarray:
     """Resample an S-grid function onto the U-grid of the same size."""
-    c0, d = m_analysis_sgrid(f)
     ug = cgl_nodes(GridKind.UNODES, f.grid.n)
-    tcoeffs = np.concatenate(([c0], d))
-    vals = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), ug.nodes, ResampleMode.T_SERIES)
-    return vals / ug.weights
+    fw = coeffs_from_sgrid(GridFn(f.grid, f.values * f.grid.weights))
+    return resample(fw, ug.nodes, ResampleMode.T_SERIES) / ug.weights
 
 
 def tgrid_to_snodes(f: GridFn) -> np.ndarray:
@@ -115,7 +120,7 @@ def fht_forward_d(f: GridFn) -> GridFn:
     n = f.grid.n
     c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
     out = apply(c3, apply(s1, f.values, transposed=True))
-    return GridFn(cgl_nodes(GridKind.SNODES, n), out, Role.TRANSFORM)
+    return GridFn(cgl_nodes(GridKind.SNODES, n), out)
 
 
 def fht_inverse_d(F: GridFn) -> GridFn:
@@ -124,26 +129,28 @@ def fht_inverse_d(F: GridFn) -> GridFn:
     n = F.grid.n
     c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
     out = apply(s1, apply(c3, F.values, transposed=True))
-    return GridFn(cgl_nodes(GridKind.TNODES, n), out, Role.PLAIN)
+    return GridFn(cgl_nodes(GridKind.TNODES, n), out)
 
 
 def fht_forward_m(f: GridFn) -> GridFn:
     """Map T_{n+1}/w components on S-nodes to U_n on U-nodes; C/w maps to 0."""
     _, d = m_analysis_sgrid(f)
     n = f.grid.n
-    out = u_synthesis(n) @ d
-    return GridFn(cgl_nodes(GridKind.UNODES, n), out, Role.TRANSFORM)
+    ug = cgl_nodes(GridKind.UNODES, n)
+    s1 = build(TransformKind.S1, n + 1)
+    out = np.sqrt((n + 1) / 2.0) * apply(s1, np.concatenate(([0.0], d)))[1:] / ug.weights
+    return GridFn(ug, out)
 
 
 def fht_inverse_m(F: GridFn) -> GridFn:
     """Map U_n components on U-nodes back to T_{n+1}/w on S-nodes."""
     _require(F, GridKind.UNODES)
     n = F.grid.n
-    ms = build(TransformKind.M_SYNTHESIS_SIN, n)
-    d = apply(ms, F.values, transposed=True)
+    d = _u_analysis(F)
     sg = cgl_nodes(GridKind.SNODES, n)
-    out = (t_shift_synthesis(n) @ d) / sg.weights
-    return GridFn(sg, out, Role.PLAIN)
+    c3 = build(TransformKind.C3, n)
+    out = np.sqrt(n / 2.0) * apply(c3, np.concatenate(([0.0], d[:-1]))) / sg.weights
+    return GridFn(sg, out)
 
 
 def range_defect(F: GridFn) -> float:

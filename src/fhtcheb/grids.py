@@ -35,13 +35,6 @@ class Basis(enum.Enum):
     SECOND_U = "U"
 
 
-class Role(enum.Enum):
-    PLAIN = "plain"        # f
-    HAT_MU = "hat_mu"      # cosh(mu t) f(t)
-    TRANSFORM = "transform"  # F
-    TILDE_MU = "tilde_mu"  # F_mu / cosh(mu s)
-
-
 class Space(enum.Enum):
     LD2 = "Ld2"  # (1/pi) integral of f g* / w
     LM2 = "Lm2"  # (1/pi) integral of f g* w
@@ -84,7 +77,6 @@ class GridFn:
 
     grid: Grid
     values: np.ndarray
-    role: Role = Role.PLAIN
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -130,10 +122,26 @@ def weight_w(t):
     return out if out.ndim else float(out)
 
 
-def cheb_eval(basis: Basis, n: int, x, *, max_degree: int = MAX_DEGREE):
-    """Evaluate T_n(x) or U_n(x) by the three-term recurrence.
+def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
+    """sum a_k T_k(x), or sum a_k U_k(x) if second_kind, by Clenshaw's recurrence.
 
-    Vectorized over x. Degrees above ``max_degree`` are refused.
+    The backward recurrence b_k = a_k + 2x b_{k+1} - b_{k+2} is the one
+    evaluator behind every Chebyshev series here; it is stable on [-1, 1].
+    """
+    b1 = np.zeros(x.shape, dtype=np.result_type(a, x))
+    if a.shape[0] == 0:
+        return b1
+    b2 = np.zeros_like(b1)
+    two_x = 2.0 * x
+    for ak in a[:0:-1]:
+        b1, b2 = two_x * b1 - b2 + ak, b1
+    return a[0] + (two_x if second_kind else x) * b1 - b2
+
+
+def cheb_eval(basis: Basis, n: int, x, *, max_degree: int = MAX_DEGREE):
+    """Evaluate T_n(x) or U_n(x) (vectorized over x).
+
+    Degrees above ``max_degree`` are refused.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
@@ -143,19 +151,9 @@ def cheb_eval(basis: Basis, n: int, x, *, max_degree: int = MAX_DEGREE):
     if np.any(np.abs(x) > 1.0):
         raise DomainError("cheb_eval argument outside [-1, 1]")
     scalar = x.ndim == 0
-    x = np.atleast_1d(x)
-    if basis is Basis.FIRST_T:
-        prev, cur = np.ones_like(x), x.copy()
-    else:
-        prev, cur = np.ones_like(x), 2.0 * x
-    if n == 0:
-        out = prev
-    elif n == 1:
-        out = cur
-    else:
-        for _ in range(n - 1):
-            prev, cur = cur, 2.0 * x * cur - prev
-        out = cur
+    unit = np.zeros(n + 1)
+    unit[n] = 1.0
+    out = _clenshaw(unit, np.atleast_1d(x), basis is Basis.SECOND_U)
     return float(out[0]) if scalar else out
 
 
@@ -210,25 +208,11 @@ def resample(coeffs: ChebCoeffs, targets, mode: ResampleMode):
     n_terms = a.shape[0]
     if n_terms - 1 > MAX_DEGREE:
         raise DomainError(f"series degree {n_terms - 1} exceeds cap {MAX_DEGREE}")
-    out = np.zeros(x.shape, dtype=a.dtype)
     if mode is ResampleMode.T_SERIES:
-        prev, cur = np.ones_like(x), x
-        if n_terms > 0:
-            out = out + a[0] * prev
-        if n_terms > 1:
-            out = out + a[1] * cur
-        for k in range(2, n_terms):
-            prev, cur = cur, 2.0 * x * cur - prev
-            out = out + a[k] * cur
+        out = _clenshaw(a, x, second_kind=False)
     else:
         # U_{n-1} with the a_0 term dropped.
-        prev, cur = np.zeros_like(x), np.ones_like(x)  # U_{-1}, U_0
-        if n_terms > 1:
-            out = out + a[1] * cur
-        for k in range(2, n_terms):
-            prev, cur = cur, 2.0 * x * cur - prev
-            out = out + a[k] * cur
-        out = weight_w(x) * out
+        out = weight_w(x) * _clenshaw(a[1:], x, second_kind=True)
     return complex(out[0]) if scalar and np.iscomplexobj(out) else (
         float(out[0]) if scalar else out
     )

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fhtcheb import GridKind, cgl_nodes, pair, weight_w
+from fhtcheb import MAX_DEGREE, GridKind, cgl_nodes, pair, weight_w
 from fhtcheb.cli import main
 from fhtcheb.report import read_csv, uniform_grid, write_csv
 
@@ -24,9 +24,13 @@ EXIT_CASES = [
     ("wrong-grid", ["forward", "--input", "{offgrid}"], 3),
     ("nan-value", ["forward", "--input", "{nan}"], 3),
     ("inf-reference", ["invert", "--input", "{inf}"], 3),
+    ("too-many-rows", ["forward", "--input", "{big}"], 3),
     ("mu-and-eta", ["cosh-forward", "--mu", "1", "--eta", "0.3", "--input", "{f}"], 4),
     ("eta-out-of-range", ["cosh-forward", "--eta", "0.9", "--input", "{f}"], 4),
     ("cosh-overflow", ["cosh-forward", "--mu", "800", "--input", "{f}"], 4),
+    ("cond-sweep-mu-limit", ["cond-sweep", "--mu-list", "20", "--n", "64"], 4),
+    ("cosh-invert-direct-mu-limit", ["cosh-invert", "--method", "direct", "--mu", "20",
+                                     "--input", "{F}"], 4),
     ("size-too-small", ["null-experiment", "--mu", "3", "--sizes", "1"], 4),
     ("size-negative", ["null-experiment", "--mu", "3", "--sizes", "64,-4"], 4),
     ("size-too-large", ["null-experiment", "--mu", "3", "--sizes", "2050"], 4),
@@ -45,9 +49,21 @@ def test_exit_codes(tmp_path, argv, code):
     vals[5] = np.nan
     write_csv(tmp_path / "nan.csv", tg.nodes, vals)
     write_csv(tmp_path / "inf.csv", sg.nodes, sg.nodes, np.full(n, np.inf))
-    files = {stem: tmp_path / f"{stem}.csv" for stem in ("f", "F", "offgrid", "nan", "inf")}
+    _write_tgrid_csv(tmp_path / "big.csv", 2 * MAX_DEGREE, weight_w)
+    files = {stem: tmp_path / f"{stem}.csv"
+             for stem in ("f", "F", "offgrid", "nan", "inf", "big")}
     argv = [a.format(dir=tmp_path, **files) for a in argv]
     assert main([*argv, "--json", str(tmp_path / "r.json")]) == code
+
+
+def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
+    def refuse(f):
+        raise AssertionError(f"transform computed on {f.grid.n} rows")
+
+    monkeypatch.setattr("fhtcheb.cli.fht_forward_d", refuse)
+    fin = tmp_path / "big.csv"
+    _write_tgrid_csv(fin, 2 * MAX_DEGREE, weight_w)
+    assert main(["forward", "--input", str(fin), "--json", str(tmp_path / "r.json")]) == 3
 
 
 class TestCsvRoundTrip:
