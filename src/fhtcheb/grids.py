@@ -138,15 +138,15 @@ def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
     return a[0] + (two_x if second_kind else x) * b1 - b2
 
 
-def cheb_eval(basis: Basis, n: int, x, *, max_degree: int = MAX_DEGREE):
+def cheb_eval(basis: Basis, n: int, x):
     """Evaluate T_n(x) or U_n(x) (vectorized over x).
 
-    Degrees above ``max_degree`` are refused.
+    Degrees above ``MAX_DEGREE`` are refused.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    if n > max_degree:
-        raise DomainError(f"degree {n} exceeds recurrence cap {max_degree}")
+    if n > MAX_DEGREE:
+        raise DomainError(f"degree {n} exceeds recurrence cap {MAX_DEGREE}")
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > 1.0):
         raise DomainError("cheb_eval argument outside [-1, 1]")

@@ -1,15 +1,17 @@
 """Named property suite behind the CLI ``verify`` command.
 
 Every check is a pure function returning a CheckResult; run_suite executes
-them at the requested sizes and collects pass/fail plus a numeric detail
-(usually the measured defect and its tolerance). Tolerances mirror the
-module-level invariants.
+them at SIZES and collects pass/fail plus a numeric detail (usually the
+measured defect and its tolerance). Tolerances mirror the module-level
+invariants. The acceptance gate (tests/test_acceptance.py) calls these checks
+directly, so each property is coded here once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .cosh import (
     cosh_invert_neumann,
     kernel,
     null_experiment,
+    system_matrix,
 )
 from .fht import (
     Flavor,
@@ -34,6 +37,8 @@ from .fht import (
     m_analysis_sgrid,
     plancherel_check,
     range_defect,
+    sgrid_to_unodes,
+    tgrid_to_snodes,
 )
 from .grids import (
     Basis,
@@ -84,30 +89,19 @@ def check_grid_formulas(n: int) -> CheckResult:
     return _result(f"grid_formulas_n{n}", err, 0.0)
 
 
-def check_quadrature_t(n: int) -> CheckResult:
-    sg = cgl_nodes(GridKind.SNODES, n)
+def check_quadrature(basis: Basis, n: int) -> CheckResult:
+    """Gauss exactness on products of degree <= 8: T-basis on S-nodes in Ld2,
+    U-basis on U-nodes in Lm2."""
+    first = basis is Basis.FIRST_T
+    grid = cgl_nodes(GridKind.SNODES if first else GridKind.UNODES, n)
+    space = Space.LD2 if first else Space.LM2
+    fns = [GridFn(grid, cheb_eval(basis, k, grid.nodes)) for k in range(9)]
     worst = 0.0
-    for i in range(0, 9):
-        for j in range(0, 9):
-            fi = GridFn(sg, cheb_eval(Basis.FIRST_T, i, sg.nodes))
-            fj = GridFn(sg, cheb_eval(Basis.FIRST_T, j, sg.nodes))
-            got = inner_product(fi, fj, Space.LD2)
-            want = 1.0 if i == j == 0 else (0.5 if i == j else 0.0)
-            worst = max(worst, abs(got - want))
-    return _result(f"quadrature_exact_T_n{n}", worst, 1e-13)
-
-
-def check_quadrature_u(n: int) -> CheckResult:
-    ug = cgl_nodes(GridKind.UNODES, n)
-    worst = 0.0
-    for i in range(0, 9):
-        for j in range(0, 9):
-            fi = GridFn(ug, cheb_eval(Basis.SECOND_U, i, ug.nodes))
-            fj = GridFn(ug, cheb_eval(Basis.SECOND_U, j, ug.nodes))
-            got = inner_product(fi, fj, Space.LM2)
-            want = 0.5 if i == j else 0.0
-            worst = max(worst, abs(got - want))
-    return _result(f"quadrature_exact_U_n{n}", worst, 1e-13)
+    for i, fi in enumerate(fns):
+        for j, fj in enumerate(fns):
+            want = (1.0 if first and i == 0 else 0.5) if i == j else 0.0
+            worst = max(worst, abs(inner_product(fi, fj, space) - want))
+    return _result(f"quadrature_exact_{'T' if first else 'U'}_n{n}", worst, 1e-13)
 
 
 def check_cheb_trig() -> CheckResult:
@@ -202,10 +196,12 @@ def check_plancherel_suite(n: int) -> CheckResult:
     u2 = cheb_eval(Basis.SECOND_U, 2, sg.nodes)
     for vals in (sg.weights * u0, sg.weights * (u0 + u2)):
         worst = max(worst, plancherel_check(GridFn(sg, vals), Flavor.M).defect)
-    # zero-mean case: w U_1 integrates to zero by parity
-    u1 = cheb_eval(Basis.SECOND_U, 1, sg.nodes)
-    rep = plancherel_check(GridFn(sg, sg.weights * u1), Flavor.M)
-    worst = max(worst, rep.defect)
+    # zero-mean case: w U_1 integrates to zero by parity, so lhs = ||f||^2
+    f_odd = GridFn(sg, sg.weights * cheb_eval(Basis.SECOND_U, 1, sg.nodes))
+    rep = plancherel_check(f_odd, Flavor.M)
+    ug = cgl_nodes(GridKind.UNODES, n)
+    full = norm(GridFn(ug, sgrid_to_unodes(f_odd)), Space.LM2) ** 2
+    worst = max(worst, rep.defect, abs(rep.lhs - full))
     return _result(f"plancherel_suite_n{n}", worst, 1e-10)
 
 
@@ -258,7 +254,6 @@ def check_degeneration(n: int) -> CheckResult:
     rng = np.random.default_rng(13)
     tg = cgl_nodes(GridKind.TNODES, n)
     f = rng.standard_normal(n)
-    f[0] = 0.0
     p0 = WeightParam.cosh_real(0.0)
     fwd_a = cosh_forward(GridFn(tg, f), p0).values
     fwd_b = fht_forward_d(GridFn(tg, f)).values
@@ -273,28 +268,29 @@ def check_degeneration(n: int) -> CheckResult:
 
 def check_coerciveness(n: int = 128) -> CheckResult:
     tg = cgl_nodes(GridKind.TNODES, n)
+    sg = cgl_nodes(GridKind.SNODES, n)
     worst = 0.0
     for mu in (0.5, 1.0, 2.0):
         p = WeightParam.cosh_real(mu)
-        floor = p.coercive_const
         for k in range(n - 1):
             f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-            ratio = norm(cosh_forward(f, p), Space.LD2) / norm(
-                GridFn(cgl_nodes(GridKind.SNODES, n),
-                       resample(coeffs_from_tgrid(f),
-                                cgl_nodes(GridKind.SNODES, n).nodes,
-                                ResampleMode.WU_SERIES)), Space.LD2)
-            worst = max(worst, floor - ratio)
+            ratio = (norm(cosh_forward(f, p), Space.LD2)
+                     / norm(GridFn(sg, tgrid_to_snodes(f)), Space.LD2))
+            worst = max(worst, p.coercive_const - ratio)
     return _result("coerciveness_mu_0.5_1_2", max(worst, 0.0), 1e-8)
+
+
+def _iteration_params() -> list[WeightParam]:
+    """The weights at which the Neumann iteration is checked."""
+    return ([WeightParam.cosh_real(m) for m in (0.5, 1.0)]
+            + [WeightParam.cos_imaginary(e) for e in (0.3, 0.5)])
 
 
 def check_contraction(n: int = 128) -> CheckResult:
     tg = cgl_nodes(GridKind.TNODES, n)
     f = tg.weights * (1.0 + 0.3 * tg.nodes)
     worst = 0.0
-    params = [WeightParam.cosh_real(m) for m in (0.5, 1.0)]
-    params += [WeightParam.cos_imaginary(e) for e in (0.3, 0.5)]
-    for p in params:
+    for p in _iteration_params():
         F = cosh_forward(GridFn(tg, f), p)
         _, rep = cosh_invert_neumann(F, p, tol=1e-12)
         worst = max(worst, rep.measured_ratio - (p.contraction + 0.02))
@@ -303,15 +299,16 @@ def check_contraction(n: int = 128) -> CheckResult:
 
 def check_direct_neumann_agreement(n: int = 128) -> CheckResult:
     tg = cgl_nodes(GridKind.TNODES, n)
-    f = tg.weights * (1.0 - 0.4 * tg.nodes + 0.2 * (2 * tg.nodes ** 2 - 1))
+    t = tg.nodes
     worst = 0.0
-    for mu in (0.5, 1.0):
-        p = WeightParam.cosh_real(mu)
-        F = cosh_forward(GridFn(tg, f), p)
-        fd, _ = cosh_invert_direct(F, p)
-        fn, _ = cosh_invert_neumann(F, p, tol=1e-12)
-        diff = fd.values - fn.values
-        worst = max(worst, float(np.sqrt(np.sum(diff[1:] ** 2) / n)))
+    for f in (tg.weights * (1.0 + 0.3 * t),
+              tg.weights * (1.0 - 0.4 * t + 0.2 * (2 * t ** 2 - 1))):
+        for p in _iteration_params():
+            F = cosh_forward(GridFn(tg, f), p)
+            fd, _ = cosh_invert_direct(F, p)
+            fn, _ = cosh_invert_neumann(F, p, tol=1e-12)
+            diff = fd.values - fn.values
+            worst = max(worst, float(np.sqrt(np.sum(diff[1:] ** 2) / n)))
     return _result("direct_neumann_agreement", worst, 1e-8)
 
 
@@ -343,19 +340,22 @@ def check_kernel_oracle() -> CheckResult:
     return _result("kernel_Kd_oracle_t0.3", abs(got - ref), 1e-6)
 
 
-def _kd_equivalence(n: int = 32, mu: float = 1.0, mq: int = 20001) -> float:
+# Kernel-form equivalence: N = 32, mu = 1, and a midpoint rule of _MQ points.
+_MQ = 20001
+
+
+def _kd_equivalence() -> float:
     """Max-norm gap between the composite operator M and its kernel form (d)."""
-    p = WeightParam.cosh_real(mu)
+    n = 32
+    p = WeightParam.cosh_real(1.0)
     tg = cgl_nodes(GridKind.TNODES, n)
     fv = tg.weights * (1.0 + 0.5 * tg.nodes - 0.3 * (2 * tg.nodes ** 2 - 1))
-    from .cosh import system_matrix
-
     lhs = (np.eye(n) - system_matrix(p, n)) @ fv
     kd = kernel("Kd", p, tg)
     a = coeffs_from_tgrid(GridFn(tg, fv))
 
-    h = 2.0 / mq
-    uq = -1.0 + (np.arange(mq) + 0.5) * h
+    h = 2.0 / _MQ
+    uq = -1.0 + (np.arange(_MQ) + 0.5) * h
     kdu = resample(kd.series, uq, ResampleMode.WU_SERIES) / weight_w(uq)
     fu = resample(a, uq, ResampleMode.WU_SERIES)
     tu = p.slope(uq)
@@ -371,9 +371,10 @@ def _kd_equivalence(n: int = 32, mu: float = 1.0, mq: int = 20001) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _km_equivalence(n: int = 32, mu: float = 1.0, mq: int = 20001) -> float:
+def _km_equivalence() -> float:
     """Max-norm gap for the multiplication flavor, theta-substituted quadrature."""
-    p = WeightParam.cosh_real(mu)
+    n = 32
+    p = WeightParam.cosh_real(1.0)
     sg = cgl_nodes(GridKind.SNODES, n)
     ug = cgl_nodes(GridKind.UNODES, n)
     fS = (sg.nodes + 0.4 * cheb_eval(Basis.FIRST_T, 3, sg.nodes)) / sg.weights
@@ -387,8 +388,8 @@ def _km_equivalence(n: int = 32, mu: float = 1.0, mq: int = 20001) -> float:
     tcoeffs = np.concatenate(([c0], dc))
     km_coeffs = np.concatenate(([0.0], km.series.coeffs))
 
-    hq = np.pi / mq
-    phq = (np.arange(mq) + 0.5) * hq
+    hq = np.pi / _MQ
+    phq = (np.arange(_MQ) + 0.5) * hq
     uq = np.cos(phq)
     g = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), uq, ResampleMode.T_SERIES)
     kmu = resample(ChebCoeffs(Basis.FIRST_T, km_coeffs), uq, ResampleMode.T_SERIES)
@@ -452,35 +453,44 @@ def check_null_experiment() -> CheckResult:
 
 # ---------------------------------------------------------------------------
 
-def run_suite(sizes=(64, 256), weight: WeightParam | None = None) -> list[CheckResult]:
-    """Run every named check; returns results in a stable order."""
-    results: list[CheckResult] = []
-    for n in sizes:
-        results.append(check_grid_formulas(n))
-        results.append(check_quadrature_t(n))
-        results.append(check_quadrature_u(n))
-        results.append(check_c3_orthogonality(n))
-        results.append(check_s1_diagonal(n))
-        results.append(check_m_analysis_roundtrip(n))
-        results.append(check_d_roundtrip(n))
-        results.append(check_forward_d_pair(n))
-        results.append(check_isometry_d(n))
-        results.append(check_isometry_m(n))
-        results.append(check_plancherel_suite(n))
-        results.append(check_lemma2_inequality(n))
-        results.append(check_range_defect(n))
-        results.append(check_degeneration(n))
-    results.append(check_cheb_trig())
-    results.append(check_oracle_agreement())
-    results.append(check_coerciveness())
-    results.append(check_contraction())
-    results.append(check_direct_neumann_agreement())
-    results.append(check_kernel_parity())
-    results.append(check_kernel_oracle())
-    results.append(check_kernel_equivalence())
-    results.append(check_mean_constrained())
-    results.append(check_cos_flavor_roundtrip())
-    results.append(check_null_experiment())
+SIZES = (64, 256)
+
+# checks run at each of SIZES, then the checks run once; the order is stable
+_PER_SIZE_CHECKS = (
+    check_grid_formulas,
+    partial(check_quadrature, Basis.FIRST_T),
+    partial(check_quadrature, Basis.SECOND_U),
+    check_c3_orthogonality,
+    check_s1_diagonal,
+    check_m_analysis_roundtrip,
+    check_d_roundtrip,
+    check_forward_d_pair,
+    check_isometry_d,
+    check_isometry_m,
+    check_plancherel_suite,
+    check_lemma2_inequality,
+    check_range_defect,
+    check_degeneration,
+)
+_ONCE_CHECKS = (
+    check_cheb_trig,
+    check_oracle_agreement,
+    check_coerciveness,
+    check_contraction,
+    check_direct_neumann_agreement,
+    check_kernel_parity,
+    check_kernel_oracle,
+    check_kernel_equivalence,
+    check_mean_constrained,
+    check_cos_flavor_roundtrip,
+    check_null_experiment,
+)
+
+
+def run_suite(weight: WeightParam | None = None) -> list[CheckResult]:
+    """Run every named check at SIZES, plus the condition bound at weight."""
+    results = [check(n) for n in SIZES for check in _PER_SIZE_CHECKS]
+    results += [check() for check in _ONCE_CHECKS]
     if weight is not None:
         results.append(check_condition(weight))
     return results

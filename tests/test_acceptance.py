@@ -1,46 +1,49 @@
 """Acceptance gate: twelve criteria, one printed pass/fail line each.
 
 Each test prints its verdict line (bypassing capture so it always appears in
-the run log) and then asserts, so a failure is visible both ways.
+the run log) and then asserts, so a failure is visible both ways. Criteria
+02, 03, 06, 07, 08, 10 and 11 run the named checks of ``fhtcheb.verify``
+(the suite behind ``fhtcheb verify``), so each property is coded once.
 """
 
-import math
 import sys
 import time
 
 import numpy as np
 
 from fhtcheb import (
-    Basis,
-    Flavor,
     GridFn,
     GridKind,
     ResampleMode,
     Space,
     WeightParam,
     cgl_nodes,
-    cheb_eval,
     coeffs_from_sgrid,
     coeffs_from_tgrid,
     condition_estimate,
     cosh_forward,
     cosh_invert_direct,
     cosh_invert_mean_constrained,
-    cosh_invert_neumann,
     cosh_pv_forward,
-    fht_forward_d,
-    fht_inverse_d,
     norm,
     pair,
-    plancherel_check,
-    pv_fht,
     resample,
     weight_w,
 )
 from fhtcheb.cli import main
 from fhtcheb.fht import sgrid_to_unodes
 from fhtcheb.report import read_csv, write_csv
-from fhtcheb.verify import _kd_equivalence, _km_equivalence, run_suite
+from fhtcheb.verify import (
+    check_coerciveness,
+    check_contraction,
+    check_degeneration,
+    check_direct_neumann_agreement,
+    check_forward_d_pair,
+    check_kernel_equivalence,
+    check_oracle_agreement,
+    check_plancherel_suite,
+    run_suite,
+)
 
 
 from conftest import record_verdict
@@ -51,6 +54,12 @@ def _verdict(num, name, ok, detail):
     print(line, file=sys.__stdout__, flush=True)
     record_verdict(line)
     assert ok, line
+
+
+def _verdict_checks(num, *results):
+    """The verdict of one or more verify checks, under their names and details."""
+    _verdict(num, ", ".join(r.name for r in results), all(r.passed for r in results),
+             "; ".join(r.detail for r in results))
 
 
 def _rel_lm_error_tgrid(got: GridFn, exact_fn) -> float:
@@ -75,28 +84,11 @@ def test_criterion_01_condition_bound():
 
 
 def test_criterion_02_degeneration_mu0():
-    n = 256
-    rng = np.random.default_rng(0)
-    tg = cgl_nodes(GridKind.TNODES, n)
-    sg = cgl_nodes(GridKind.SNODES, n)
-    p0 = WeightParam.cosh_real(0.0)
-    f = GridFn(tg, rng.standard_normal(n))
-    F = GridFn(sg, rng.standard_normal(n))
-    e1 = float(np.max(np.abs(cosh_forward(f, p0).values - fht_forward_d(f).values)))
-    e2 = float(np.max(np.abs(cosh_invert_direct(F, p0)[0].values
-                             - fht_inverse_d(F).values)))
-    err = max(e1, e2)
-    _verdict(2, "degeneration at mu=0", err <= 1e-14, f"max elementwise gap {err:.2e}")
+    _verdict_checks(2, check_degeneration(256))
 
 
 def test_criterion_03_analytic_pair_forward():
-    worst = 0.0
-    for n in (64, 256):
-        tg = cgl_nodes(GridKind.TNODES, n)
-        F = fht_forward_d(GridFn(tg, tg.weights))
-        worst = max(worst, float(np.max(np.abs(F.values - F.grid.nodes))))
-    _verdict(3, "forward of sqrt(1-t^2) equals s", worst < 1e-12,
-             f"max node error {worst:.2e} at N in {{64,256}}")
+    _verdict_checks(3, check_forward_d_pair(64), check_forward_d_pair(256))
 
 
 def test_criterion_04_shifted_pair_inversion(tmp_path):
@@ -136,65 +128,15 @@ def test_criterion_05_downsample_protocol():
 
 
 def test_criterion_06_plancherel_suite():
-    n = 256
-    tg = cgl_nodes(GridKind.TNODES, n)
-    sg = cgl_nodes(GridKind.SNODES, n)
-    worst = 0.0
-    for k in range(31):
-        f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-        worst = max(worst, plancherel_check(f, Flavor.D).defect)
-    u0 = cheb_eval(Basis.SECOND_U, 0, sg.nodes)
-    u2 = cheb_eval(Basis.SECOND_U, 2, sg.nodes)
-    for vals in (sg.weights * u0, sg.weights * (u0 + u2)):
-        worst = max(worst, plancherel_check(GridFn(sg, vals), Flavor.M).defect)
-    f_odd = GridFn(sg, sg.weights * cheb_eval(Basis.SECOND_U, 1, sg.nodes))
-    rep = plancherel_check(f_odd, Flavor.M)
-    worst = max(worst, rep.defect)
-    ug = cgl_nodes(GridKind.UNODES, n)
-    full = norm(GridFn(ug, sgrid_to_unodes(f_odd)), Space.LM2) ** 2
-    worst = max(worst, abs(rep.lhs - full))  # zero-mean: no correction term
-    _verdict(6, "Plancherel equalities", worst < 1e-10, f"max defect {worst:.2e}")
+    _verdict_checks(6, check_plancherel_suite(256))
 
 
 def test_criterion_07_coerciveness():
-    n = 128
-    tg = cgl_nodes(GridKind.TNODES, n)
-    sg = cgl_nodes(GridKind.SNODES, n)
-    details = []
-    ok = True
-    for mu in (0.5, 1.0, 2.0):
-        p = WeightParam.cosh_real(mu)
-        floor = 1.0 - math.tanh(mu) ** 2
-        worst = math.inf
-        for k in range(n - 1):
-            f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-            num = norm(cosh_forward(f, p), Space.LD2)
-            den = norm(GridFn(sg, resample(coeffs_from_tgrid(f), sg.nodes,
-                                           ResampleMode.WU_SERIES)), Space.LD2)
-            worst = min(worst, num / den)
-        ok = ok and worst >= floor - 1e-8
-        details.append(f"mu={mu}: min ratio {worst:.4f} >= {floor:.4f}")
-    _verdict(7, "coerciveness", ok, "; ".join(details))
+    _verdict_checks(7, check_coerciveness())
 
 
 def test_criterion_08_contraction_rates():
-    n = 128
-    tg = cgl_nodes(GridKind.TNODES, n)
-    f = tg.weights * (1.0 + 0.3 * tg.nodes)
-    ok = True
-    details = []
-    params = [WeightParam.cosh_real(m) for m in (0.5, 1.0)]
-    params += [WeightParam.cos_imaginary(e) for e in (0.3, 0.5)]
-    for p in params:
-        F = cosh_forward(GridFn(tg, f), p)
-        fn, rep = cosh_invert_neumann(F, p, tol=1e-12)
-        fd, _ = cosh_invert_direct(F, p)
-        agree = float(np.sqrt(np.sum((fd.values[1:] - fn.values[1:]) ** 2) / n))
-        ok = ok and rep.measured_ratio <= p.contraction + 0.02 and agree < 1e-8
-        details.append(f"{p.flavor.value}({p.value}): ratio {rep.measured_ratio:.4f}"
-                       f"<= {p.contraction + 0.02:.4f}, agree {agree:.1e}")
-    _verdict(8, "contraction rates + direct/iterative agreement", ok,
-             "; ".join(details))
+    _verdict_checks(8, check_contraction(), check_direct_neumann_agreement())
 
 
 def test_criterion_09_mean_constrained_vs_oracle():
@@ -219,35 +161,11 @@ def test_criterion_09_mean_constrained_vs_oracle():
 
 
 def test_criterion_10_oracle_cross_check():
-    # Both routes evaluate the same band-limited interpolant of the shifted
-    # pair's f: the spectral transform acts on grid samples, so the oracle
-    # integrates the sine-series interpolant rather than the kinked original.
-    n = 256
-    pr = pair("shifted")
-    tg = cgl_nodes(GridKind.TNODES, n)
-    f = GridFn(tg, pr.f(tg.nodes))
-    F = fht_forward_d(f)
-    a = coeffs_from_tgrid(f)
-    Fc = coeffs_from_sgrid(F)
-
-    def interp(t):
-        return resample(a, t, ResampleMode.WU_SERIES)
-
-    worst = 0.0
-    for s in (-0.5, 0.0, 0.3, 0.85):
-        orc = pv_fht(interp, s, 8192)
-        spe = resample(Fc, s, ResampleMode.T_SERIES)
-        worst = max(worst, abs(orc - spe))
-    _verdict(10, "spectral forward vs PV oracle (4 points)", worst < 1e-5,
-             f"max |delta| {worst:.2e} at m_points=8192")
+    _verdict_checks(10, check_oracle_agreement(256))
 
 
 def test_criterion_11_kernel_form_equivalence():
-    ed = _kd_equivalence(n=32, mu=1.0)
-    em = _km_equivalence(n=32, mu=1.0)
-    ok = max(ed, em) < 1e-3
-    _verdict(11, "kernel-form equivalence at N=32", ok,
-             f"d-flavor {ed:.2e}, m-flavor {em:.2e}")
+    _verdict_checks(11, check_kernel_equivalence())
 
 
 def test_criterion_12_null_experiment_and_verify(tmp_path):
@@ -257,7 +175,7 @@ def test_criterion_12_null_experiment_and_verify(tmp_path):
     lines = out.read_text().splitlines()
     table_ok = rc == 0 and lines[0] == "n,norm_d,norm_m" and len(lines) == 5
     t0 = time.monotonic()
-    results = run_suite(sizes=(64, 256), weight=WeightParam.cosh_real(4.0))
+    results = run_suite(weight=WeightParam.cosh_real(4.0))
     dt = time.monotonic() - t0
     suite_ok = all(r.passed for r in results) and dt < 60.0
     _verdict(12, "null experiment table + verify suite", table_ok and suite_ok,

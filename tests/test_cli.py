@@ -34,6 +34,9 @@ EXIT_CASES = [
     ("size-too-small", ["null-experiment", "--mu", "3", "--sizes", "1"], 4),
     ("size-negative", ["null-experiment", "--mu", "3", "--sizes", "64,-4"], 4),
     ("size-too-large", ["null-experiment", "--mu", "3", "--sizes", "2050"], 4),
+    ("mu-not-a-number", ["cosh-forward", "--mu", "abc", "--input", "{f}"], 4),
+    ("unknown-flag", ["forward", "--bogus", "--input", "{f}"], 4),
+    ("unknown-method", ["cosh-invert", "--method", "lu", "--mu", "3", "--input", "{F}"], 4),
 ]
 
 
@@ -53,7 +56,9 @@ def test_exit_codes(tmp_path, argv, code):
     files = {stem: tmp_path / f"{stem}.csv"
              for stem in ("f", "F", "offgrid", "nan", "inf", "big")}
     argv = [a.format(dir=tmp_path, **files) for a in argv]
-    assert main([*argv, "--json", str(tmp_path / "r.json")]) == code
+    if argv[0] not in ("cond-sweep", "null-experiment"):  # the two take no --json
+        argv += ["--json", str(tmp_path / "r.json")]
+    assert main(argv) == code
 
 
 def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
