@@ -252,8 +252,8 @@ def cmd_cond_sweep(args) -> int:
     mu_list = _parse_list(args.mu_list, float, "--mu-list")
     if not mu_list:
         raise ParameterError("--mu-list is required")
-    if args.n < 8:
-        raise ParameterError(f"--n must be >= 8, got {args.n}")
+    if not 8 <= args.n <= MAX_DEGREE + 1:  # the estimate is a dense N x N SVD
+        raise ParameterError(f"--n must lie in [8, {MAX_DEGREE + 1}], got {args.n}")
     # every mu is checked before the first estimate
     params = [WeightParam.cosh_real(mu) for mu in mu_list]
     rows = []

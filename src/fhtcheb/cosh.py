@@ -31,7 +31,6 @@ from .fht import (
     coeffs_from_sgrid,
     fht_forward_m,
     fht_inverse_m,
-    m_analysis_sgrid,
 )
 from .grids import (
     Basis,
@@ -170,17 +169,32 @@ def _norm_d_tvals(v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(v[1:] ** 2) / v.shape[0]))
 
 
-def _norm_m_svals(f: GridFn) -> float:
-    """L_m^2 norm of an S-grid function via its (c0 + sum d T_{k+1})/w split."""
-    c0, d = m_analysis_sgrid(f)
-    return float(np.sqrt(c0 ** 2 + 0.5 * np.sum(d ** 2)))
-
-
 def _contraction_stats(history: list[float]) -> float:
     ratios = [
         b / a for a, b in zip(history, history[1:]) if a > 0.0
     ]
     return max(ratios) if ratios else 0.0
+
+
+def _fixed_point(f0: np.ndarray, step, step_norm, p: WeightParam, tol: float, max_iter: int):
+    """Iterate x <- f0 + step(x) from x = f0 until step_norm of a step is below tol."""
+    history: list[float] = []
+    x = f0
+    for _ in range(max_iter):
+        nxt = f0 + step(x)
+        history.append(step_norm(nxt - x))
+        x = nxt
+        if history[-1] < tol:
+            break
+    return x, SolveReport(
+        iterations=len(history),
+        residual_history=history,
+        measured_ratio=_contraction_stats(history),
+        bound_ratio=p.contraction,
+        coercive_const=p.coercive_const,
+        final_defect=history[-1] if history else 0.0,
+        converged=bool(history) and history[-1] < tol,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -291,32 +305,12 @@ def cosh_invert_neumann(
         raise ParameterError("tol must be positive")
     n = F_mu.grid.n
     dw = diag_weights(p, n)
-    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
-    f0 = apply(s1, apply(c3, F_mu.values / dw.cosh_s, transposed=True))
-    history: list[float] = []
-    fhat = f0.copy()
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = f0 + _contract(dw, c3, s1, fhat)
-        diff = _norm_d_tvals(nxt - fhat)
-        history.append(diff)
-        fhat = nxt
-        iterations += 1
-        if diff < tol:
-            converged = True
-            break
+    hd = build(TransformKind.HD, n)  # C3 S1^T, so the step is HD^T D_s HD D_t
+    f0 = apply(hd, F_mu.values / dw.cosh_s, transposed=True)
+    fhat, report = _fixed_point(f0, lambda v: hd.T @ (dw.d_s * (hd @ (dw.d_t * v))),
+                                _norm_d_tvals, p, tol, max_iter)
     fvals = fhat / dw.cosh_t
     fvals[0] = 0.0
-    report = SolveReport(
-        iterations=iterations,
-        residual_history=history,
-        measured_ratio=_contraction_stats(history),
-        bound_ratio=p.contraction,
-        coercive_const=p.coercive_const,
-        final_defect=history[-1] if history else 0.0,
-        converged=converged,
-    )
     return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
 
 
@@ -376,33 +370,16 @@ def cosh_invert_mean_constrained(
     # Data term: the plain-convention inverse is minus the Tricomi-oriented one.
     f0 = -fht_inverse_m(GridFn(ug, fhat1)).values
 
-    def contraction_op(v: np.ndarray) -> np.ndarray:
+    def step(v: np.ndarray) -> np.ndarray:
         inner = fht_forward_m(GridFn(sg, slope_s * v))
         return fht_inverse_m(GridFn(ug, slope_u * inner.values)).values
 
-    history: list[float] = []
-    f = f0.copy()
-    converged = False
-    iterations = 0
-    for _ in range(max_iter):
-        nxt = f0 + contraction_op(f)
-        diff = _norm_m_svals(GridFn(sg, nxt - f))
-        history.append(diff)
-        f = nxt
-        iterations += 1
-        if diff < tol:
-            converged = True
-            break
+    # The L_m^2 norm sqrt(c0^2 + sum d^2 / 2) of the (c0 + sum d T_{k+1})/w
+    # split is ||w f|| / sqrt(N), because C3 is orthogonal.
+    w_norm = sg.weights / np.sqrt(n)
+    f, report = _fixed_point(f0, step, lambda v: float(np.linalg.norm(w_norm * v)),
+                             p, tol, max_iter)
     out = (f + mean_fbar) / p.scale(sg.nodes)
-    report = SolveReport(
-        iterations=iterations,
-        residual_history=history,
-        measured_ratio=_contraction_stats(history),
-        bound_ratio=p.contraction,
-        coercive_const=p.coercive_const,
-        final_defect=history[-1] if history else 0.0,
-        converged=converged,
-    )
     return GridFn(sg, out), report
 
 

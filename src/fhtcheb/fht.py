@@ -10,9 +10,10 @@ maps to zero. The basis map is T_{n+1}/w <-> U_n with the positive sign of
 the classical Tricomi pairs; see the sign note in cosh.py for how this
 composes with the plain-convention transform.
 
-Both flavors use only the two transforms of transforms.py: C3 of size N
+Both flavors rest on the two transforms of transforms.py: C3 of size N
 analyzes (or synthesizes) T-series on S-nodes, and S1 of size N+1, on its
-interior rows and columns, does the same for w U-series on U-nodes.
+interior rows and columns, does the same for w U-series on U-nodes. The
+m-flavor pair applies their fused product HM, one matrix-vector product each.
 """
 
 from __future__ import annotations
@@ -134,11 +135,12 @@ def fht_inverse_d(F: GridFn) -> GridFn:
 
 def fht_forward_m(f: GridFn) -> GridFn:
     """Map T_{n+1}/w components on S-nodes to U_n on U-nodes; C/w maps to 0."""
-    _, d = m_analysis_sgrid(f)
+    _require(f, GridKind.SNODES)
     n = f.grid.n
     ug = cgl_nodes(GridKind.UNODES, n)
-    s1 = build(TransformKind.S1, n + 1)
-    out = np.sqrt((n + 1) / 2.0) * apply(s1, np.concatenate(([0.0], d)))[1:] / ug.weights
+    hm = build(TransformKind.HM, n)
+    out = np.sqrt((n + 1) / n) * apply(hm, f.grid.weights * f.values, transposed=True)
+    out /= ug.weights
     return GridFn(ug, out)
 
 
@@ -146,10 +148,9 @@ def fht_inverse_m(F: GridFn) -> GridFn:
     """Map U_n components on U-nodes back to T_{n+1}/w on S-nodes."""
     _require(F, GridKind.UNODES)
     n = F.grid.n
-    d = _u_analysis(F)
     sg = cgl_nodes(GridKind.SNODES, n)
-    c3 = build(TransformKind.C3, n)
-    out = np.sqrt(n / 2.0) * apply(c3, np.concatenate(([0.0], d[:-1]))) / sg.weights
+    hm = build(TransformKind.HM, n)
+    out = np.sqrt(n / (n + 1)) * apply(hm, F.grid.weights * F.values) / sg.weights
     return GridFn(sg, out)
 
 

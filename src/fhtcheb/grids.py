@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,23 +50,21 @@ class ResampleMode(enum.Enum):
 class Grid:
     """Collocation grid: node abscissae plus the generating angles.
 
-    Angles are kept so that w(node) == sin(angle) is available exactly;
-    nodes are always the closed-form cosines, never accumulated.
+    Angles are kept so that w(node) == sin(angle), the ``weights``, is
+    available exactly; nodes are always the closed-form cosines, never
+    accumulated. All three arrays are read-only.
     """
 
     kind: GridKind
     n: int
     nodes: np.ndarray
     angles: np.ndarray
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.nodes.flags.writeable = False
-        self.angles.flags.writeable = False
-
-    @property
-    def weights(self) -> np.ndarray:
-        """w evaluated at the nodes, computed as sin(angle)."""
-        return np.sin(self.angles)
+        object.__setattr__(self, "weights", np.sin(self.angles))
+        for a in (self.nodes, self.angles, self.weights):
+            a.flags.writeable = False
 
     def matches(self, other: "Grid") -> bool:
         return self.kind is other.kind and self.n == other.n
@@ -99,9 +98,14 @@ class ChebCoeffs:
 
 
 def cgl_nodes(kind: GridKind, n: int) -> Grid:
-    """Build a CGL grid of the given kind and size (n >= 2)."""
+    """The CGL grid of the given kind and size (n >= 2), shared between calls."""
     if n < 2:
         raise InvalidSizeError(f"grid size must be >= 2, got {n}")
+    return _cgl_grid(kind, n)
+
+
+@lru_cache(maxsize=32)  # a grid is three length-N arrays
+def _cgl_grid(kind: GridKind, n: int) -> Grid:
     if kind is GridKind.SNODES:
         angles = (np.arange(n) + 0.5) * np.pi / n
     elif kind is GridKind.TNODES:

@@ -1,16 +1,18 @@
-"""The two dense trigonometric transforms every operator is built from.
+"""The dense trigonometric transforms every operator is built from.
 
 C3 is the orthogonal DCT-III on half-integer angles (S-nodes); S1 the
 symmetric DST-I on integer angles (T-nodes at size N, U-nodes at size N+1).
 Every other table the package needs is a scaled slice of one of them, for
 example T_{k+1}(s_m) = sqrt(N/2) C3[m, k+1] and
-U_k(u_j) = sqrt((N+1)/2) S1_{N+1}[j, k+1] / sin(j pi/(N+1)).
+U_k(u_j) = sqrt((N+1)/2) S1_{N+1}[j, k+1] / sin(j pi/(N+1)). The fused
+products HD = C3 S1^T and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T let the d- and
+m-flavor iterations take one matrix-vector product per transform.
 
-Everything here is O(N^2) on purpose: a dense apply is sub-millisecond up
-to N = 512 and a few milliseconds at N = 2048, and the explicit matrix
-doubles as the object whose condition number the weighted solver bounds.
-The matrices are cached per (kind, N); an N x N matrix takes 8 N^2 bytes
-(32 MB at N = 2048), so the cache keeps only the most recently used few.
+Building C3, S1 and HD (in closed form) is O(N^2); HM has no closed form
+(S- and U-nodes can coincide) and costs one O(N^3) product per N. Every
+apply is O(N^2), sub-millisecond up to N = 512. The matrices are cached per
+(kind, N); an N x N matrix takes 8 N^2 bytes (32 MB at N = 2048), so the
+cache keeps only the most recently used few.
 """
 
 from __future__ import annotations
@@ -19,37 +21,66 @@ import enum
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import GridMismatchError, InvalidSizeError
 
 
-# Cache bound: C3 at N plus S1 at N and N+1, for two sizes, with room to spare.
+# Cache bound: one N has at most five matrices (C3, S1 at N and N+1, HD, HM)
+# and each solver uses at most two, so a few sizes in use fit at once.
 _BUILD_CACHE_SIZE = 8
 
 
 class TransformKind(enum.Enum):
     C3 = "c3"
     S1 = "s1"
+    HD = "hd"  # C3 S1^T: f on T-nodes -> F on S-nodes
+    HM = "hm"  # C3[:, 1:] S1_{N+1}[1:, 1:N]^T: between U-node and S-node series
+
+
+def _c3(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    m = np.sqrt(2.0 / n) * np.cos(np.outer(idx + 0.5, idx) * (np.pi / n))
+    m[:, 0] = np.sqrt(1.0 / n)
+    return m
+
+
+def _s1(n: int) -> np.ndarray:
+    idx = np.arange(n)
+    return np.sqrt(2.0 / n) * np.sin(np.outer(idx, idx) * (np.pi / n))
+
+
+def _hd(n: int) -> np.ndarray:
+    """HD[m, j] = (S(j+m+1/2) + S(j-m-1/2)) / N with S(q) = sum_{k<N} sin(k q pi/N).
+
+    S is summed in closed form at the 3N-1 half-integers q, where sin(q pi/2N)
+    never vanishes; the Hankel and Toeplitz terms are two views of S.
+    """
+    q = np.arange(-n, 2 * n - 1) + 0.5
+    s = (np.sin((n - 1) * q * (np.pi / (2 * n))) * np.sin(q * (np.pi / 2))
+         / (n * np.sin(q * (np.pi / (2 * n)))))
+    w = sliding_window_view(s, n)  # w[i, j] = s[i + j]
+    return w[n:] + w[n - 1::-1]
 
 
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def build(kind: TransformKind, n: int) -> np.ndarray:
-    """Build (and cache) C3 or S1 of size n as a read-only array.
+    """Build (and cache) the transform matrix of one kind and size n, read-only.
 
     C3 is the orthogonal DCT-III on half-integer angles; S1 the symmetric
     DST-I on integer angles (row 0 and column 0 are zero, encoding the
-    boundary condition f(t_0) = 0).
+    boundary condition f(t_0) = 0); HD and HM are the fused products above.
     """
     if n < 2:
         raise InvalidSizeError(f"transform size must be >= 2, got {n}")
-    idx = np.arange(n)
     if kind is TransformKind.C3:
-        ang = np.outer(idx + 0.5, idx) * (np.pi / n)
-        m = np.sqrt(2.0 / n) * np.cos(ang)
-        m[:, 0] = np.sqrt(1.0 / n)
+        m = _c3(n)
     elif kind is TransformKind.S1:
-        ang = np.outer(idx, idx) * (np.pi / n)
-        m = np.sqrt(2.0 / n) * np.sin(ang)
+        m = _s1(n)
+    elif kind is TransformKind.HD:
+        m = _hd(n)
+    elif kind is TransformKind.HM:
+        m = _c3(n)[:, 1:] @ _s1(n + 1)[1:, 1:n].T
     else:  # pragma: no cover
         raise InvalidSizeError(f"unknown transform kind {kind}")
     m.flags.writeable = False

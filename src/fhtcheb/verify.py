@@ -269,15 +269,17 @@ def check_degeneration(n: int) -> CheckResult:
 def check_coerciveness(n: int = 128) -> CheckResult:
     tg = cgl_nodes(GridKind.TNODES, n)
     sg = cgl_nodes(GridKind.SNODES, n)
-    worst = 0.0
+    worst = (-math.inf, 0.0, 0.0, 0.0)  # (bound - ratio, ratio, bound, mu)
     for mu in (0.5, 1.0, 2.0):
         p = WeightParam.cosh_real(mu)
         for k in range(n - 1):
             f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
             ratio = (norm(cosh_forward(f, p), Space.LD2)
                      / norm(GridFn(sg, tgrid_to_snodes(f)), Space.LD2))
-            worst = max(worst, p.coercive_const - ratio)
-    return _result("coerciveness_mu_0.5_1_2", max(worst, 0.0), 1e-8)
+            worst = max(worst, (p.coercive_const - ratio, ratio, p.coercive_const, mu))
+    gap, ratio, bound, mu = worst
+    return CheckResult("coerciveness_mu_0.5_1_2", gap <= 1e-8,
+                       f"ratio={ratio:.6f} >= bound={bound:.6f} - 1e-8 (mu={mu:g}, nearest)")
 
 
 def _iteration_params() -> list[WeightParam]:
@@ -289,12 +291,16 @@ def _iteration_params() -> list[WeightParam]:
 def check_contraction(n: int = 128) -> CheckResult:
     tg = cgl_nodes(GridKind.TNODES, n)
     f = tg.weights * (1.0 + 0.3 * tg.nodes)
-    worst = 0.0
+    worst = (-math.inf, 0.0, 0.0, "")  # (ratio - bound, ratio, bound, weight)
     for p in _iteration_params():
         F = cosh_forward(GridFn(tg, f), p)
         _, rep = cosh_invert_neumann(F, p, tol=1e-12)
-        worst = max(worst, rep.measured_ratio - (p.contraction + 0.02))
-    return _result("contraction_ratios", max(worst, 0.0), 0.0)
+        bound = p.contraction + 0.02
+        worst = max(worst, (rep.measured_ratio - bound, rep.measured_ratio, bound,
+                            f"{p.flavor.value} {p.value:g}"))
+    excess, ratio, bound, weight = worst
+    return CheckResult("contraction_ratios", excess <= 0.0,
+                       f"ratio={ratio:.4f} <= bound={bound:.4f} ({weight}, nearest)")
 
 
 def check_direct_neumann_agreement(n: int = 128) -> CheckResult:
@@ -314,9 +320,9 @@ def check_direct_neumann_agreement(n: int = 128) -> CheckResult:
 
 def check_condition(p: WeightParam, n: int = 256) -> CheckResult:
     est = condition_estimate(p, n)
-    excess = est.measured - est.bound * (1.0 + 1e-6)
-    name = f"condition_bound_{p.flavor.value}_{p.value:g}_n{n}"
-    return _result(name, max(excess, 0.0), 0.0)
+    return CheckResult(f"condition_bound_{p.flavor.value}_{p.value:g}_n{n}",
+                       est.measured <= est.bound * (1.0 + 1e-6),
+                       f"measured={est.measured:.4e} bound={est.bound:.4e}")
 
 
 def check_kernel_parity(n: int = 64) -> CheckResult:

@@ -29,6 +29,7 @@ EXIT_CASES = [
     ("eta-out-of-range", ["cosh-forward", "--eta", "0.9", "--input", "{f}"], 4),
     ("cosh-overflow", ["cosh-forward", "--mu", "800", "--input", "{f}"], 4),
     ("cond-sweep-mu-limit", ["cond-sweep", "--mu-list", "20", "--n", "64"], 4),
+    ("cond-sweep-n-too-large", ["cond-sweep", "--mu-list", "1", "--n", "2050"], 4),
     ("cosh-invert-direct-mu-limit", ["cosh-invert", "--method", "direct", "--mu", "20",
                                      "--input", "{F}"], 4),
     ("size-too-small", ["null-experiment", "--mu", "3", "--sizes", "1"], 4),
@@ -69,6 +70,14 @@ def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
     fin = tmp_path / "big.csv"
     _write_tgrid_csv(fin, 2 * MAX_DEGREE, weight_w)
     assert main(["forward", "--input", str(fin), "--json", str(tmp_path / "r.json")]) == 3
+
+
+def test_oversized_cond_sweep_rejected_before_compute(monkeypatch):
+    def refuse(p, n):
+        raise AssertionError(f"condition estimate computed at n = {n}")
+
+    monkeypatch.setattr("fhtcheb.cli.condition_estimate", refuse)
+    assert main(["cond-sweep", "--mu-list", "1", "--n", "100000"]) == 4
 
 
 class TestCsvRoundTrip:

@@ -246,6 +246,23 @@ class TestNeumann:
         assert rep.iterations == 2
 
 
+def test_iteration_counts_pinned():
+    # The counts the two-stage C3 / S1 form of both steps gives at tol = 1e-10;
+    # a change in the step operator or the step norm moves them.
+    n = 256
+    p = WeightParam.cosh_real(2.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    ug = cgl_nodes(GridKind.UNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes - 0.2 * tg.nodes ** 3)), p)
+    _, rep_neu = cosh_invert_neumann(F, p)
+    f_odd = 2.0 * tg.nodes * tg.weights * (1.0 - 0.5 * tg.nodes ** 2)  # fbar = 0
+    F_odd = cosh_forward(GridFn(tg, f_odd), p)
+    Fu = resample(coeffs_from_sgrid(F_odd), ug.nodes, ResampleMode.T_SERIES)
+    _, rep_mc = cosh_invert_mean_constrained(GridFn(ug, Fu), p, 0.0)
+    assert (rep_neu.iterations, rep_mc.iterations) == (239, 233)
+    assert rep_neu.converged and rep_mc.converged
+
+
 class TestMeanConstrained:
     def test_mu_zero_single_iteration(self):
         n = 64
@@ -347,6 +364,15 @@ class TestCondition:
         est = condition_estimate(WeightParam.cosh_real(4.0), 256)
         assert round(est.bound, 1) == 1490.5
         assert est.measured <= est.bound * (1.0 + 1e-6)
+
+    def test_verify_detail_reports_measured_and_bound(self):
+        from fhtcheb.verify import check_condition
+
+        p = WeightParam.cosh_real(3.0)
+        est = condition_estimate(p, 64)
+        res = check_condition(p, 64)
+        assert res.passed
+        assert f"{est.measured:.4e}" in res.detail and f"{est.bound:.4e}" in res.detail
 
     def test_mu3_bound_value(self):
         est = condition_estimate(WeightParam.cosh_real(3.0), 256)

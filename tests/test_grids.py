@@ -49,6 +49,14 @@ class TestCglNodes:
         g = cgl_nodes(GridKind.UNODES, 16)
         np.testing.assert_allclose(g.weights, np.sqrt(1 - g.nodes ** 2), atol=1e-15)
 
+    @pytest.mark.parametrize("kind", list(GridKind))
+    def test_shared_and_read_only(self, kind):
+        g = cgl_nodes(kind, 16)
+        assert cgl_nodes(kind, 16) is g
+        for a in (g.nodes, g.angles, g.weights):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
+
 
 class TestChebEval:
     def test_t2(self):

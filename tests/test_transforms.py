@@ -49,6 +49,18 @@ class TestBuild:
             info = build.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 1024])
+    def test_fused_matrices(self, n):
+        c3 = build(TransformKind.C3, n)
+        hd = build(TransformKind.HD, n)
+        hm = build(TransformKind.HM, n)
+        np.testing.assert_allclose(hd, c3 @ build(TransformKind.S1, n).T, rtol=0, atol=1e-12)
+        s1u = build(TransformKind.S1, n + 1)
+        np.testing.assert_allclose(hm, c3[:, 1:] @ s1u[1:, 1:n].T, rtol=0, atol=1e-12)
+        for m in (hd, hm):
+            with pytest.raises(ValueError):
+                m[0, 0] = 99.0
+
     def test_entries_immutable(self):
         m = build(TransformKind.C3, 8)
         with pytest.raises(ValueError):
