@@ -26,12 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .fht import (
-    _u_analysis,
-    coeffs_from_sgrid,
-    fht_forward_m,
-    fht_inverse_m,
-)
+from .fht import _u_analysis, coeffs_from_sgrid, fht_forward_m, fht_inverse_m
 from .grids import (
     Basis,
     ChebCoeffs,
@@ -201,31 +196,27 @@ def _fixed_point(f0: np.ndarray, step, step_norm, p: WeightParam, tol: float, ma
 # forward operator and division-flavor inverters
 
 def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
-    """F_mu = cosh_s * [C3 S1^T - D_s C3 S1^T D_t] (cosh_t * f) on S-nodes."""
+    """F_mu = cosh_s * [HD - D_s HD D_t] (cosh_t * f) on S-nodes, HD = C3 S1^T."""
     if f.grid.kind is not GridKind.TNODES:
         raise ParameterError("cosh_forward expects samples on T-nodes")
     n = f.grid.n
     dw = diag_weights(p, n)
-    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
+    hd = build(TransformKind.HD, n)
     fhat = dw.cosh_t * f.values
-    main = apply(c3, apply(s1, fhat, transposed=True))
-    cross = dw.d_s * apply(c3, apply(s1, dw.d_t * fhat, transposed=True))
-    out = dw.cosh_s * (main - cross)
+    out = dw.cosh_s * (apply(hd, fhat) - dw.d_s * apply(hd, dw.d_t * fhat))
     return GridFn(cgl_nodes(GridKind.SNODES, n), out)
 
 
 def system_matrix(p: WeightParam, n: int) -> np.ndarray:
-    """I - S1 C3^T D_s C3 S1^T D_t, the matrix inverted by the direct solver."""
+    """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver."""
     dw = diag_weights(p, n)
-    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
-    m = s1 @ (c3.T @ (dw.d_s[:, None] * (c3 @ (s1.T * dw.d_t[None, :]))))
-    return np.eye(n) - m
+    hd = build(TransformKind.HD, n)
+    return np.eye(n) - hd.T @ (dw.d_s[:, None] * hd * dw.d_t[None, :])
 
 
-def _contract(dw: DiagWeights, c3: np.ndarray, s1: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """S1 C3^T D_s C3 S1^T D_t v, the contraction both division-flavor solvers apply."""
-    inner = apply(c3, apply(s1, dw.d_t * v, transposed=True))
-    return apply(s1, apply(c3, dw.d_s * inner, transposed=True))
+def _contract(dw: DiagWeights, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """HD^T D_s HD D_t v: the Neumann step, and I - system_matrix applied matrix-free."""
+    return hd.T @ (dw.d_s * (hd @ (dw.d_t * v)))
 
 
 # Plans of the direct solver, one per (weight, N). Each holds one N x N
@@ -247,7 +238,7 @@ def _direct_plan(p: WeightParam, n: int) -> _DirectPlan:
 
 
 def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
-    """Solve [I - S1 C3^T D_s C3 S1^T D_t] fhat = S1 C3^T (F_mu / cosh_s).
+    """Solve [I - HD^T D_s HD D_t] fhat = HD^T (F_mu / cosh_s), HD = C3 S1^T.
 
     Solves at one (weight, N) share a plan, kept for the few most recently
     used keys. The first solve of a key builds the system matrix and solves
@@ -261,8 +252,8 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
     n = F_mu.grid.n
     plan = _direct_plan(p, n)
     dw = plan.dw
-    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
-    b = apply(s1, apply(c3, F_mu.values / dw.cosh_s, transposed=True))
+    hd = build(TransformKind.HD, n)
+    b = apply(hd, F_mu.values / dw.cosh_s, transposed=True)
     with plan.lock:
         first = plan.matrix is None
         if first:
@@ -275,20 +266,12 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
         residual = m @ fhat - b
     else:
         fhat = m @ b
-        fhat += m @ (b - fhat + _contract(dw, c3, s1, fhat))
-        residual = fhat - _contract(dw, c3, s1, fhat) - b
+        fhat += m @ (b - fhat + _contract(dw, hd, fhat))
+        residual = fhat - _contract(dw, hd, fhat) - b
     fvals = fhat / dw.cosh_t
     fvals[0] = 0.0
-    defect = _norm_d_tvals(residual)
-    report = SolveReport(
-        iterations=0,
-        residual_history=[],
-        measured_ratio=0.0,
-        bound_ratio=p.contraction,
-        coercive_const=p.coercive_const,
-        final_defect=defect,
-        converged=True,
-    )
+    report = SolveReport(iterations=0, bound_ratio=p.contraction,
+                         coercive_const=p.coercive_const, final_defect=_norm_d_tvals(residual))
     return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
 
 
@@ -305,10 +288,10 @@ def cosh_invert_neumann(
         raise ParameterError("tol must be positive")
     n = F_mu.grid.n
     dw = diag_weights(p, n)
-    hd = build(TransformKind.HD, n)  # C3 S1^T, so the step is HD^T D_s HD D_t
+    hd = build(TransformKind.HD, n)
     f0 = apply(hd, F_mu.values / dw.cosh_s, transposed=True)
-    fhat, report = _fixed_point(f0, lambda v: hd.T @ (dw.d_s * (hd @ (dw.d_t * v))),
-                                _norm_d_tvals, p, tol, max_iter)
+    fhat, report = _fixed_point(f0, lambda v: _contract(dw, hd, v), _norm_d_tvals,
+                                p, tol, max_iter)
     fvals = fhat / dw.cosh_t
     fvals[0] = 0.0
     return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report

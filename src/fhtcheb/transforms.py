@@ -5,14 +5,16 @@ symmetric DST-I on integer angles (T-nodes at size N, U-nodes at size N+1).
 Every other table the package needs is a scaled slice of one of them, for
 example T_{k+1}(s_m) = sqrt(N/2) C3[m, k+1] and
 U_k(u_j) = sqrt((N+1)/2) S1_{N+1}[j, k+1] / sin(j pi/(N+1)). The fused
-products HD = C3 S1^T and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T let the d- and
-m-flavor iterations take one matrix-vector product per transform.
+products HD = C3 S1^T (the d-flavor FHT) and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T
+(the m-flavor one) make each transform one matrix-vector product.
 
-Building C3, S1 and HD (in closed form) is O(N^2); HM has no closed form
-(S- and U-nodes can coincide) and costs one O(N^3) product per N. Every
-apply is O(N^2), sub-millisecond up to N = 512. The matrices are cached per
-(kind, N); an N x N matrix takes 8 N^2 bytes (32 MB at N = 2048), so the
-cache keeps only the most recently used few.
+Every angle is an integer multiple of pi/d, reduced exactly before its sine
+is taken, so C3, S1 and HD are correct to rounding and O(N^2) to build (HD
+in closed form, Hankel plus Toeplitz). HM, whose angles have denominators N
+and N+1, has no closed form and costs one O(N^3) product per N (0.4 s at
+N = 2048 on one core). Every apply is O(N^2), sub-millisecond up to N = 512.
+The matrices are cached per (kind, N); an N x N matrix takes 8 N^2 bytes
+(32 MB at N = 2048), so the cache keeps only the most recently used few.
 """
 
 from __future__ import annotations
@@ -38,27 +40,36 @@ class TransformKind(enum.Enum):
     HM = "hm"  # C3[:, 1:] S1_{N+1}[1:, 1:N]^T: between U-node and S-node series
 
 
+def _sinpi(i: np.ndarray, d: int, scale: float = 1.0) -> np.ndarray:
+    """scale * sin(i pi/d) for an integer array i, which is reduced mod 2d in
+    place; the table angles are reflected into [0, pi/2] in integers, so every
+    value is correct to rounding."""
+    j = np.arange(2 * d)
+    table = np.where(j < d, scale, -scale) * np.sin(np.minimum(j % d, d - j % d) * (np.pi / d))
+    return table[np.remainder(i, 2 * d, out=i)]
+
+
 def _c3(n: int) -> np.ndarray:
-    idx = np.arange(n)
-    m = np.sqrt(2.0 / n) * np.cos(np.outer(idx + 0.5, idx) * (np.pi / n))
+    idx = np.arange(n)  # cos((m+1/2) k pi/N) = sin(((2m+1) k + N) pi/2N)
+    m = _sinpi(np.outer(2 * idx + 1, idx) + n, 2 * n, np.sqrt(2.0 / n))
     m[:, 0] = np.sqrt(1.0 / n)
     return m
 
 
 def _s1(n: int) -> np.ndarray:
     idx = np.arange(n)
-    return np.sqrt(2.0 / n) * np.sin(np.outer(idx, idx) * (np.pi / n))
+    return _sinpi(np.outer(idx, idx), n, np.sqrt(2.0 / n))
 
 
 def _hd(n: int) -> np.ndarray:
     """HD[m, j] = (S(j+m+1/2) + S(j-m-1/2)) / N with S(q) = sum_{k<N} sin(k q pi/N).
 
-    S is summed in closed form at the 3N-1 half-integers q, where sin(q pi/2N)
-    never vanishes; the Hankel and Toeplitz terms are two views of S.
+    S(q) = sin((N-1) q pi/2N) sin(q pi/2) / sin(q pi/2N) in closed form, where
+    2q is odd, so the denominator never vanishes. The Hankel and Toeplitz
+    terms are two views of the 3N-1 values of S.
     """
-    q = np.arange(-n, 2 * n - 1) + 0.5
-    s = (np.sin((n - 1) * q * (np.pi / (2 * n))) * np.sin(q * (np.pi / 2))
-         / (n * np.sin(q * (np.pi / (2 * n)))))
+    r = np.arange(1 - 2 * n, 4 * n - 2, 2)  # r = 2q
+    s = _sinpi((n - 1) * r, 4 * n) * _sinpi(n * r, 4 * n) / (n * _sinpi(r, 4 * n))
     w = sliding_window_view(s, n)  # w[i, j] = s[i + j]
     return w[n:] + w[n - 1::-1]
 

@@ -159,6 +159,17 @@ class TestDirect:
         assert errs[0] < 1e-7
         assert max(errs[1:]) <= errs[0]
 
+    def test_accuracy_at_large_mu(self):
+        # With HD exact to rounding the LU solve at mu = 8 recovers f to
+        # 6.2e-10; with HD as the product of C3 and S1 it was 9.6e-9.
+        n = 256
+        p = WeightParam.cosh_real(8.0)
+        tg = cgl_nodes(GridKind.TNODES, n)
+        f = tg.weights * (1.0 + 0.3 * tg.nodes)
+        F = cosh_forward(GridFn(tg, f), p)
+        got, _ = cosh_invert_direct(F, p)
+        assert np.max(np.abs(got.values[1:] - f[1:])) < 2e-9
+
     def test_plan_cache_bounded(self):
         n = 32
         sg = cgl_nodes(GridKind.SNODES, n)

@@ -6,6 +6,19 @@ import pytest
 from fhtcheb import GridMismatchError, InvalidSizeError, TransformKind, apply, build
 
 
+def _fused_by_sums(n):
+    """HD and HM entry by entry from the cos / sin sums that define them."""
+    hd, hm = np.zeros((n, n)), np.zeros((n, n))
+    for m in range(n):
+        for j in range(n):
+            cos_k = [math.cos(k * (m + 0.5) * math.pi / n) for k in range(1, n)]
+            hd[m, j] = 2.0 / n * sum(c * math.sin(k * j * math.pi / n)
+                                     for k, c in enumerate(cos_k, 1))
+            hm[m, j] = 2.0 / math.sqrt(n * (n + 1)) * sum(
+                c * math.sin(k * (j + 1) * math.pi / (n + 1)) for k, c in enumerate(cos_k, 1))
+    return hd, hm
+
+
 class TestBuild:
     def test_c3_2(self):
         m = build(TransformKind.C3, 2)
@@ -51,15 +64,32 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 1024])
     def test_fused_matrices(self, n):
-        c3 = build(TransformKind.C3, n)
         hd = build(TransformKind.HD, n)
         hm = build(TransformKind.HM, n)
-        np.testing.assert_allclose(hd, c3 @ build(TransformKind.S1, n).T, rtol=0, atol=1e-12)
-        s1u = build(TransformKind.S1, n + 1)
-        np.testing.assert_allclose(hm, c3[:, 1:] @ s1u[1:, 1:n].T, rtol=0, atol=1e-12)
+        # HD is built in closed form, so the product of its factors checks it.
+        c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
+        np.testing.assert_allclose(hd, c3 @ s1.T, rtol=0, atol=1e-12)
+        if n <= 8:
+            want_hd, want_hm = _fused_by_sums(n)
+            np.testing.assert_allclose(hd, want_hd, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(hm, want_hm, rtol=0, atol=1e-14)
         for m in (hd, hm):
             with pytest.raises(ValueError):
                 m[0, 0] = 99.0
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double for the reference")
+    def test_hd_correct_to_rounding(self):
+        # C3 and S1 take cos and sin of angles up to N pi, so their product is
+        # off by about 1e-14 here; the closed form must be exact to rounding.
+        n = 128
+        idx = np.arange(n, dtype=np.longdouble)
+        pi = np.longdouble("3.14159265358979323846264338327950288")
+        c3 = np.sqrt(np.longdouble(2) / n) * np.cos(np.outer(idx + 0.5, idx) * (pi / n))
+        c3[:, 0] = np.sqrt(np.longdouble(1) / n)
+        s1 = np.sqrt(np.longdouble(2) / n) * np.sin(np.outer(idx, idx) * (pi / n))
+        err = np.abs(build(TransformKind.HD, n) - c3 @ s1.T).max()
+        assert float(err) < 1e-15
 
     def test_entries_immutable(self):
         m = build(TransformKind.C3, 8)
