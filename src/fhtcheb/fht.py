@@ -135,8 +135,8 @@ def fht_inverse_d(F: GridFn) -> GridFn:
 def fht_forward_m(f: GridFn) -> GridFn:
     """Map T_{n+1}/w components on S-nodes to U_n on U-nodes; C/w maps to 0.
 
-    The first call at a size builds HM, one O(N^3) product: 0.55 s at N = 2048
-    on one core, against 0.33 s for the first call of the two-stage form.
+    The first call at a size builds HM, one O(N^3) product: 0.49 s at N = 2048
+    on one core, against 0.28 s for the first call of the two-stage form.
     """
     _require(f, GridKind.SNODES)
     n = f.grid.n

@@ -28,7 +28,7 @@ from fhtcheb import (
     plancherel_check,
     resample,
 )
-from fhtcheb.fht import m_analysis_sgrid
+from fhtcheb.fht import _u_analysis, m_analysis_sgrid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -78,28 +78,41 @@ def test_m_flavor_roundtrip_removes_mean(n, seed):
     np.testing.assert_allclose(got, f.values * sg.weights - c0, atol=1e-10)
 
 
+def _forward_m_two_stage(f):
+    """fht_forward_m as T-analysis on S-nodes, then a U-synthesis by S1_{N+1}."""
+    _, d = m_analysis_sgrid(f)
+    n = f.grid.n
+    s1 = build(TransformKind.S1, n + 1)
+    return np.sqrt((n + 1) / 2.0) * (s1 @ np.concatenate(([0.0], d)))[1:]
+
+
+def _inverse_m_two_stage(F):
+    """fht_inverse_m as U-analysis on U-nodes, then a T-synthesis by C3."""
+    n = F.grid.n
+    d = _u_analysis(F)
+    c3 = build(TransformKind.C3, n)
+    return np.sqrt(n / 2.0) * (c3 @ np.concatenate(([0.0], d[:-1])))
+
+
 @PROPERTY
 @given(n=SIZES, seed=SEEDS, mu=st.floats(0.1, 3.0))
 def test_fused_m_flavor_matches_two_stage(n, seed, mu):
-    # HM in the form the mean-constrained solver applies it, against the
-    # two-stage public transforms; compared times w, where neither divides by
-    # a small weight.
+    # Both sides are compared times w, where neither divides by a small weight.
     rng = np.random.default_rng(seed)
     sg = cgl_nodes(GridKind.SNODES, n)
     ug = cgl_nodes(GridKind.UNODES, n)
-    hm = build(TransformKind.HM, n)
     f = GridFn(sg, rng.standard_normal(n))
     F = GridFn(ug, rng.standard_normal(n))
-    np.testing.assert_allclose(np.sqrt((n + 1) / n) * hm.T @ (sg.weights * f.values),
-                               fht_forward_m(f).values * ug.weights, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(np.sqrt(n / (n + 1)) * hm @ (ug.weights * F.values),
-                               fht_inverse_m(F).values * sg.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fht_forward_m(f).values * ug.weights,
+                               _forward_m_two_stage(f), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fht_inverse_m(F).values * sg.weights,
+                               _inverse_m_two_stage(F), rtol=0, atol=1e-12)
     # The first step norm of the mean-constrained solver is the L_m^2 norm
     # sqrt(c0^2 + sum d^2 / 2) of that step, from its (c0 + sum d T_{k+1})/w split.
     p = WeightParam.cosh_real(mu)
-    f0 = -fht_inverse_m(GridFn(ug, F.values / p.scale(ug.nodes))).values
-    inner = fht_forward_m(GridFn(sg, p.slope(sg.nodes) * f0)).values
-    step = fht_inverse_m(GridFn(ug, p.slope(ug.nodes) * inner)).values
+    f0 = -_inverse_m_two_stage(GridFn(ug, F.values / p.scale(ug.nodes))) / sg.weights
+    inner = _forward_m_two_stage(GridFn(sg, p.slope(sg.nodes) * f0)) / ug.weights
+    step = _inverse_m_two_stage(GridFn(ug, p.slope(ug.nodes) * inner)) / sg.weights
     c0, d = m_analysis_sgrid(GridFn(sg, step))
     _, rep = cosh_invert_mean_constrained(F, p, 0.0, max_iter=1)
     want = np.sqrt(c0 ** 2 + 0.5 * np.sum(d ** 2))
