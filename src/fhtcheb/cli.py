@@ -22,6 +22,7 @@ import numpy as np
 
 from .cosh import (
     WeightParam,
+    _check_stopping,
     condition_estimate,
     cosh_forward,
     cosh_invert_direct,
@@ -189,13 +190,13 @@ def cmd_cosh_forward(args) -> int:
 def cmd_cosh_invert(args) -> int:
     t0 = time.monotonic()
     p = _weight_param(args, required=True)
+    if args.method == "mean_constrained" and args.mean_fbar is None:
+        raise ParameterError("--mean-fbar is required for method mean_constrained")
+    if args.method != "direct":  # before the input is read
+        _check_stopping(args.tol, args.max_iter, args.mean_fbar or 0.0)
     if args.method == "mean_constrained":
-        if args.mean_fbar is None:
-            raise ParameterError("--mean-fbar is required for method mean_constrained")
         F, ref = _load_grid_fn(args, GridKind.UNODES)
-        f, rep = cosh_invert_mean_constrained(
-            F, p, args.mean_fbar, tol=args.tol, max_iter=args.max_iter
-        )
+        f, rep = cosh_invert_mean_constrained(F, p, args.mean_fbar, args.tol, args.max_iter)
         uniform = _uniform_from_sgrid_general(f)
     else:
         F, ref = _load_grid_fn(args, GridKind.SNODES)

@@ -103,27 +103,6 @@ class WeightParam:
         return 1.0 - self.contraction
 
 
-@dataclass(frozen=True)
-class DiagWeights:
-    """Diagonal slope/scale values on the S and T grids of one size."""
-
-    d_s: np.ndarray
-    d_t: np.ndarray
-    cosh_s: np.ndarray
-    cosh_t: np.ndarray
-
-
-def diag_weights(p: WeightParam, n: int) -> DiagWeights:
-    sg = cgl_nodes(GridKind.SNODES, n)
-    tg = cgl_nodes(GridKind.TNODES, n)
-    return DiagWeights(
-        d_s=p.slope(sg.nodes),
-        d_t=p.slope(tg.nodes),
-        cosh_s=p.scale(sg.nodes),
-        cosh_t=p.scale(tg.nodes),
-    )
-
-
 @dataclass
 class SolveReport:
     iterations: int
@@ -137,8 +116,6 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class KernelFn:
-    kind: str  # "Kd" or "Km"
-    grid: Grid
     values: np.ndarray
     series: ChebCoeffs
 
@@ -171,6 +148,12 @@ def _contraction_stats(history: list[float]) -> float:
     return max(ratios) if ratios else 0.0
 
 
+def _check_stopping(tol: float, max_iter: int, mean_fbar: float = 0.0) -> None:
+    if not (math.isfinite(tol) and tol > 0.0 and max_iter >= 1 and math.isfinite(mean_fbar)):
+        raise ParameterError("need a finite tol > 0, max_iter >= 1 and a finite mean_fbar, "
+                             f"got tol={tol}, max_iter={max_iter}, mean_fbar={mean_fbar}")
+
+
 def _fixed_point(f0: np.ndarray, step, step_norm, p: WeightParam, tol: float, max_iter: int):
     """Iterate x <- f0 + step(x) from x = f0 until step_norm of a step is below tol."""
     history: list[float] = []
@@ -195,65 +178,75 @@ def _fixed_point(f0: np.ndarray, step, step_norm, p: WeightParam, tol: float, ma
 # ---------------------------------------------------------------------------
 # forward operator and division-flavor inverters
 
-def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
-    """F_mu = cosh_s * [HD - D_s HD D_t] (cosh_t * f) on S-nodes, HD = C3 S1^T."""
-    if f.grid.kind is not GridKind.TNODES:
-        raise ParameterError("cosh_forward expects samples on T-nodes")
-    n = f.grid.n
-    dw = diag_weights(p, n)
-    hd = build(TransformKind.HD, n)
-    fhat = dw.cosh_t * f.values
-    out = dw.cosh_s * (apply(hd, fhat) - dw.d_s * apply(hd, dw.d_t * fhat))
-    return GridFn(cgl_nodes(GridKind.SNODES, n), out)
-
-
-def system_matrix(p: WeightParam, n: int) -> np.ndarray:
-    """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver."""
-    dw = diag_weights(p, n)
-    hd = build(TransformKind.HD, n)
-    return np.eye(n) - hd.T @ (dw.d_s[:, None] * hd * dw.d_t[None, :])
-
-
-def _contract(dw: DiagWeights, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """HD^T D_s HD D_t v: the Neumann step, and I - system_matrix applied matrix-free."""
-    return hd.T @ (dw.d_s * (hd @ (dw.d_t * v)))
-
-
-# Plans of the direct solver, one per (weight, N). Each holds one N x N
-# array, so the bound caps the memory they keep.
+# One plan per (weight, N), shared by every operator, for the few most recently
+# used keys. Only a direct solve adds an N x N array to one, so the bound caps
+# the memory they keep.
 _PLAN_CACHE_SIZE = 4
 
 
 @dataclass
-class _DirectPlan:
-    dw: DiagWeights
+class _Plan:
+    """Read-only tanh(mu .) and cosh(mu .) on the S-, T- and U-nodes, and the direct state."""
+
+    d_s: np.ndarray
+    d_t: np.ndarray
+    d_u: np.ndarray
+    cosh_s: np.ndarray
+    cosh_t: np.ndarray
+    cosh_u: np.ndarray
     matrix: np.ndarray | None = None  # the system matrix, from the second solve its inverse
     inverted: bool = False
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _direct_plan(p: WeightParam, n: int) -> _DirectPlan:
-    return _DirectPlan(diag_weights(p, n))
+def _plan(p: WeightParam, n: int) -> _Plan:
+    nodes = [cgl_nodes(k, n).nodes for k in (GridKind.SNODES, GridKind.TNODES, GridKind.UNODES)]
+    rows = np.array([p.slope(x) for x in nodes] + [p.scale(x) for x in nodes])
+    rows.flags.writeable = False  # each diagonal is a view of one row
+    return _Plan(*rows)
+
+
+def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
+    """F_mu = cosh_s * [HD - D_s HD D_t] (cosh_t * f) on S-nodes, HD = C3 S1^T."""
+    if f.grid.kind is not GridKind.TNODES:
+        raise ParameterError("cosh_forward expects samples on T-nodes")
+    n = f.grid.n
+    plan = _plan(p, n)
+    hd = build(TransformKind.HD, n)
+    fhat = plan.cosh_t * f.values
+    out = plan.cosh_s * (apply(hd, fhat) - plan.d_s * apply(hd, plan.d_t * fhat))
+    return GridFn(cgl_nodes(GridKind.SNODES, n), out)
+
+
+def system_matrix(p: WeightParam, n: int) -> np.ndarray:
+    """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver."""
+    plan = _plan(p, n)
+    hd = build(TransformKind.HD, n)
+    return np.eye(n) - hd.T @ (plan.d_s[:, None] * hd * plan.d_t[None, :])
+
+
+def _contract(plan: _Plan, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """HD^T D_s HD D_t v: the Neumann step, and I - system_matrix applied matrix-free."""
+    return hd.T @ (plan.d_s * (hd @ (plan.d_t * v)))
 
 
 def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
     """Solve [I - HD^T D_s HD D_t] fhat = HD^T (F_mu / cosh_s), HD = C3 S1^T.
 
-    Solves at one (weight, N) share a plan, kept for the few most recently
-    used keys. The first solve of a key builds the system matrix and solves
-    by LU, so a one-shot call costs one factorisation. The second replaces
-    the stored matrix by its inverse; that solve and every later one is a
-    product with the inverse plus one step of iterative refinement, O(N^2)
-    instead of O(N^3), whose residuals are computed matrix-free.
+    The first solve at a (weight, N) builds the system matrix into the
+    key's plan and solves by LU, so a one-shot call costs one
+    factorisation. The second replaces the stored matrix by its inverse;
+    that solve and every later one is a product with the inverse plus one
+    step of iterative refinement, O(N^2) instead of O(N^3), whose residuals
+    are computed matrix-free.
     """
     if F_mu.grid.kind is not GridKind.SNODES:
         raise ParameterError("cosh_invert_direct expects samples on S-nodes")
     n = F_mu.grid.n
-    plan = _direct_plan(p, n)
-    dw = plan.dw
+    plan = _plan(p, n)
     hd = build(TransformKind.HD, n)
-    b = apply(hd, F_mu.values / dw.cosh_s, transposed=True)
+    b = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
     with plan.lock:
         first = plan.matrix is None
         if first:
@@ -266,9 +259,9 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
         residual = m @ fhat - b
     else:
         fhat = m @ b
-        fhat += m @ (b - fhat + _contract(dw, hd, fhat))
-        residual = fhat - _contract(dw, hd, fhat) - b
-    fvals = fhat / dw.cosh_t
+        fhat += m @ (b - fhat + _contract(plan, hd, fhat))
+        residual = fhat - _contract(plan, hd, fhat) - b
+    fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
     report = SolveReport(iterations=0, bound_ratio=p.contraction,
                          coercive_const=p.coercive_const, final_defect=_norm_d_tvals(residual))
@@ -282,17 +275,16 @@ def cosh_invert_neumann(
     max_iter: int = 10000,
 ) -> tuple[GridFn, SolveReport]:
     """Fixed-point iteration fhat_{k+1} = fhat_0 + M fhat_k, contraction tanh^2(mu)."""
+    _check_stopping(tol, max_iter)
     if F_mu.grid.kind is not GridKind.SNODES:
         raise ParameterError("cosh_invert_neumann expects samples on S-nodes")
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
     n = F_mu.grid.n
-    dw = diag_weights(p, n)
+    plan = _plan(p, n)
     hd = build(TransformKind.HD, n)
-    f0 = apply(hd, F_mu.values / dw.cosh_s, transposed=True)
-    fhat, report = _fixed_point(f0, lambda v: _contract(dw, hd, v), _norm_d_tvals,
+    f0 = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
+    fhat, report = _fixed_point(f0, lambda v: _contract(plan, hd, v), _norm_d_tvals,
                                 p, tol, max_iter)
-    fvals = fhat / dw.cosh_t
+    fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
     return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
 
@@ -339,31 +331,28 @@ def cosh_invert_mean_constrained(
     F_mu is sampled on U-nodes; the recovered f is returned on S-nodes. The
     iteration converges to cosh(mu t) f(t) - fbar_mu at rate tanh^2(mu).
     """
+    _check_stopping(tol, max_iter, mean_fbar)
     if F_mu.grid.kind is not GridKind.UNODES:
         raise ParameterError("cosh_invert_mean_constrained expects samples on U-nodes")
-    if tol <= 0.0:
-        raise ParameterError("tol must be positive")
     n = F_mu.grid.n
     ug = F_mu.grid
     sg = cgl_nodes(GridKind.SNODES, n)
-    slope_u = p.slope(ug.nodes)
-    slope_s = p.slope(sg.nodes)
+    plan = _plan(p, n)
 
-    fhat1 = F_mu.values / p.scale(ug.nodes) + mean_fbar * mean_correction(p, ug.nodes)
+    fhat1 = F_mu.values / plan.cosh_u + mean_fbar * mean_correction(p, ug.nodes)
     # Data term: the plain-convention inverse is minus the Tricomi-oriented one.
     f0 = -fht_inverse_m(GridFn(ug, fhat1)).values
 
     def step(v: np.ndarray) -> np.ndarray:
-        inner = fht_forward_m(GridFn(sg, slope_s * v))
-        return fht_inverse_m(GridFn(ug, slope_u * inner.values)).values
+        inner = fht_forward_m(GridFn(sg, plan.d_s * v))
+        return fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
 
     # The L_m^2 norm sqrt(c0^2 + sum d^2 / 2) of the (c0 + sum d T_{k+1})/w
     # split is ||w f|| / sqrt(N), because C3 is orthogonal.
     w_norm = sg.weights / np.sqrt(n)
     f, report = _fixed_point(f0, step, lambda v: float(np.linalg.norm(w_norm * v)),
                              p, tol, max_iter)
-    out = (f + mean_fbar) / p.scale(sg.nodes)
-    return GridFn(sg, out), report
+    return GridFn(sg, (f + mean_fbar) / plan.cosh_s), report
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +368,17 @@ def kernel(kind: str, p: WeightParam, eval_grid: Grid) -> KernelFn:
     """
     n = eval_grid.n
     if kind == "Kd":
-        sg = cgl_nodes(GridKind.SNODES, n)
-        series = coeffs_from_sgrid(GridFn(sg, p.slope(sg.nodes)))
+        series = coeffs_from_sgrid(GridFn(cgl_nodes(GridKind.SNODES, n), _plan(p, n).d_s))
         vals = _clenshaw(series.coeffs[1:], eval_grid.nodes, second_kind=True)
     elif kind == "Km":
-        ug = cgl_nodes(GridKind.UNODES, n)
-        d = _u_analysis(GridFn(ug, p.slope(ug.nodes)))
+        d = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
         series = ChebCoeffs(Basis.SECOND_U, d)
         tcoeffs = np.concatenate(([0.0], d))  # shift: d_n multiplies T_{n+1}
         vals = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), eval_grid.nodes,
                         ResampleMode.T_SERIES)
     else:
         raise ParameterError(f"unknown kernel kind {kind!r}")
-    return KernelFn(kind=kind, grid=eval_grid, values=np.atleast_1d(vals), series=series)
+    return KernelFn(values=np.atleast_1d(vals), series=series)
 
 
 def condition_estimate(p: WeightParam, n: int) -> ConditionEstimate:

@@ -160,8 +160,7 @@ def fht_inverse_m(F: GridFn) -> GridFn:
 def range_defect(F: GridFn) -> float:
     """Component 0 of C3^T F = (1/sqrt(N)) sum F(s_m); zero iff F is in range."""
     _require(F, GridKind.SNODES)
-    c3 = build(TransformKind.C3, F.grid.n)
-    return float(apply(c3, F.values, transposed=True)[0])
+    return float(np.sum(F.values) / np.sqrt(F.grid.n))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,15 @@ EXIT_CASES = [
     ("mu-not-a-number", ["cosh-forward", "--mu", "abc", "--input", "{f}"], 4),
     ("unknown-flag", ["forward", "--bogus", "--input", "{f}"], 4),
     ("unknown-method", ["cosh-invert", "--method", "lu", "--mu", "3", "--input", "{F}"], 4),
+    ("tol-nan", ["cosh-invert", "--method", "neumann", "--mu", "1", "--tol", "nan",
+                 "--input", "{F}"], 4),
+    ("tol-inf", ["cosh-invert", "--method", "neumann", "--mu", "1", "--tol", "inf",
+                 "--input", "{F}"], 4),
+    ("max-iter-zero", ["cosh-invert", "--method", "neumann", "--mu", "1", "--max-iter", "0",
+                       "--input", "{F}"], 4),
+    # checked before the input is read, so the S-grid file never reaches the solver
+    ("mean-fbar-nan", ["cosh-invert", "--method", "mean_constrained", "--mu", "1",
+                       "--mean-fbar", "nan", "--input", "{F}"], 4),
 ]
 
 

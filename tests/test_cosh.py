@@ -29,7 +29,7 @@ from fhtcheb import (
     resample,
     weight_w,
 )
-from fhtcheb.cosh import _direct_plan
+from fhtcheb.cosh import _plan
 
 
 class TestWeightParam:
@@ -96,7 +96,7 @@ class TestCoshForward:
 def _fresh_solves(F, p, count=3):
     """count direct solves of F at a key with no plan yet: the first by LU,
     the second and later by the reused (inverted) plan."""
-    _direct_plan.cache_clear()
+    _plan.cache_clear()
     return [cosh_invert_direct(F, p) for _ in range(count)]
 
 
@@ -174,12 +174,12 @@ class TestDirect:
         n = 32
         sg = cgl_nodes(GridKind.SNODES, n)
         F = GridFn(sg, np.ones(n))
-        _direct_plan.cache_clear()
-        maxsize = _direct_plan.cache_info().maxsize
+        _plan.cache_clear()
+        maxsize = _plan.cache_info().maxsize
         for k in range(2 * maxsize + 1):
             cosh_invert_direct(F, WeightParam.cosh_real(0.1 * (k + 1)))
-            assert _direct_plan.cache_info().currsize <= maxsize
-        assert _direct_plan.cache_info().currsize == maxsize
+            assert _plan.cache_info().currsize <= maxsize
+        assert _plan.cache_info().currsize == maxsize
 
     def test_concurrent_solves_share_plan(self):
         # Threads racing through the first (LU) and second (inverting) solve
@@ -194,7 +194,7 @@ class TestDirect:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(5):
-                _direct_plan.cache_clear()
+                _plan.cache_clear()
                 with ThreadPoolExecutor(max_workers=6) as pool:
                     futures = [pool.submit(cosh_invert_direct, F, p) for _ in range(24)]
                     results = [fut.result(timeout=60) for fut in futures]
@@ -272,6 +272,51 @@ def test_iteration_counts_pinned():
     _, rep_mc = cosh_invert_mean_constrained(GridFn(ug, Fu), p, 0.0)
     assert (rep_neu.iterations, rep_mc.iterations) == (239, 233)
     assert rep_neu.converged and rep_mc.converged
+
+
+@pytest.mark.parametrize("tol, max_iter, mean_fbar", [
+    (math.nan, 10, 0.0), (math.inf, 10, 0.0), (0.0, 10, 0.0), (-1e-10, 10, 0.0),
+    (1e-10, 0, 0.0), (1e-10, -3, 0.0), (1e-10, 10, math.nan), (1e-10, 10, -math.inf),
+])
+def test_stopping_arguments_rejected(tol, max_iter, mean_fbar):
+    n = 32
+    p = WeightParam.cosh_real(1.0)
+    ug = cgl_nodes(GridKind.UNODES, n)
+    F_u = GridFn(ug, ug.nodes)
+    with pytest.raises(ParameterError):
+        cosh_invert_mean_constrained(F_u, p, mean_fbar, tol=tol, max_iter=max_iter)
+    if math.isfinite(mean_fbar):
+        # the arguments are checked first, before the grid kind
+        with pytest.raises(ParameterError, match="tol"):
+            cosh_invert_neumann(F_u, p, tol=tol, max_iter=max_iter)
+
+
+def test_one_plan_serves_every_operator():
+    n = 64
+    p = WeightParam.cosh_real(1.0)
+    tg, sg, ug = (cgl_nodes(k, n) for k in (GridKind.TNODES, GridKind.SNODES, GridKind.UNODES))
+    _plan.cache_clear()
+    F = cosh_forward(GridFn(tg, tg.weights), p)
+    cosh_invert_neumann(F, p)
+    cosh_invert_mean_constrained(GridFn(ug, ug.nodes), p, 0.0)
+    for kind in ("Kd", "Km"):
+        kernel(kind, p, tg)
+    plan = _plan(p, n)
+    assert plan.matrix is None  # so the first direct solve goes by LU
+    cosh_invert_direct(F, p)
+    assert plan.matrix is not None and not plan.inverted
+    cosh_invert_direct(F, p)
+    assert plan.inverted
+    assert _plan.cache_info().currsize == 1
+    diagonals = {"d_s": p.slope(sg.nodes), "d_t": p.slope(tg.nodes), "d_u": p.slope(ug.nodes),
+                 "cosh_s": p.scale(sg.nodes), "cosh_t": p.scale(tg.nodes),
+                 "cosh_u": p.scale(ug.nodes)}
+    for name, want in diagonals.items():
+        got = getattr(plan, name)
+        np.testing.assert_array_equal(got, want)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
 
 
 class TestMeanConstrained:

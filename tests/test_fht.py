@@ -152,6 +152,21 @@ class TestRangeDefect:
         F = fht_forward_d(GridFn(tg, v))
         assert abs(range_defect(F)) < 1e-12
 
+    def test_no_dense_transform(self, monkeypatch):
+        # Column 0 of C3 is 1/sqrt(N), so the defect needs no N x N build.
+        from fhtcheb import TransformKind, apply, build
+
+        n = 256
+        sg = cgl_nodes(GridKind.SNODES, n)
+        F = GridFn(sg, np.random.default_rng(7).standard_normal(n))
+        want = apply(build(TransformKind.C3, n), F.values, transposed=True)[0]
+
+        def refuse(kind, n):
+            raise AssertionError(f"{kind} built at n = {n}")
+
+        monkeypatch.setattr("fhtcheb.fht.build", refuse)
+        assert range_defect(F) == pytest.approx(want, abs=1e-13)
+
 
 class TestPlancherel:
     def test_d_flavor(self):
