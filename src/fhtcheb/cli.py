@@ -145,6 +145,7 @@ def _base_report(args, n: int, t0: float, solve_report=None) -> dict:
         "measured_ratio": None,
         "bound_ratio": None,
         "coercive_const": None,
+        "final_defect": None,
         "max_error": None,
         "wall_time_ms": (time.monotonic() - t0) * 1000.0,
     }
@@ -155,6 +156,7 @@ def _base_report(args, n: int, t0: float, solve_report=None) -> dict:
             measured_ratio=solve_report.measured_ratio,
             bound_ratio=solve_report.bound_ratio,
             coercive_const=solve_report.coercive_const,
+            final_defect=solve_report.final_defect,
         )
     return rep
 

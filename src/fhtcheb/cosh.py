@@ -8,6 +8,14 @@ flavor, and a mean-constrained iteration in the multiplication flavor. The
 pure-imaginary parameter mu = i eta (|eta| < pi/4) swaps cosh -> cos and
 tanh -> tan with contraction tan^2(eta).
 
+Both iterations step on parity halves. tanh and the Hilbert kernel are odd,
+so each iteration operator maps even functions to even ones and odd to odd;
+one kernel (_iterate) runs the even and the odd chain side by side, each a
+product with two blocks of about N/2 x N/2 folded once per (operator, N),
+at half the work of the full products. After the loop, each solver computes
+its fixed-point residual once through the unsplit operator and reports it
+as final_defect.
+
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
 Tricomi orientation (T_{n+1}/w -> +U_n). Where the two meet, in the
@@ -154,25 +162,116 @@ def _check_stopping(tol: float, max_iter: int, mean_fbar: float = 0.0) -> None:
                              f"got tol={tol}, max_iter={max_iter}, mean_fbar={mean_fbar}")
 
 
-def _fixed_point(f0: np.ndarray, step, step_norm, p: WeightParam, tol: float, max_iter: int):
-    """Iterate x <- f0 + step(x) from x = f0 until step_norm of a step is below tol."""
-    history: list[float] = []
-    x = f0
-    for _ in range(max_iter):
-        nxt = f0 + step(x)
-        history.append(step_norm(nxt - x))
-        x = nxt
-        if history[-1] < tol:
-            break
-    return x, SolveReport(
+def _report(p: WeightParam, history: list[float], tol: float, defect: float) -> SolveReport:
+    return SolveReport(
         iterations=len(history),
         residual_history=history,
         measured_ratio=_contraction_stats(history),
         bound_ratio=p.contraction,
         coercive_const=p.coercive_const,
-        final_defect=history[-1] if history else 0.0,
+        final_defect=defect,
         converged=bool(history) and history[-1] < tol,
     )
+
+
+# ---------------------------------------------------------------------------
+# the parity-split iteration kernel
+#
+# Both iterations are x <- f0 + K x with K = A^T D2 A D1, where D1 and D2 hold
+# an odd slope on reflection-symmetric nodes (index i <-> len-1-i) and A is an
+# odd operator: A = HD[:, 1:] on T-nodes 1..N-1 (Neumann) and A = HM^T in the
+# variable y = w_s v (mean-constrained; there the sqrt((N+1)/N) and w factors
+# of fht_forward_m / fht_inverse_m cancel). In the orthonormal even / odd
+# coordinates of _fold, A and the diagonals map even to odd and odd to even,
+# so K splits into two independent chains of half size, one per parity of x.
+
+# The chain blocks of one (operator, N) hold N^2 values, as many as HD; the
+# few most recently used are kept.
+_BLOCK_CACHE_SIZE = 4
+
+
+def _fold(a: np.ndarray) -> np.ndarray:
+    """Even and odd parts of a along axis 0, as rows 0 and 1 of one array.
+
+    Pair i < n//2 of the reflection i <-> n-1-i gives (a_i +- a_{n-1-i})/sqrt(2);
+    for odd n the centre entry ends the even row and the odd row ends in 0.
+    """
+    n, h = a.shape[0], a.shape[0] // 2
+    top, bottom = a[:h], a[::-1][:h]
+    out = np.zeros((2, n - h) + a.shape[1:])
+    out[0, :h] = top + bottom
+    out[1, :h] = top - bottom
+    out[:, :h] *= math.sqrt(0.5)
+    if n % 2:
+        out[0, h] = a[h]
+    return out
+
+
+def _unfold(x: np.ndarray, n: int) -> np.ndarray:
+    """The length-n vector whose _fold is x (the inverse of _fold on vectors)."""
+    h = n // 2
+    a = np.empty(n)
+    a[:h] = (x[0, :h] + x[1, :h]) * math.sqrt(0.5)
+    a[::-1][:h] = (x[0, :h] - x[1, :h]) * math.sqrt(0.5)
+    if n % 2:
+        a[h] = x[0, h]
+    return a
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _chain_blocks(kind: TransformKind, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(L, R) of both chains without their diagonals, stacked even then odd, read-only.
+
+    With B_eo = A[even rows, odd columns] and B_oe = A[odd rows, even
+    columns], the even chain is R = B_eo D1, L = B_oe^T D2 and the odd chain
+    R = B_oe D1, L = B_eo^T D2. The even rows lose their centre row, which
+    D2 maps to 0, and B_eo gains a zero centre column when A has one, so
+    both chains have the same shapes. The same-parity blocks of A are zero
+    to rounding and are dropped. L is stored transposed and contiguous, as
+    the products read it.
+    """
+    a = build(TransformKind.HD, n)[:, 1:] if kind is TransformKind.HD \
+        else build(TransformKind.HM, n).T
+    cols = a.shape[1]
+    h2, h1 = a.shape[0] // 2, cols // 2
+    top, bottom = a[:h2], a[::-1][:h2]
+    even, odd = top + bottom, top - bottom  # row pairs, times sqrt(2)
+    right = np.zeros((2, h2, cols - h1))
+    right[0, :, :h1] = even[:, :h1] - even[:, ::-1][:, :h1]
+    right[1, :, :h1] = odd[:, :h1] + odd[:, ::-1][:, :h1]
+    right[:, :, :h1] *= 0.5
+    if cols % 2:
+        right[1, :, h1] = odd[:, h1] * math.sqrt(0.5)
+    left = np.ascontiguousarray(right[::-1].transpose(0, 2, 1))
+    right.flags.writeable = left.flags.writeable = False
+    return left, right
+
+
+def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np.ndarray,
+             tol: float, max_iter: int) -> tuple[np.ndarray, list[float]]:
+    """Iterate x <- f0 + K x from x = f0 until a step is shorter than tol.
+
+    Both parity chains advance together; a step's length is its Euclidean
+    norm over sqrt(n), which the orthonormal folding preserves. Returns the
+    last x and the step lengths.
+    """
+    # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
+    # d1 and d2; an odd diagonal is 0 at a centre node.
+    left, right = _chain_blocks(kind, n)
+    left = left * (_fold(d2)[1, :left.shape[2]] * math.sqrt(0.5))
+    right = right * (_fold(d1)[1] * math.sqrt(0.5))
+    b = _fold(f0)[..., None]
+    x = b
+    scale = 1.0 / math.sqrt(n)
+    history: list[float] = []
+    for _ in range(max_iter):
+        nxt = b + left @ (right @ x)
+        delta = (nxt - x).ravel()
+        history.append(math.sqrt(delta @ delta) * scale)
+        x = nxt
+        if history[-1] < tol:
+            break
+    return _unfold(x[..., 0], f0.shape[0]), history
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +326,7 @@ def system_matrix(p: WeightParam, n: int) -> np.ndarray:
 
 
 def _contract(plan: _Plan, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """HD^T D_s HD D_t v: the Neumann step, and I - system_matrix applied matrix-free."""
+    """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free."""
     return hd.T @ (plan.d_s * (hd @ (plan.d_t * v)))
 
 
@@ -282,11 +381,12 @@ def cosh_invert_neumann(
     plan = _plan(p, n)
     hd = build(TransformKind.HD, n)
     f0 = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
-    fhat, report = _fixed_point(f0, lambda v: _contract(plan, hd, v), _norm_d_tvals,
-                                p, tol, max_iter)
+    x, history = _iterate(TransformKind.HD, n, plan.d_t[1:], plan.d_s, f0[1:], tol, max_iter)
+    fhat = np.concatenate(([0.0], x))  # column 0 of HD is 0, so f0[0] = 0
+    defect = _norm_d_tvals(fhat - f0 - _contract(plan, hd, fhat))
     fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
-    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
+    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect)
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +443,15 @@ def cosh_invert_mean_constrained(
     # Data term: the plain-convention inverse is minus the Tricomi-oriented one.
     f0 = -fht_inverse_m(GridFn(ug, fhat1)).values
 
-    def step(v: np.ndarray) -> np.ndarray:
-        inner = fht_forward_m(GridFn(sg, plan.d_s * v))
-        return fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
-
-    # The L_m^2 norm sqrt(c0^2 + sum d^2 / 2) of the (c0 + sum d T_{k+1})/w
-    # split is ||w f|| / sqrt(N), because C3 is orthogonal.
-    w_norm = sg.weights / np.sqrt(n)
-    f, report = _fixed_point(f0, step, lambda v: float(np.linalg.norm(w_norm * v)),
-                             p, tol, max_iter)
-    return GridFn(sg, (f + mean_fbar) / plan.cosh_s), report
+    # In y = w_s v the step is HM D_u HM^T D_s y, and the L_m^2 norm
+    # sqrt(c0^2 + sum d^2 / 2) of the (c0 + sum d T_{k+1})/w split of v is
+    # ||y|| / sqrt(N), because C3 is orthogonal.
+    y, history = _iterate(TransformKind.HM, n, plan.d_s, plan.d_u, sg.weights * f0, tol, max_iter)
+    f = y / sg.weights
+    inner = fht_forward_m(GridFn(sg, plan.d_s * f))
+    step = fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
+    defect = float(np.linalg.norm(sg.weights * (f - f0 - step))) / math.sqrt(n)
+    return GridFn(sg, (f + mean_fbar) / plan.cosh_s), _report(p, history, tol, defect)
 
 
 # ---------------------------------------------------------------------------

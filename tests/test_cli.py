@@ -3,7 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from fhtcheb import MAX_DEGREE, GridKind, cgl_nodes, pair, weight_w
+from fhtcheb import (
+    MAX_DEGREE,
+    GridFn,
+    GridKind,
+    ResampleMode,
+    WeightParam,
+    cgl_nodes,
+    coeffs_from_sgrid,
+    cosh_forward,
+    pair,
+    resample,
+    weight_w,
+)
 from fhtcheb.cli import main
 from fhtcheb.report import read_csv, uniform_grid, write_csv
 
@@ -196,6 +208,30 @@ class TestCoshCommands:
         assert rc == 2
         assert rep.exists()  # report still written
         assert (tmp_path / "o.csv").exists()
+
+    def test_final_defect_reported_for_every_method(self, tmp_path):
+        n, mu = 64, 1.0
+        Fout = tmp_path / "F.csv"
+        _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
+        assert main(["cosh-forward", "--mu", str(mu), "--input", str(tmp_path / "f.csv"),
+                     "--output", str(Fout), "--json", str(tmp_path / "a.json")]) == 0
+        assert json.loads((tmp_path / "a.json").read_text())["final_defect"] is None
+        # an odd f (fbar = 0) on U-nodes for the mean-constrained method
+        tg, ug = cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.UNODES, n)
+        p = WeightParam.cosh_real(mu)
+        F_odd = cosh_forward(GridFn(tg, 2.0 * tg.nodes * tg.weights), p)
+        write_csv(tmp_path / "Fu.csv", ug.nodes,
+                  resample(coeffs_from_sgrid(F_odd), ug.nodes, ResampleMode.T_SERIES))
+        for method, extra, fin in (("direct", [], Fout), ("neumann", [], Fout),
+                                   ("mean_constrained", ["--mean-fbar", "0"],
+                                    tmp_path / "Fu.csv")):
+            rep = tmp_path / f"{method}.json"
+            assert main(["cosh-invert", "--method", method, "--mu", str(mu), *extra,
+                         "--input", str(fin), "--json", str(rep)]) == 0
+            data = json.loads(rep.read_text())
+            assert 0.0 < data["final_defect"] < 1e-10, method
+            if method != "direct":
+                assert data["final_defect"] < data["residual_history"][-1]
 
     def test_both_mu_eta_rejected(self, tmp_path):
         fin = tmp_path / "f.csv"

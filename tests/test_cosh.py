@@ -29,6 +29,7 @@ from fhtcheb import (
     resample,
     weight_w,
 )
+import fhtcheb.cosh
 from fhtcheb.cosh import _plan
 
 
@@ -272,6 +273,68 @@ def test_iteration_counts_pinned():
     _, rep_mc = cosh_invert_mean_constrained(GridFn(ug, Fu), p, 0.0)
     assert (rep_neu.iterations, rep_mc.iterations) == (239, 233)
     assert rep_neu.converged and rep_mc.converged
+
+
+def _pinned_inputs(n=256, mu=2.0):
+    """The inputs of test_iteration_counts_pinned: F on S-nodes, F of an odd f on U-nodes."""
+    p = WeightParam.cosh_real(mu)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    ug = cgl_nodes(GridKind.UNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes - 0.2 * tg.nodes ** 3)), p)
+    f_odd = 2.0 * tg.nodes * tg.weights * (1.0 - 0.5 * tg.nodes ** 2)  # fbar = 0
+    F_odd = cosh_forward(GridFn(tg, f_odd), p)
+    Fu = resample(coeffs_from_sgrid(F_odd), ug.nodes, ResampleMode.T_SERIES)
+    return p, F, GridFn(ug, Fu)
+
+
+def test_final_defect_is_unsplit_residual(monkeypatch):
+    # final_defect is ||x - f0 - K x|| through the unsplit operator, about
+    # tanh^2(mu) times the last step, so a wrong parity block shows there.
+    p, F, Fu = _pinned_inputs()
+    for _, rep in (cosh_invert_neumann(F, p), cosh_invert_mean_constrained(Fu, p, 0.0)):
+        assert rep.converged
+        assert 0.0 < rep.final_defect < rep.residual_history[-1]
+
+    blocks = fhtcheb.cosh._chain_blocks
+
+    def flipped(kind, n):
+        left, right = blocks(kind, n)
+        return left, right * np.array([1.0, -1.0])[:, None, None]  # B_oe in the odd chain
+
+    monkeypatch.setattr(fhtcheb.cosh, "_chain_blocks", flipped)
+    for _, rep in (cosh_invert_neumann(F, p), cosh_invert_mean_constrained(Fu, p, 0.0)):
+        assert rep.converged  # the split iteration still contracts, to a wrong x
+        assert rep.final_defect > 1e6 * rep.residual_history[-1]
+
+
+def _seeded_f(nodes, seed, odd=False):
+    """A seeded sine series sum a_k sin(k theta) at x = cos(theta); odd in x for even k only."""
+    a = np.random.default_rng(seed).standard_normal(24) / 2.0 ** np.arange(24)
+    a[0] = 0.0
+    if odd:
+        a[1::2] = 0.0
+    return np.sin(np.outer(np.arccos(nodes), np.arange(24))) @ a
+
+
+@pytest.mark.parametrize("n", [63, 255])
+def test_iterative_solvers_at_odd_n(n):
+    # For odd N the centre node moves from the T-grid to the S-grid.
+    p = WeightParam.cosh_real(1.5)
+    tg, sg, ug = (cgl_nodes(k, n) for k in (GridKind.TNODES, GridKind.SNODES, GridKind.UNODES))
+    f = _seeded_f(tg.nodes, n)
+    F = cosh_forward(GridFn(tg, f), p)
+    fn, rep = cosh_invert_neumann(F, p, tol=1e-12)
+    assert rep.converged and 0.0 < rep.final_defect < rep.residual_history[-1]
+    np.testing.assert_allclose(fn.values[1:], f[1:], rtol=0, atol=1e-8)
+    fd, _ = cosh_invert_direct(F, p)
+    assert float(np.sqrt(np.sum((fd.values - fn.values)[1:] ** 2) / n)) < 1e-8
+
+    F_odd = cosh_forward(GridFn(tg, _seeded_f(tg.nodes, n, odd=True)), p)  # fbar = 0
+    Fu = resample(coeffs_from_sgrid(F_odd), ug.nodes, ResampleMode.T_SERIES)
+    fm, rep = cosh_invert_mean_constrained(GridFn(ug, Fu), p, 0.0, tol=1e-12)
+    assert rep.converged and 0.0 < rep.final_defect < rep.residual_history[-1]
+    want = _seeded_f(sg.nodes, n, odd=True)
+    assert np.linalg.norm(fm.values - want) / np.linalg.norm(want) < 1e-6
 
 
 @pytest.mark.parametrize("tol, max_iter, mean_fbar", [

@@ -28,6 +28,7 @@ from fhtcheb import (
     plancherel_check,
     resample,
 )
+from fhtcheb.cosh import _contract, _fold, _iterate, _plan
 from fhtcheb.fht import _u_analysis, m_analysis_sgrid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -117,3 +118,37 @@ def test_fused_m_flavor_matches_two_stage(n, seed, mu):
     _, rep = cosh_invert_mean_constrained(F, p, 0.0, max_iter=1)
     want = np.sqrt(c0 ** 2 + 0.5 * np.sum(d ** 2))
     assert abs(rep.residual_history[0] - want) <= 1e-10 * max(1.0, want)
+
+
+# Every parameter the weight accepts: |mu| < 19.0615 (cosh), |eta| < pi/4 (cos).
+WEIGHTS = st.one_of(st.floats(-19.0, 19.0).map(WeightParam.cosh_real),
+                    st.floats(-0.785, 0.785).map(WeightParam.cos_imaginary))
+
+
+@PROPERTY
+@given(n=SIZES, seed=SEEDS, p=WEIGHTS)
+def test_parity_split_step_matches_unsplit(n, seed, p):
+    # The operators of both iterations flip parity: their same-parity blocks
+    # vanish, and one split step equals one step of the unsplit operator.
+    for a in (build(TransformKind.HD, n)[:, 1:], build(TransformKind.HM, n).T):
+        # blocks[p, q]: rows of parity p, columns of parity q (0 even, 1 odd)
+        blocks = _fold(_fold(a).transpose(2, 0, 1)).transpose(2, 0, 3, 1)
+        h1, h2 = a.shape[1] // 2, a.shape[0] // 2
+        same = max(np.max(np.abs(blocks[0, 0])), np.max(np.abs(blocks[1, 1, :h2, :h1]), initial=0.0))
+        assert same <= 1e-15 * np.max(np.abs(a))
+
+    rng = np.random.default_rng(seed)
+    plan = _plan(p, n)
+    sg = cgl_nodes(GridKind.SNODES, n)
+    ug = cgl_nodes(GridKind.UNODES, n)
+
+    f0 = np.concatenate(([0.0], rng.standard_normal(n - 1)))
+    got, _ = _iterate(TransformKind.HD, n, plan.d_t[1:], plan.d_s, f0[1:], 1e-300, 1)
+    want = f0 + _contract(plan, build(TransformKind.HD, n), f0)
+    assert np.linalg.norm(got - want[1:]) <= 1e-13 * np.linalg.norm(want)
+
+    y0 = rng.standard_normal(n)  # y = w_s v
+    got, _ = _iterate(TransformKind.HM, n, plan.d_s, plan.d_u, y0, 1e-300, 1)
+    inner = fht_forward_m(GridFn(sg, plan.d_s * y0 / sg.weights))
+    want = y0 + sg.weights * fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
