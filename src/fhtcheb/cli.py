@@ -86,20 +86,14 @@ def _load_grid_fn(args, kind: GridKind):
     return GridFn(grid, data.value), data.reference
 
 
-def _uniform_from_tgrid(out: GridFn) -> tuple[np.ndarray, np.ndarray]:
+def _uniform(out: GridFn, weighted: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """out on the uniform display grid: a T-grid function by its sine series, an
+    S-grid one by its T-series or, if weighted, f * w by its T-series over w."""
     xs = uniform_grid(out.grid.n)
-    a = coeffs_from_tgrid(out)
-    return xs, resample(a, xs, ResampleMode.WU_SERIES)
-
-
-def _uniform_from_sgrid_tseries(out: GridFn) -> tuple[np.ndarray, np.ndarray]:
-    xs = uniform_grid(out.grid.n)
-    return xs, resample(coeffs_from_sgrid(out), xs, ResampleMode.T_SERIES)
-
-
-def _uniform_from_sgrid_general(out: GridFn) -> tuple[np.ndarray, np.ndarray]:
-    """General S-grid function: interpolate f*w as a T-series, divide by w."""
-    xs = uniform_grid(out.grid.n)
+    if out.grid.kind is GridKind.TNODES:
+        return xs, resample(coeffs_from_tgrid(out), xs, ResampleMode.WU_SERIES)
+    if not weighted:
+        return xs, resample(coeffs_from_sgrid(out), xs, ResampleMode.T_SERIES)
     fw = coeffs_from_sgrid(GridFn(out.grid, out.values * out.grid.weights))
     return xs, resample(fw, xs, ResampleMode.T_SERIES) / weight_w(xs)
 
@@ -168,7 +162,7 @@ def cmd_forward(args) -> int:
     t0 = time.monotonic()
     f, ref = _load_grid_fn(args, GridKind.TNODES)
     F = fht_forward_d(f)
-    _emit(args, f, F, ref, _uniform_from_sgrid_tseries(F), _base_report(args, f.grid.n, t0))
+    _emit(args, f, F, ref, _uniform(F), _base_report(args, f.grid.n, t0))
     return EXIT_OK
 
 
@@ -176,7 +170,7 @@ def cmd_invert(args) -> int:
     t0 = time.monotonic()
     F, ref = _load_grid_fn(args, GridKind.SNODES)
     f = fht_inverse_d(F)
-    _emit(args, F, f, ref, _uniform_from_tgrid(f), _base_report(args, F.grid.n, t0))
+    _emit(args, F, f, ref, _uniform(f), _base_report(args, F.grid.n, t0))
     return EXIT_OK
 
 
@@ -185,7 +179,7 @@ def cmd_cosh_forward(args) -> int:
     p = _weight_param(args, required=True)
     f, ref = _load_grid_fn(args, GridKind.TNODES)
     F = cosh_forward(f, p)
-    _emit(args, f, F, ref, _uniform_from_sgrid_tseries(F), _base_report(args, f.grid.n, t0))
+    _emit(args, f, F, ref, _uniform(F), _base_report(args, f.grid.n, t0))
     return EXIT_OK
 
 
@@ -199,14 +193,14 @@ def cmd_cosh_invert(args) -> int:
     if args.method == "mean_constrained":
         F, ref = _load_grid_fn(args, GridKind.UNODES)
         f, rep = cosh_invert_mean_constrained(F, p, args.mean_fbar, args.tol, args.max_iter)
-        uniform = _uniform_from_sgrid_general(f)
+        uniform = _uniform(f, weighted=True)
     else:
         F, ref = _load_grid_fn(args, GridKind.SNODES)
         if args.method == "direct":
             f, rep = cosh_invert_direct(F, p)
         else:
             f, rep = cosh_invert_neumann(F, p, tol=args.tol, max_iter=args.max_iter)
-        uniform = _uniform_from_tgrid(f)
+        uniform = _uniform(f)
     _emit(args, F, f, ref, uniform, _base_report(args, F.grid.n, t0, rep))
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 

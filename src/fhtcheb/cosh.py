@@ -8,13 +8,13 @@ flavor, and a mean-constrained iteration in the multiplication flavor. The
 pure-imaginary parameter mu = i eta (|eta| < pi/4) swaps cosh -> cos and
 tanh -> tan with contraction tan^2(eta).
 
-Both iterations step on parity halves. tanh and the Hilbert kernel are odd,
-so each iteration operator maps even functions to even ones and odd to odd;
-one kernel (_iterate) runs the even and the odd chain side by side, each a
-product with two blocks of about N/2 x N/2 folded once per (operator, N),
-at half the work of the full products. After the loop, each solver computes
-its fixed-point residual once through the unsplit operator and reports it
-as final_defect.
+Every solver works on parity halves: tanh and the Hilbert kernel are odd,
+so each operator maps even functions to even ones and odd to odd. The
+iterations (_iterate) run an even and an odd chain of blocks of about
+N/2 x N/2; the direct solver keeps the two halves of the system matrix per
+(weight, N), inverted or, where the condition bound (1+c)/(1-c) is too
+large for that, as they are for LU. Each solver computes its residual once
+through the unsplit operator and reports it as final_defect.
 
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
@@ -36,8 +36,6 @@ import numpy as np
 from .errors import ParameterError
 from .fht import _u_analysis, coeffs_from_sgrid, fht_forward_m, fht_inverse_m
 from .grids import (
-    Basis,
-    ChebCoeffs,
     Grid,
     GridFn,
     GridKind,
@@ -125,7 +123,7 @@ class SolveReport:
 @dataclass(frozen=True)
 class KernelFn:
     values: np.ndarray
-    series: ChebCoeffs
+    series: np.ndarray  # Kd: T-series of the slope on S-nodes; Km: its U-series on U-nodes
 
 
 @dataclass(frozen=True)
@@ -142,19 +140,7 @@ class NullExperimentRow:
 
 
 # ---------------------------------------------------------------------------
-# internal norms
-
-def _norm_d_tvals(v: np.ndarray) -> float:
-    """L_d^2 norm of a T-grid function via its sine interpolant (node 0 ignored)."""
-    return float(np.sqrt(np.sum(v[1:] ** 2) / v.shape[0]))
-
-
-def _contraction_stats(history: list[float]) -> float:
-    ratios = [
-        b / a for a, b in zip(history, history[1:]) if a > 0.0
-    ]
-    return max(ratios) if ratios else 0.0
-
+# argument checks and solve reports
 
 def _check_stopping(tol: float, max_iter: int, mean_fbar: float = 0.0) -> None:
     if not (math.isfinite(tol) and tol > 0.0 and max_iter >= 1 and math.isfinite(mean_fbar)):
@@ -166,11 +152,11 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float) -> 
     return SolveReport(
         iterations=len(history),
         residual_history=history,
-        measured_ratio=_contraction_stats(history),
+        measured_ratio=max((b / a for a, b in zip(history, history[1:]) if a > 0.0), default=0.0),
         bound_ratio=p.contraction,
         coercive_const=p.coercive_const,
         final_defect=defect,
-        converged=bool(history) and history[-1] < tol,
+        converged=not history or history[-1] < tol,  # a direct solve takes no steps
     )
 
 
@@ -278,9 +264,15 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
 # forward operator and division-flavor inverters
 
 # One plan per (weight, N), shared by every operator, for the few most recently
-# used keys. Only a direct solve adds an N x N array to one, so the bound caps
-# the memory they keep.
+# used keys. Only a direct solve adds the parity halves, about N^2/2 values, to
+# one, so the bound caps the memory they keep.
 _PLAN_CACHE_SIZE = 4
+
+# The direct solver stores the inverse of its halves while sqrt(N) kappa eps
+# is below this (to mu = 11.6 at N = 64, 10.7 at N = 2048): there a product
+# and one refinement step are as accurate as LU. Above it, it solves by LU,
+# which a refinement step with the unsplit operator's residual only worsens.
+_INVERSE_LIMIT = 1e-5
 
 
 @dataclass
@@ -293,8 +285,7 @@ class _Plan:
     cosh_s: np.ndarray
     cosh_t: np.ndarray
     cosh_u: np.ndarray
-    matrix: np.ndarray | None = None  # the system matrix, from the second solve its inverse
-    inverted: bool = False
+    halves: np.ndarray | None = None  # _halves, inverted below _INVERSE_LIMIT
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -325,46 +316,80 @@ def system_matrix(p: WeightParam, n: int) -> np.ndarray:
     return np.eye(n) - hd.T @ (plan.d_s[:, None] * hd * plan.d_t[None, :])
 
 
+def _halves(p: WeightParam, n: int) -> np.ndarray:
+    """The even and the odd block of system_matrix(p, n)[1:, 1:] in _fold's coordinates.
+
+    Row and column 0 of the system matrix are e_0, and on T-nodes 1..N-1 it
+    commutes with the reflection i <-> N-2-i. The cross blocks are below
+    2e-15 (N <= 2048, |mu| <= 19) and are dropped; for even N the odd block
+    is padded with a unit diagonal entry.
+    """
+    rows = _fold(system_matrix(p, n)[1:, 1:])  # even and odd rows, then fold the columns
+    h = (n - 1) // 2
+    left, right = rows[..., :h], rows[..., ::-1][..., :h]
+    halves = np.zeros((2, n - 1 - h, n - 1 - h))
+    halves[0, :, :h] = (left[0] + right[0]) * math.sqrt(0.5)
+    halves[1, :, :h] = (left[1] - right[1]) * math.sqrt(0.5)
+    if n % 2 == 0:
+        halves[0, :, h] = rows[0, :, h]
+        halves[1, h, h] = 1.0
+    return halves
+
+
 def _contract(plan: _Plan, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
     """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free."""
     return hd.T @ (plan.d_s * (hd @ (plan.d_t * v)))
 
 
-def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
-    """Solve [I - HD^T D_s HD D_t] fhat = HD^T (F_mu / cosh_s), HD = C3 S1^T.
+def _invert_d(F_mu: GridFn, p: WeightParam, name: str, solve, tol: float = 0.0):
+    """Shell of the d-flavor inversions; solve(plan, HD, f0) returns (fhat, steps).
 
-    The first solve at a (weight, N) builds the system matrix into the
-    key's plan and solves by LU, so a one-shot call costs one
-    factorisation. The second replaces the stored matrix by its inverse;
-    that solve and every later one is a product with the inverse plus one
-    step of iterative refinement, O(N^2) instead of O(N^3), whose residuals
-    are computed matrix-free.
+    fhat solves fhat - HD^T D_s HD D_t fhat = f0 = HD^T (F_mu / cosh_s), and f = fhat / cosh_t.
+    The L_d^2 defect of fhat is computed once, through the unsplit operator.
     """
     if F_mu.grid.kind is not GridKind.SNODES:
-        raise ParameterError("cosh_invert_direct expects samples on S-nodes")
+        raise ParameterError(f"{name} expects samples on S-nodes")
     n = F_mu.grid.n
     plan = _plan(p, n)
     hd = build(TransformKind.HD, n)
-    b = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
-    with plan.lock:
-        first = plan.matrix is None
-        if first:
-            plan.matrix = system_matrix(p, n)
-        elif not plan.inverted:
-            plan.matrix, plan.inverted = np.linalg.inv(plan.matrix), True
-        m = plan.matrix
-    if first:
-        fhat = np.linalg.solve(m, b)
-        residual = m @ fhat - b
-    else:
-        fhat = m @ b
-        fhat += m @ (b - fhat + _contract(plan, hd, fhat))
-        residual = fhat - _contract(plan, hd, fhat) - b
+    f0 = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
+    fhat, history = solve(plan, hd, f0)
+    defect = float(np.linalg.norm((fhat - f0 - _contract(plan, hd, fhat))[1:])) / math.sqrt(n)
     fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
-    report = SolveReport(iterations=0, bound_ratio=p.contraction,
-                         coercive_const=p.coercive_const, final_defect=_norm_d_tvals(residual))
-    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), report
+    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect)
+
+
+def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
+    """Solve [I - HD^T D_s HD D_t] fhat = HD^T (F_mu / cosh_s), HD = C3 S1^T.
+
+    The first solve at a (weight, N) stores the parity halves of the system
+    matrix in the key's plan, inverted while sqrt(N) kappa eps is below
+    _INVERSE_LIMIT. Every solve folds the right-hand side, then either
+    multiplies by the inverse and takes one refinement step with a
+    matrix-free residual, O(N^2), or solves by LU on the halves,
+    O(N^3 / 4). The choice depends on (weight, N) only.
+    """
+    def solve(plan: _Plan, hd: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        n, c = b.shape[0], p.contraction
+        inverse = math.sqrt(n) * (1 + c) / (1 - c) * np.finfo(float).eps < _INVERSE_LIMIT
+        with plan.lock:
+            if plan.halves is None:
+                halves = _halves(p, n)
+                plan.halves = np.linalg.inv(halves) if inverse else halves
+                plan.halves.flags.writeable = False
+
+        def half_solve(r: np.ndarray) -> np.ndarray:  # r[0] = 0, and row 0 is e_0
+            y = _fold(r[1:])[..., None]
+            y = plan.halves @ y if inverse else np.linalg.solve(plan.halves, y)
+            return np.concatenate(([0.0], _unfold(y[..., 0], n - 1)))
+
+        fhat = half_solve(b)
+        if inverse:
+            fhat += half_solve(b - fhat + _contract(plan, hd, fhat))
+        return fhat, []
+
+    return _invert_d(F_mu, p, "cosh_invert_direct", solve)
 
 
 def cosh_invert_neumann(
@@ -375,18 +400,13 @@ def cosh_invert_neumann(
 ) -> tuple[GridFn, SolveReport]:
     """Fixed-point iteration fhat_{k+1} = fhat_0 + M fhat_k, contraction tanh^2(mu)."""
     _check_stopping(tol, max_iter)
-    if F_mu.grid.kind is not GridKind.SNODES:
-        raise ParameterError("cosh_invert_neumann expects samples on S-nodes")
-    n = F_mu.grid.n
-    plan = _plan(p, n)
-    hd = build(TransformKind.HD, n)
-    f0 = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
-    x, history = _iterate(TransformKind.HD, n, plan.d_t[1:], plan.d_s, f0[1:], tol, max_iter)
-    fhat = np.concatenate(([0.0], x))  # column 0 of HD is 0, so f0[0] = 0
-    defect = _norm_d_tvals(fhat - f0 - _contract(plan, hd, fhat))
-    fvals = fhat / plan.cosh_t
-    fvals[0] = 0.0
-    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect)
+
+    def solve(plan: _Plan, hd: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        x, history = _iterate(TransformKind.HD, f0.shape[0], plan.d_t[1:], plan.d_s, f0[1:],
+                              tol, max_iter)
+        return np.concatenate(([0.0], x)), history  # column 0 of HD is 0, so f0[0] = 0
+
+    return _invert_d(F_mu, p, "cosh_invert_neumann", solve, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,23 +488,25 @@ def kernel(kind: str, p: WeightParam, eval_grid: Grid) -> KernelFn:
     n = eval_grid.n
     if kind == "Kd":
         series = coeffs_from_sgrid(GridFn(cgl_nodes(GridKind.SNODES, n), _plan(p, n).d_s))
-        vals = _clenshaw(series.coeffs[1:], eval_grid.nodes, second_kind=True)
+        vals = _clenshaw(series[1:], eval_grid.nodes, second_kind=True)
     elif kind == "Km":
-        d = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
-        series = ChebCoeffs(Basis.SECOND_U, d)
-        tcoeffs = np.concatenate(([0.0], d))  # shift: d_n multiplies T_{n+1}
-        vals = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), eval_grid.nodes,
-                        ResampleMode.T_SERIES)
+        series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
+        tcoeffs = np.concatenate(([0.0], series))  # shift: d_n multiplies T_{n+1}
+        vals = resample(tcoeffs, eval_grid.nodes, ResampleMode.T_SERIES)
     else:
         raise ParameterError(f"unknown kernel kind {kind!r}")
     return KernelFn(values=np.atleast_1d(vals), series=series)
 
 
 def condition_estimate(p: WeightParam, n: int) -> ConditionEstimate:
-    """2-norm condition number of the direct system matrix vs. the (1+c)/(1-c) bound."""
-    sv = np.linalg.svd(system_matrix(p, n), compute_uv=False)
+    """2-norm condition number of the direct system matrix vs. the (1+c)/(1-c) bound.
+
+    The singular values are those of the two parity halves and the unit one
+    of row 0.
+    """
+    sv = np.append(np.linalg.svd(_halves(p, n), compute_uv=False), 1.0)
     c = p.contraction
-    return ConditionEstimate(measured=float(sv[0] / sv[-1]), bound=(1.0 + c) / (1.0 - c))
+    return ConditionEstimate(measured=float(sv.max() / sv.min()), bound=(1.0 + c) / (1.0 - c))
 
 
 def null_experiment(p: WeightParam, sizes) -> list[NullExperimentRow]:

@@ -26,8 +26,6 @@ import numpy as np
 
 from .errors import GridMismatchError
 from .grids import (
-    Basis,
-    ChebCoeffs,
     GridFn,
     GridKind,
     ResampleMode,
@@ -55,7 +53,7 @@ def _require(f: GridFn, kind: GridKind) -> None:
 # ---------------------------------------------------------------------------
 # coefficient analysis / synthesis helpers
 
-def coeffs_from_tgrid(f: GridFn) -> ChebCoeffs:
+def coeffs_from_tgrid(f: GridFn) -> np.ndarray:
     """Series coefficients a_n of a T-grid function: f(cos th) = sum a_n sin(n th).
 
     The same a_n are the T-series coefficients of the forward image
@@ -66,10 +64,10 @@ def coeffs_from_tgrid(f: GridFn) -> ChebCoeffs:
     s1 = build(TransformKind.S1, n)
     a = np.sqrt(2.0 / n) * apply(s1, f.values, transposed=True)
     a[0] = 0.0
-    return ChebCoeffs(basis=Basis.FIRST_T, coeffs=a)
+    return a
 
 
-def coeffs_from_sgrid(F: GridFn) -> ChebCoeffs:
+def coeffs_from_sgrid(F: GridFn) -> np.ndarray:
     """T-series coefficients of an S-grid function (a_0 included)."""
     _require(F, GridKind.SNODES)
     n = F.grid.n
@@ -77,7 +75,7 @@ def coeffs_from_sgrid(F: GridFn) -> ChebCoeffs:
     ah = apply(c3, F.values, transposed=True)
     a = np.sqrt(2.0 / n) * ah
     a[0] = ah[0] / np.sqrt(n)
-    return ChebCoeffs(basis=Basis.FIRST_T, coeffs=a)
+    return a
 
 
 def m_analysis_sgrid(f: GridFn) -> tuple[float, np.ndarray]:
@@ -87,7 +85,7 @@ def m_analysis_sgrid(f: GridFn) -> tuple[float, np.ndarray]:
     d has N entries; the last is 0 because T_N vanishes on the S-nodes.
     """
     _require(f, GridKind.SNODES)
-    a = coeffs_from_sgrid(GridFn(f.grid, f.values * f.grid.weights)).coeffs
+    a = coeffs_from_sgrid(GridFn(f.grid, f.values * f.grid.weights))
     return float(a[0]), np.append(a[1:], 0.0)
 
 

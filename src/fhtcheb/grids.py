@@ -86,17 +86,6 @@ class GridFn:
         object.__setattr__(self, "values", v)
 
 
-@dataclass(frozen=True)
-class ChebCoeffs:
-    """Coefficients a_0..a_{N-1} of a Chebyshev series."""
-
-    basis: Basis
-    coeffs: np.ndarray = field()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs))
-
-
 def cgl_nodes(kind: GridKind, n: int) -> Grid:
     """The CGL grid of the given kind and size (n >= 2), shared between calls."""
     if n < 2:
@@ -196,8 +185,8 @@ def norm(f: GridFn, space: Space) -> float:
     return float(np.sqrt(np.real(val)))
 
 
-def resample(coeffs: ChebCoeffs, targets, mode: ResampleMode):
-    """Evaluate a coefficient vector on arbitrary targets in [-1, 1].
+def resample(coeffs: np.ndarray, targets, mode: ResampleMode):
+    """Evaluate a coefficient vector a_0..a_{N-1} on arbitrary targets in [-1, 1].
 
     T_SERIES returns sum a_n T_n(x); WU_SERIES returns
     w(x) * sum a_n U_{n-1}(x), where the n = 0 term contributes nothing
@@ -208,7 +197,7 @@ def resample(coeffs: ChebCoeffs, targets, mode: ResampleMode):
         raise DomainError("resample targets outside [-1, 1]")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    a = np.asarray(coeffs.coeffs)
+    a = np.asarray(coeffs)
     n_terms = a.shape[0]
     if n_terms - 1 > MAX_DEGREE:
         raise DomainError(f"series degree {n_terms - 1} exceeds cap {MAX_DEGREE}")

@@ -42,7 +42,6 @@ from .fht import (
 )
 from .grids import (
     Basis,
-    ChebCoeffs,
     GridFn,
     GridKind,
     ResampleMode,
@@ -140,8 +139,7 @@ def check_m_analysis_roundtrip(n: int) -> CheckResult:
     d = rng.standard_normal(n)
     d[-1] = 0.0  # T_N vanishes at every S-node; that coefficient is invisible
     sg = cgl_nodes(GridKind.SNODES, n)
-    tcoeffs = np.concatenate(([0.0], d))
-    f = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), sg.nodes, ResampleMode.T_SERIES)
+    f = resample(np.concatenate(([0.0], d)), sg.nodes, ResampleMode.T_SERIES)
     _, got = m_analysis_sgrid(GridFn(sg, f / sg.weights))
     return _result(f"m_analysis_roundtrip_n{n}", float(np.max(np.abs(got - d))), 1e-10)
 
@@ -392,17 +390,17 @@ def _km_equivalence() -> float:
     km = kernel("Km", p, sg)
     c0, dc = m_analysis_sgrid(GridFn(sg, fS))
     tcoeffs = np.concatenate(([c0], dc))
-    km_coeffs = np.concatenate(([0.0], km.series.coeffs))
+    km_coeffs = np.concatenate(([0.0], km.series))
 
     hq = np.pi / _MQ
     phq = (np.arange(_MQ) + 0.5) * hq
     uq = np.cos(phq)
-    g = resample(ChebCoeffs(Basis.FIRST_T, tcoeffs), uq, ResampleMode.T_SERIES)
-    kmu = resample(ChebCoeffs(Basis.FIRST_T, km_coeffs), uq, ResampleMode.T_SERIES)
+    g = resample(tcoeffs, uq, ResampleMode.T_SERIES)
+    kmu = resample(km_coeffs, uq, ResampleMode.T_SERIES)
     tu = p.slope(uq)
     rhs = np.empty(n)
     for i, t in enumerate(sg.nodes):
-        kmt = resample(ChebCoeffs(Basis.FIRST_T, km_coeffs), t, ResampleMode.T_SERIES)
+        kmt = resample(km_coeffs, t, ResampleMode.T_SERIES)
         dq = (kmt - kmu) / (t - uq)
         rhs[i] = p.slope(t) ** 2 * fS[i] - np.sum(dq * tu * g) * hq / (np.pi * sg.weights[i])
     return float(np.max(np.abs(lhs - rhs)))

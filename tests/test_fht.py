@@ -230,7 +230,7 @@ class TestCoeffs:
         rng = np.random.default_rng(9)
         tg = cgl_nodes(GridKind.TNODES, n)
         a = coeffs_from_tgrid(GridFn(tg, rng.standard_normal(n)))
-        assert a.coeffs[0] == 0.0
+        assert a[0] == 0.0
 
     def test_sgrid_roundtrip(self):
         n = 32
@@ -239,4 +239,4 @@ class TestCoeffs:
         a = coeffs_from_sgrid(GridFn(sg, vals))
         got = resample(a, sg.nodes, ResampleMode.T_SERIES)
         np.testing.assert_allclose(got, vals, atol=1e-12)
-        assert a.coeffs[0] == pytest.approx(1.5, abs=1e-13)
+        assert a[0] == pytest.approx(1.5, abs=1e-13)
