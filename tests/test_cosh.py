@@ -31,7 +31,8 @@ from fhtcheb import (
     weight_w,
 )
 import fhtcheb.cosh
-from fhtcheb.cosh import _plan
+from fhtcheb.cosh import _fold, _iterate, _plan, _unfold
+from fhtcheb.transforms import TransformKind
 
 
 class TestWeightParam:
@@ -327,6 +328,79 @@ def test_final_defect_is_unsplit_residual(monkeypatch):
     for _, rep in (cosh_invert_neumann(F, p), cosh_invert_mean_constrained(Fu, p, 0.0)):
         assert rep.converged  # the split iteration still contracts, to a wrong x
         assert rep.final_defect > 1e6 * rep.residual_history[-1]
+
+
+def _fixed_point(kind, n, d1, d2, f0, tol, max_iter):
+    """The textbook loop x <- b + L (R x) on _chain_blocks, in _fold's coordinates."""
+    left, right = fhtcheb.cosh._chain_blocks(kind, n)
+    left = left * (_fold(d2)[1, :left.shape[2]] * math.sqrt(0.5))
+    right = right * (_fold(d1)[1] * math.sqrt(0.5))
+    b = x = _fold(f0)[..., None]
+    history = []
+    for _ in range(max_iter):
+        nxt = b + left @ (right @ x)
+        history.append(float(np.linalg.norm(nxt - x)) / math.sqrt(n))
+        x = nxt
+        if history[-1] < tol:
+            break
+    return _unfold(x[..., 0], f0.shape[0]), history
+
+
+def _kernel_args(kind, n, p, seed=0):
+    """_iterate's diagonals as the two solvers pass them, and a seeded f0."""
+    plan = _plan(p, n)
+    d1, d2 = (plan.d_t[1:], plan.d_s) if kind is TransformKind.HD else (plan.d_s, plan.d_u)
+    return d1, d2, np.random.default_rng(seed).standard_normal(d1.shape[0])
+
+
+# The reference's nxt - x cancels in the tail, so histories are compared
+# absolutely. _POWER_CROSSOVER = 0 forces the powered form, inf the one-step
+# form; the default puts mu = 0.5 on the one-step side and mu >= 2 on the
+# powered side at every N here, and eta = 0.5 on the powered side at N <= 64.
+@pytest.mark.parametrize("crossover", [None, 0.0, math.inf])
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(mu) for mu in (0.0, 0.5, 2.0, 3.0)]
+                         + [WeightParam.cos_imaginary(0.5)], ids=str)
+@pytest.mark.parametrize("n", [63, 64, 256])
+@pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
+def test_iterate_matches_fixed_point(kind, n, p, crossover, monkeypatch):
+    if crossover is not None:
+        monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", crossover)
+    d1, d2, f0 = _kernel_args(kind, n, p)
+    x, history = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
+    x_ref, history_ref = _fixed_point(kind, n, d1, d2, f0, 1e-10, 10000)
+    assert len(history) == len(history_ref)
+    gap = np.max(np.abs(np.array(history) - np.array(history_ref)))
+    assert gap <= 1e-12 * np.linalg.norm(f0) / math.sqrt(n)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_iterate_stops_inside_a_block():
+    # 1001 = 8 * 125 + 1 steps: the powered form stops at the first column of a
+    # block. The reference's steps nxt - x reach 0 once K^k f0 drops below the
+    # rounding of x (after about 600 steps), so only the sums are compared.
+    n, p = 64, WeightParam.cosh_real(2.0)
+    for kind in (TransformKind.HD, TransformKind.HM):
+        d1, d2, f0 = _kernel_args(kind, n, p)
+        x, history = _iterate(kind, n, d1, d2, f0, 1e-300, 1001)
+        x_ref, _ = _fixed_point(kind, n, d1, d2, f0, 1e-300, 1001)
+        assert len(history) == 1001
+        assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    _, rep = cosh_invert_neumann(cosh_forward(GridFn(tg, tg.weights), p), p, tol=1e-300,
+                                 max_iter=1001)
+    assert rep.iterations == 1001 and rep.converged is False
+
+
+def test_neumann_longest_run_pinned():
+    # c = tanh^2(4) = 0.9987: the longest solve any test runs, and the one where
+    # rounding in the sum of 11 328 powers K^k f0 would grow most.
+    n, p = 64, WeightParam.cosh_real(4.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    f = tg.weights * np.exp(tg.nodes)
+    got, rep = cosh_invert_neumann(cosh_forward(GridFn(tg, f), p), p, max_iter=20000)
+    assert rep.iterations == 11328 and rep.converged
+    assert np.max(np.abs(got.values[1:] - f[1:])) <= 2e-8
+    assert 0.0 < rep.final_defect < rep.residual_history[-1]
 
 
 def _seeded_f(nodes, seed, odd=False):
