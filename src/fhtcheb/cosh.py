@@ -244,8 +244,10 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     log c) steps, c = max|d1| max|d2| >= ||K||, exceed _POWER_CROSSOVER
     times the block size m ~ N/2, it forms P = K^8 and takes eight steps per
     product, V <- P V from V = [K f0 ... K^8 f0] (break-even measured at
-    0.25 m for N = 2048 to 0.65 m for N = 256, one core); else each step is
-    x <- f0 + L (R x). Returns the last x and the step lengths.
+    0.25 m for N = 2048 to 0.65 m for N = 256, one core); else it takes
+    step k = L (R step k-1). Both forms stop on the length of K^k f0 itself,
+    so a tol below the rounding of x gives the same report in either.
+    Returns the last x and the step lengths.
     """
     # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
     # d1 and d2; an odd diagonal is 0 at a centre node.
@@ -257,8 +259,9 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     step = left @ (right @ b)
     x, history = b + step, [math.sqrt(np.vdot(step, step)) * scale]
     c = float(np.abs(d1).max() * np.abs(d2).max())  # 0 for mu = 0, where K = 0
-    if c > 0.0 and history[0] >= tol and min(max_iter, 1 + math.log(tol / history[0])
-                                            / math.log(c)) > _POWER_CROSSOVER * left.shape[1]:
+    # Two logarithms: tol / |K f0| can underflow to 0.
+    if c > 0.0 and history[0] >= tol and min(max_iter, 1 + (math.log(tol) - math.log(
+            history[0])) / math.log(c)) > _POWER_CROSSOVER * left.shape[1]:
         k, v, left, right = left @ right, step, None, None  # only K is used below
         for _ in range(3):  # v = [K b ... K^8 b], k = K^8
             v = np.concatenate((v, k @ v), axis=2)
@@ -273,10 +276,9 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
                 break
             v = k @ v
     while history[-1] >= tol and len(history) < max_iter:
-        nxt = b + left @ (right @ x)
-        delta = (nxt - x).ravel()
-        history.append(math.sqrt(delta @ delta) * scale)
-        x = nxt
+        step = left @ (right @ step)
+        x += step
+        history.append(math.sqrt(np.vdot(step, step)) * scale)
     return _unfold(x[..., 0], f0.shape[0]), history
 
 

@@ -391,6 +391,43 @@ def test_iterate_stops_inside_a_block():
     assert rep.iterations == 1001 and rep.converged is False
 
 
+def test_iterate_forms_agree_below_rounding(monkeypatch):
+    # tol = 1e-300 is far below the rounding of x, where a step taken as the
+    # difference of two sums would read 0. Both forms measure K^k f0 itself:
+    # max_iter = 60 keeps the predicted count at or below 0.5 m = 64 (one-step
+    # form) and 70 lifts it above (powered form), and both run to max_iter.
+    n, p = 256, WeightParam.cosh_real(0.5)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * np.exp(tg.nodes)), p)
+    _, short = cosh_invert_neumann(F, p, tol=1e-300, max_iter=60)
+    _, long = cosh_invert_neumann(F, p, tol=1e-300, max_iter=70)
+    assert (short.iterations, short.converged, long.iterations, long.converged) \
+        == (60, False, 70, False)
+    np.testing.assert_allclose(short.residual_history, long.residual_history[:60], rtol=1e-9)
+    for kind in (TransformKind.HD, TransformKind.HM):
+        d1, d2, f0 = _kernel_args(kind, n, p)
+        runs = []
+        for crossover in (0.0, math.inf):
+            monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", crossover)
+            runs.append(_iterate(kind, n, d1, d2, f0, 1e-300, 1000))
+        (x, history), (x_one, history_one) = runs
+        assert len(history) == len(history_one) < 1000 and history[-1] < 1e-300
+        np.testing.assert_allclose(history, history_one, rtol=1e-9)
+        assert np.linalg.norm(x - x_one) <= 1e-12 * np.linalg.norm(x_one)
+
+
+def test_tol_below_the_predicted_ratio():
+    # tol / |K f0| underflows to 0 once |K f0| >= 2; the solve still predicts
+    # its count and runs until K^k f0 itself underflows to 0.
+    n, p = 64, WeightParam.cosh_real(0.5)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    f = 1e4 * tg.weights * np.exp(tg.nodes)
+    got, rep = cosh_invert_neumann(cosh_forward(GridFn(tg, f), p), p, tol=5e-324)
+    assert rep.residual_history[0] >= 2.0
+    assert rep.converged and rep.residual_history[-1] == 0.0
+    np.testing.assert_allclose(got.values[1:], f[1:], rtol=0, atol=1e-8 * np.max(np.abs(f)))
+
+
 def test_neumann_longest_run_pinned():
     # c = tanh^2(4) = 0.9987: the longest solve any test runs, and the one where
     # rounding in the sum of 11 328 powers K^k f0 would grow most.
