@@ -154,7 +154,8 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float) -> 
     return SolveReport(
         iterations=len(history),
         residual_history=history,
-        measured_ratio=float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0)),
+        measured_ratio=float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0))
+        if history else 0.0,
         bound_ratio=p.contraction,
         coercive_const=p.coercive_const,
         final_defect=defect,
@@ -238,16 +239,13 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
              tol: float, max_iter: int) -> tuple[np.ndarray, list[float]]:
     """Iterate x <- f0 + K x from x = f0 until a step is shorter than tol.
 
-    Both parity chains advance together; a step's length is its Euclidean
-    norm over sqrt(n), which the orthonormal folding preserves. Step k is
-    K^k f0 and x sums steps 0..k. If min(max_iter, 1 + log(tol / |K f0|) /
-    log c) steps, c = max|d1| max|d2| >= ||K||, exceed _POWER_CROSSOVER
-    times the block size m ~ N/2, it forms P = K^8 and takes eight steps per
-    product, V <- P V from V = [K f0 ... K^8 f0] (break-even measured at
-    0.25 m for N = 2048 to 0.65 m for N = 256, one core); else it takes
-    step k = L (R step k-1). Both forms stop on the length of K^k f0 itself,
-    so a tol below the rounding of x gives the same report in either.
-    Returns the last x and the step lengths.
+    Step k is K^k f0, x sums steps 0..k, and in either form a step's length
+    is its norm over sqrt(n), which the orthonormal folding preserves. If
+    min(max_iter, 1 + log(tol / |K f0|) / log c) steps, c = max|d1| max|d2|
+    >= ||K||, exceed _POWER_CROSSOVER times the block size m ~ N/2, it forms
+    P = K^8 and runs V <- P V from V = [K f0 ... K^8 f0] (break-even 0.25 m
+    at N = 2048 to 0.65 m at N = 256, one core); else step k = L (R step
+    k-1). Returns the last x and the step lengths.
     """
     # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
     # d1 and d2; an odd diagonal is 0 at a centre node.
