@@ -404,6 +404,8 @@ def test_iterate_forms_agree_below_rounding(monkeypatch):
     assert (short.iterations, short.converged, long.iterations, long.converged) \
         == (60, False, 70, False)
     np.testing.assert_allclose(short.residual_history, long.residual_history[:60], rtol=1e-9)
+    # With max_iter = 1000 both forced forms run until the squared step length
+    # underflows to 0, at steps near 1e-162.
     for kind in (TransformKind.HD, TransformKind.HM):
         d1, d2, f0 = _kernel_args(kind, n, p)
         runs = []
@@ -418,7 +420,7 @@ def test_iterate_forms_agree_below_rounding(monkeypatch):
 
 def test_tol_below_the_predicted_ratio():
     # tol / |K f0| underflows to 0 once |K f0| >= 2; the solve still predicts
-    # its count and runs until K^k f0 itself underflows to 0.
+    # its count and runs until the squared length of K^k f0 underflows to 0.
     n, p = 64, WeightParam.cosh_real(0.5)
     tg = cgl_nodes(GridKind.TNODES, n)
     f = 1e4 * tg.weights * np.exp(tg.nodes)
