@@ -40,7 +40,6 @@ from .grids import (
     GridFn,
     GridKind,
     ResampleMode,
-    Space,
     _clenshaw,
     cgl_nodes,
     norm,
@@ -257,9 +256,10 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     step = left @ (right @ b)
     x, history = b + step, [math.sqrt(np.vdot(step, step)) * scale]
     c = float(np.abs(d1).max() * np.abs(d2).max())  # 0 for mu = 0, where K = 0
-    # Two logarithms: tol / |K f0| can underflow to 0.
-    if c > 0.0 and history[0] >= tol and min(max_iter, 1 + (math.log(tol) - math.log(
-            history[0])) / math.log(c)) > _POWER_CROSSOVER * left.shape[1]:
+    # Two logarithms: tol / |K f0| can underflow to 0. np.tanh rounds to 1 near
+    # |mu| = 19, and at c = 1 only max_iter bounds the count.
+    if c > 0.0 and history[0] >= tol and min(max_iter, math.inf if c == 1.0 else 1 + (
+            math.log(tol) - math.log(history[0])) / math.log(c)) > _POWER_CROSSOVER * left.shape[1]:
         k, v, left, right = left @ right, step, None, None  # only K is used below
         for _ in range(3):  # v = [K b ... K^8 b], k = K^8
             v = np.concatenate((v, k @ v), axis=2)
@@ -341,7 +341,7 @@ def _halves(p: WeightParam, n: int) -> np.ndarray:
 
     Row and column 0 of the system matrix are e_0, and on T-nodes 1..N-1 it
     commutes with the reflection i <-> N-2-i. The cross blocks are below
-    2e-15 (N <= 2048, |mu| <= 19) and are dropped; for even N the odd block
+    5e-15 (N <= 2048, |mu| <= 19) and are dropped; for even N the odd block
     is padded with a unit diagonal entry.
     """
     rows = _fold(system_matrix(p, n)[1:, 1:])  # even and odd rows, then fold the columns
@@ -543,9 +543,9 @@ def null_experiment(p: WeightParam, sizes) -> list[NullExperimentRow]:
         tg = cgl_nodes(GridKind.TNODES, n)
         f = GridFn(tg, np.cos(p.value * tg.weights))
         F = cosh_forward(f, p)
-        nd = norm(F, Space.LD2)
+        nd = norm(F)
         ug = cgl_nodes(GridKind.UNODES, n)
         f_u = resample(coeffs_from_sgrid(F), ug.nodes, ResampleMode.T_SERIES)
-        nm = norm(GridFn(ug, f_u), Space.LM2)
+        nm = norm(GridFn(ug, f_u))
         rows.append(NullExperimentRow(n=n, norm_d=nd, norm_m=nm))
     return rows

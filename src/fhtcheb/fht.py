@@ -19,7 +19,6 @@ matrix-vector product each.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,18 +28,12 @@ from .grids import (
     GridFn,
     GridKind,
     ResampleMode,
-    Space,
     cgl_nodes,
     inner_product,
     norm,
     resample,
 )
 from .transforms import TransformKind, apply, build
-
-
-class Flavor(enum.Enum):
-    D = "d"  # f in L_d^2, F in E_d^2
-    M = "m"  # f in E_m^2, F in L_m^2
 
 
 def _require(f: GridFn, kind: GridKind) -> None:
@@ -171,26 +164,23 @@ class PlancherelReport:
     defect: float
 
 
-def plancherel_check(f: GridFn, flavor: Flavor) -> PlancherelReport:
-    """Check the Plancherel-like equalities in the flavor's own norm.
+def plancherel_check(f: GridFn) -> PlancherelReport:
+    """Check the Plancherel-like equality of the flavor f's grid implies.
 
-    D flavor: ||F||_{Ld}^2 == ||f||_{Ld}^2 for f given on T-nodes.
-    M flavor: ||F||_{Lm}^2 == ||f||_{Lm}^2 - <f, 1/w>_m^2 for real f on
-    S-nodes (the mean term is the normalized form of the (integral f)^2
-    correction; <f, 1/w>_m = (1/pi) integral f dt).
+    T-nodes, D flavor: ||F||_{Ld}^2 == ||f||_{Ld}^2.
+    S-nodes, M flavor: ||F||_{Lm}^2 == ||f||_{Lm}^2 - <f, 1/w>_m^2 for real f
+    (the mean term is the normalized form of the (integral f)^2 correction;
+    <f, 1/w>_m = (1/pi) integral f dt). U-nodes raise GridMismatchError.
     """
-    if flavor is Flavor.D:
+    if f.grid.kind is GridKind.TNODES:
         F = fht_forward_d(f)
-        lhs = norm(F, Space.LD2) ** 2
-        sg = F.grid
-        f_on_s = GridFn(sg, tgrid_to_snodes(f))
-        rhs = norm(f_on_s, Space.LD2) ** 2
+        lhs = norm(F) ** 2
+        rhs = norm(GridFn(F.grid, tgrid_to_snodes(f))) ** 2
     else:
         F = fht_forward_m(f)
-        lhs = norm(F, Space.LM2) ** 2
+        lhs = norm(F) ** 2
         ug = F.grid
         f_on_u = GridFn(ug, sgrid_to_unodes(f))
-        inv_w = GridFn(ug, 1.0 / ug.weights)
-        mean = inner_product(f_on_u, inv_w, Space.LM2)
-        rhs = norm(f_on_u, Space.LM2) ** 2 - float(np.real(mean)) ** 2
+        mean = inner_product(f_on_u, GridFn(ug, 1.0 / ug.weights))
+        rhs = norm(f_on_u) ** 2 - mean ** 2
     return PlancherelReport(lhs=lhs, rhs=rhs, defect=abs(lhs - rhs))

@@ -36,11 +36,6 @@ class Basis(enum.Enum):
     SECOND_U = "U"
 
 
-class Space(enum.Enum):
-    LD2 = "Ld2"  # (1/pi) integral of f g* / w
-    LM2 = "Lm2"  # (1/pi) integral of f g* w
-
-
 class ResampleMode(enum.Enum):
     T_SERIES = "t_series"    # sum a_n T_n(x)
     WU_SERIES = "wu_series"  # w(x) sum a_n U_{n-1}(x)
@@ -150,39 +145,27 @@ def cheb_eval(basis: Basis, n: int, x):
     return float(out[0]) if scalar else out
 
 
-def _check_quadrature_grid(f: GridFn, g: GridFn, space: Space) -> None:
+def inner_product(f: GridFn, g: GridFn) -> float:
+    """Discrete weighted inner product in the space of the operands' grid.
+
+    S-nodes carry L_d^2 with the first-kind Gauss-Chebyshev rule, U-nodes
+    L_m^2 with the second-kind rule; both rules are exact for polynomial
+    integrands of degree <= 2N-1 and already include the 1/pi normalization
+    of the continuous inner products. T-nodes carry no rule.
+    """
     if not f.grid.matches(g.grid):
         raise GridMismatchError("operands live on different grids")
-    wanted = GridKind.SNODES if space is Space.LD2 else GridKind.UNODES
-    if f.grid.kind is not wanted:
-        raise GridMismatchError(
-            f"{space.value} inner product needs {wanted.value}-nodes, "
-            f"got {f.grid.kind.value}-nodes"
-        )
+    grid, prod = f.grid, f.values * g.values
+    if grid.kind is GridKind.SNODES:
+        return float(np.sum(prod) / grid.n)
+    if grid.kind is GridKind.UNODES:
+        return float(np.sum(prod * grid.weights ** 2) / (grid.n + 1))
+    raise GridMismatchError("inner products need s- or u-nodes, got t-nodes")
 
 
-def inner_product(f: GridFn, g: GridFn, space: Space):
-    """Discrete weighted inner product.
-
-    L_d^2 uses the first-kind Gauss-Chebyshev rule on S-nodes,
-    L_m^2 the second-kind rule on U-nodes; both rules are exact for
-    polynomial integrands of degree <= 2N-1 and already include the 1/pi
-    normalization of the continuous inner products.
-    """
-    _check_quadrature_grid(f, g, space)
-    n = f.grid.n
-    prod = f.values * np.conj(g.values)
-    if space is Space.LD2:
-        val = np.sum(prod) / n
-    else:
-        val = np.sum(prod * np.sin(f.grid.angles) ** 2) / (n + 1)
-    return complex(val) if np.iscomplexobj(prod) else float(val)
-
-
-def norm(f: GridFn, space: Space) -> float:
-    """Weighted L^2 norm: sqrt of inner_product(f, f, space)."""
-    val = inner_product(f, f, space)
-    return float(np.sqrt(np.real(val)))
+def norm(f: GridFn) -> float:
+    """Weighted L^2 norm in the space of f's grid: sqrt of inner_product(f, f)."""
+    return float(np.sqrt(inner_product(f, f)))
 
 
 def resample(coeffs: np.ndarray, targets, mode: ResampleMode):
@@ -206,6 +189,4 @@ def resample(coeffs: np.ndarray, targets, mode: ResampleMode):
     else:
         # U_{n-1} with the a_0 term dropped.
         out = weight_w(x) * _clenshaw(a[1:], x, second_kind=True)
-    return complex(out[0]) if scalar and np.iscomplexobj(out) else (
-        float(out[0]) if scalar else out
-    )
+    return float(out[0]) if scalar else out

@@ -23,11 +23,9 @@ from .cosh import WeightParam  # noqa: E402  (only the parameter container)
 class AnalyticPair:
     """A closed-form (f, F) pair with F the finite Hilbert transform of f."""
 
-    name: str
     f: Callable[[np.ndarray], np.ndarray]
     F: Callable[[np.ndarray], np.ndarray]
     kinks: tuple[float, ...]
-    smoothness_notes: str
 
 
 def _midpoints(m_points: int) -> tuple[np.ndarray, float]:
@@ -126,20 +124,10 @@ def _shifted_F(s):
 
 
 _PAIRS = {
-    "unit_circle": AnalyticPair(
-        name="unit_circle",
-        f=_unit_circle_f,
-        F=_unit_circle_F,
-        kinks=(),
-        smoothness_notes="smooth inside (-1, 1); square-root behavior at +-1",
-    ),
-    "shifted": AnalyticPair(
-        name="shifted",
-        f=_shifted_f,
-        F=_shifted_F,
-        kinks=(-0.9, 0.7),
-        smoothness_notes="continuous, not differentiable at -0.9 and 0.7; f vanishes outside [-0.9, 0.7]",
-    ),
+    # smooth inside (-1, 1); square-root behavior at +-1
+    "unit_circle": AnalyticPair(f=_unit_circle_f, F=_unit_circle_F, kinks=()),
+    # continuous, not differentiable at -0.9 and 0.7; f vanishes outside [-0.9, 0.7]
+    "shifted": AnalyticPair(f=_shifted_f, F=_shifted_F, kinks=(-0.9, 0.7)),
 }
 
 

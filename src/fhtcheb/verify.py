@@ -27,7 +27,6 @@ from .cosh import (
     system_matrix,
 )
 from .fht import (
-    Flavor,
     coeffs_from_sgrid,
     coeffs_from_tgrid,
     fht_forward_d,
@@ -45,7 +44,6 @@ from .grids import (
     GridFn,
     GridKind,
     ResampleMode,
-    Space,
     cgl_nodes,
     cheb_eval,
     inner_product,
@@ -93,13 +91,12 @@ def check_quadrature(basis: Basis, n: int) -> CheckResult:
     U-basis on U-nodes in Lm2."""
     first = basis is Basis.FIRST_T
     grid = cgl_nodes(GridKind.SNODES if first else GridKind.UNODES, n)
-    space = Space.LD2 if first else Space.LM2
     fns = [GridFn(grid, cheb_eval(basis, k, grid.nodes)) for k in range(9)]
     worst = 0.0
     for i, fi in enumerate(fns):
         for j, fj in enumerate(fns):
             want = (1.0 if first and i == 0 else 0.5) if i == j else 0.0
-            worst = max(worst, abs(inner_product(fi, fj, space) - want))
+            worst = max(worst, abs(inner_product(fi, fj) - want))
     return _result(f"quadrature_exact_{'T' if first else 'U'}_n{n}", worst, 1e-13)
 
 
@@ -168,7 +165,7 @@ def check_isometry_d(n: int) -> CheckResult:
     worst = 0.0
     for k in (0, 1, 5, min(30, n - 2)):
         f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-        rep = plancherel_check(f, Flavor.D)
+        rep = plancherel_check(f)
         worst = max(worst, rep.defect)
     return _result(f"isometry_d_n{n}", worst, 1e-10)
 
@@ -179,7 +176,7 @@ def check_isometry_m(n: int) -> CheckResult:
     for k in (0, 1, 5, min(30, n - 2)):
         f = GridFn(sg, cheb_eval(Basis.FIRST_T, k + 1, sg.nodes) / sg.weights)
         F = fht_forward_m(f)
-        worst = max(worst, abs(norm(F, Space.LM2) ** 2 - 0.5))
+        worst = max(worst, abs(norm(F) ** 2 - 0.5))
     return _result(f"isometry_m_n{n}", worst, 1e-10)
 
 
@@ -189,16 +186,16 @@ def check_plancherel_suite(n: int) -> CheckResult:
     worst = 0.0
     for k in range(31):
         f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-        worst = max(worst, plancherel_check(f, Flavor.D).defect)
+        worst = max(worst, plancherel_check(f).defect)
     u0 = cheb_eval(Basis.SECOND_U, 0, sg.nodes)
     u2 = cheb_eval(Basis.SECOND_U, 2, sg.nodes)
     for vals in (sg.weights * u0, sg.weights * (u0 + u2)):
-        worst = max(worst, plancherel_check(GridFn(sg, vals), Flavor.M).defect)
+        worst = max(worst, plancherel_check(GridFn(sg, vals)).defect)
     # zero-mean case: w U_1 integrates to zero by parity, so lhs = ||f||^2
     f_odd = GridFn(sg, sg.weights * cheb_eval(Basis.SECOND_U, 1, sg.nodes))
-    rep = plancherel_check(f_odd, Flavor.M)
+    rep = plancherel_check(f_odd)
     ug = cgl_nodes(GridKind.UNODES, n)
-    full = norm(GridFn(ug, sgrid_to_unodes(f_odd)), Space.LM2) ** 2
+    full = norm(GridFn(ug, sgrid_to_unodes(f_odd))) ** 2
     worst = max(worst, rep.defect, abs(rep.lhs - full))
     return _result(f"plancherel_suite_n{n}", worst, 1e-10)
 
@@ -211,8 +208,8 @@ def check_lemma2_inequality(n: int) -> CheckResult:
     worst = 0.0
     for _ in range(5):
         f = GridFn(sg, rng.standard_normal(n))
-        lhs = norm(fht_forward_m(f), Space.LM2) ** 2
-        full = norm(GridFn(sg, f.values * sg.weights), Space.LD2) ** 2
+        lhs = norm(fht_forward_m(f)) ** 2
+        full = norm(GridFn(sg, f.values * sg.weights)) ** 2
         worst = max(worst, lhs - full)
     return _result(f"lemma2_inequality_n{n}", max(worst, 0.0), 1e-10)
 
@@ -272,8 +269,8 @@ def check_coerciveness(n: int = 128) -> CheckResult:
         p = WeightParam.cosh_real(mu)
         for k in range(n - 1):
             f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-            ratio = (norm(cosh_forward(f, p), Space.LD2)
-                     / norm(GridFn(sg, tgrid_to_snodes(f)), Space.LD2))
+            ratio = (norm(cosh_forward(f, p))
+                     / norm(GridFn(sg, tgrid_to_snodes(f))))
             worst = max(worst, (p.coercive_const - ratio, ratio, p.coercive_const, mu))
     gap, ratio, bound, mu = worst
     return CheckResult("coerciveness_mu_0.5_1_2", gap <= 1e-8,

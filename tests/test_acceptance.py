@@ -15,7 +15,6 @@ from fhtcheb import (
     GridFn,
     GridKind,
     ResampleMode,
-    Space,
     WeightParam,
     cgl_nodes,
     coeffs_from_sgrid,
@@ -68,8 +67,8 @@ def _rel_lm_error_tgrid(got: GridFn, exact_fn) -> float:
     ug = cgl_nodes(GridKind.UNODES, n)
     got_u = resample(coeffs_from_tgrid(got), ug.nodes, ResampleMode.WU_SERIES)
     want_u = exact_fn(ug.nodes)
-    return (norm(GridFn(ug, got_u - want_u), Space.LM2)
-            / norm(GridFn(ug, want_u), Space.LM2))
+    return (norm(GridFn(ug, got_u - want_u))
+            / norm(GridFn(ug, want_u)))
 
 
 def test_criterion_01_condition_bound():
@@ -153,8 +152,8 @@ def test_criterion_09_mean_constrained_vs_oracle():
     got, rep = cosh_invert_mean_constrained(GridFn(ug, F_mu), p, fbar, tol=1e-12)
     got_u = sgrid_to_unodes(got)
     want_u = fex(ug.nodes)
-    rel = (norm(GridFn(ug, got_u - want_u), Space.LM2)
-           / norm(GridFn(ug, want_u), Space.LM2))
+    rel = (norm(GridFn(ug, got_u - want_u))
+           / norm(GridFn(ug, want_u)))
     ok = rep.converged and rel < 1e-6
     _verdict(9, "mean-constrained solver vs PV oracle data", ok,
              f"rel Lm error {rel:.2e}, iters {rep.iterations}")

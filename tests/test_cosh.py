@@ -12,7 +12,6 @@ from fhtcheb import (
     GridKind,
     ParameterError,
     ResampleMode,
-    Space,
     WeightParam,
     cgl_nodes,
     cheb_eval,
@@ -430,6 +429,20 @@ def test_tol_below_the_predicted_ratio():
     np.testing.assert_allclose(got.values[1:], f[1:], rtol=0, atol=1e-8 * np.max(np.abs(f)))
 
 
+def test_iterate_where_tanh_rounds_to_one():
+    # np.tanh(19 t) is exactly 1 at the outer nodes, so the bound c on ||K|| is 1
+    # and predicts no step count. Both iterations run to max_iter in either form:
+    # 20 steps at N = 98 stay one-step, 100 at N = 256 are powered.
+    p = WeightParam.cosh_real(19.0)
+    for n, max_iter in ((98, 20), (256, 100)):
+        sg, ug = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.UNODES, n)
+        for _, rep in (cosh_invert_neumann(GridFn(sg, sg.nodes), p, max_iter=max_iter),
+                       cosh_invert_mean_constrained(GridFn(ug, ug.nodes), p, 0.0,
+                                                    max_iter=max_iter)):
+            assert rep.iterations == max_iter and not rep.converged
+            assert np.all(np.isfinite(rep.residual_history))
+
+
 def test_neumann_longest_run_pinned():
     # c = tanh^2(4) = 0.9987: the longest solve any test runs, and the one where
     # rounding in the sum of 11 328 powers K^k f0 would grow most.
@@ -549,8 +562,8 @@ class TestMeanConstrained:
         got, rep = cosh_invert_mean_constrained(GridFn(ug, Fu), p, fbar, tol=1e-12)
         assert rep.converged
         got_u = sgrid_to_unodes(got)
-        rel = (norm(GridFn(ug, got_u - ug.weights), Space.LM2)
-               / norm(GridFn(ug, ug.weights), Space.LM2))
+        rel = (norm(GridFn(ug, got_u - ug.weights))
+               / norm(GridFn(ug, ug.weights)))
         assert rel < 1e-3
 
     def test_roundtrip_mu_half(self):
@@ -656,7 +669,7 @@ class TestNullExperiment:
 class TestCoerciveness:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
     def test_lower_bound(self, mu):
-        from fhtcheb import Space, coeffs_from_tgrid
+        from fhtcheb import coeffs_from_tgrid
 
         n = 128
         p = WeightParam.cosh_real(mu)
@@ -666,8 +679,8 @@ class TestCoerciveness:
         worst = math.inf
         for k in range(n - 1):
             f = GridFn(tg, tg.weights * cheb_eval(Basis.SECOND_U, k, tg.nodes))
-            num = norm(cosh_forward(f, p), Space.LD2)
+            num = norm(cosh_forward(f, p))
             den = norm(GridFn(sg, resample(coeffs_from_tgrid(f), sg.nodes,
-                                           ResampleMode.WU_SERIES)), Space.LD2)
+                                           ResampleMode.WU_SERIES)))
             worst = min(worst, num / den)
         assert worst >= floor - 1e-8

@@ -3,12 +3,10 @@ import pytest
 
 from fhtcheb import (
     Basis,
-    Flavor,
     GridFn,
     GridKind,
     GridMismatchError,
     ResampleMode,
-    Space,
     cgl_nodes,
     cheb_eval,
     coeffs_from_sgrid,
@@ -86,8 +84,8 @@ class TestInverseD:
         f = fht_inverse_d(GridFn(sg, pr.F(sg.nodes)))
         got_u = resample(coeffs_from_tgrid(f), ug.nodes, ResampleMode.WU_SERIES)
         want_u = pr.f(ug.nodes)
-        rel = (norm(GridFn(ug, got_u - want_u), Space.LM2)
-               / norm(GridFn(ug, want_u), Space.LM2))
+        rel = (norm(GridFn(ug, got_u - want_u))
+               / norm(GridFn(ug, want_u)))
         assert rel < 1e-2
 
 
@@ -173,13 +171,13 @@ class TestPlancherel:
         n = 64
         tg = cgl_nodes(GridKind.TNODES, n)
         f = GridFn(tg, tg.weights * _u_on(tg, 3))
-        assert plancherel_check(f, Flavor.D).defect < 1e-10
+        assert plancherel_check(f).defect < 1e-10
 
     def test_m_flavor_with_mean(self):
         n = 64
         sg = cgl_nodes(GridKind.SNODES, n)
         f = GridFn(sg, sg.weights * _u_on(sg, 0))
-        rep = plancherel_check(f, Flavor.M)
+        rep = plancherel_check(f)
         assert rep.defect < 1e-10
         assert rep.lhs < rep.rhs + 1e-10 or rep.lhs == pytest.approx(rep.rhs, abs=1e-10)
 
@@ -187,11 +185,16 @@ class TestPlancherel:
         n = 64
         sg = cgl_nodes(GridKind.SNODES, n)
         f = GridFn(sg, sg.weights * _u_on(sg, 1))  # odd, zero mean
-        rep = plancherel_check(f, Flavor.M)
+        rep = plancherel_check(f)
         assert rep.defect < 1e-10
         ug = cgl_nodes(GridKind.UNODES, n)
-        full = norm(GridFn(ug, sgrid_to_unodes(f)), Space.LM2) ** 2
+        full = norm(GridFn(ug, sgrid_to_unodes(f))) ** 2
         assert rep.lhs == pytest.approx(full, abs=1e-10)
+
+    def test_u_grid_raises(self):
+        ug = cgl_nodes(GridKind.UNODES, 16)
+        with pytest.raises(GridMismatchError):
+            plancherel_check(GridFn(ug, ug.weights))
 
     def test_lemma2_inequality_random(self):
         # ||F||_Lm^2 <= ||f||_Lm^2; the right side equals ||f w||_Ld^2 and the
@@ -201,8 +204,8 @@ class TestPlancherel:
         sg = cgl_nodes(GridKind.SNODES, n)
         for _ in range(5):
             f = GridFn(sg, rng.standard_normal(n))
-            lhs = norm(fht_forward_m(f), Space.LM2) ** 2
-            full = norm(GridFn(sg, f.values * sg.weights), Space.LD2) ** 2
+            lhs = norm(fht_forward_m(f)) ** 2
+            full = norm(GridFn(sg, f.values * sg.weights)) ** 2
             assert lhs <= full + 1e-10
 
 
@@ -212,7 +215,7 @@ class TestIsometry:
         n = 64
         tg = cgl_nodes(GridKind.TNODES, n)
         f = GridFn(tg, tg.weights * _u_on(tg, k))
-        rep = plancherel_check(f, Flavor.D)
+        rep = plancherel_check(f)
         assert rep.defect < 1e-10
 
     @pytest.mark.parametrize("k", [0, 1, 7, 30])
@@ -221,7 +224,7 @@ class TestIsometry:
         sg = cgl_nodes(GridKind.SNODES, n)
         f = GridFn(sg, cheb_eval(Basis.FIRST_T, k + 1, sg.nodes) / sg.weights)
         F = fht_forward_m(f)
-        assert norm(F, Space.LM2) ** 2 == pytest.approx(0.5, abs=1e-10)
+        assert norm(F) ** 2 == pytest.approx(0.5, abs=1e-10)
 
 
 class TestCoeffs:

@@ -11,7 +11,6 @@ from fhtcheb import (
     GridMismatchError,
     InvalidSizeError,
     ResampleMode,
-    Space,
     cgl_nodes,
     cheb_eval,
     inner_product,
@@ -100,18 +99,18 @@ class TestInnerProduct:
     def test_constant_ld(self):
         g = cgl_nodes(GridKind.SNODES, 16)
         one = GridFn(g, np.ones(16))
-        assert inner_product(one, one, Space.LD2) == pytest.approx(1.0)
+        assert inner_product(one, one) == pytest.approx(1.0)
 
     def test_t1_t2_orthogonal(self):
         g = cgl_nodes(GridKind.SNODES, 8)
         f = GridFn(g, cheb_eval(Basis.FIRST_T, 1, g.nodes))
         h = GridFn(g, cheb_eval(Basis.FIRST_T, 2, g.nodes))
-        assert abs(inner_product(f, h, Space.LD2)) < 1e-14
+        assert abs(inner_product(f, h)) < 1e-14
 
     def test_u0_lm(self):
         g = cgl_nodes(GridKind.UNODES, 8)
         one = GridFn(g, np.ones(8))
-        assert inner_product(one, one, Space.LM2) == pytest.approx(0.5)
+        assert inner_product(one, one) == pytest.approx(0.5)
 
     def test_exactness_t(self):
         g = cgl_nodes(GridKind.SNODES, 32)
@@ -120,7 +119,7 @@ class TestInnerProduct:
                 fi = GridFn(g, cheb_eval(Basis.FIRST_T, i, g.nodes))
                 fj = GridFn(g, cheb_eval(Basis.FIRST_T, j, g.nodes))
                 want = 1.0 if i == j == 0 else (0.5 if i == j else 0.0)
-                assert inner_product(fi, fj, Space.LD2) == pytest.approx(want, abs=1e-13)
+                assert inner_product(fi, fj) == pytest.approx(want, abs=1e-13)
 
     def test_exactness_u(self):
         g = cgl_nodes(GridKind.UNODES, 32)
@@ -129,15 +128,16 @@ class TestInnerProduct:
                 fi = GridFn(g, cheb_eval(Basis.SECOND_U, i, g.nodes))
                 fj = GridFn(g, cheb_eval(Basis.SECOND_U, j, g.nodes))
                 want = 0.5 if i == j else 0.0
-                assert inner_product(fi, fj, Space.LM2) == pytest.approx(want, abs=1e-13)
+                assert inner_product(fi, fj) == pytest.approx(want, abs=1e-13)
 
     def test_grid_mismatch(self):
         f = GridFn(cgl_nodes(GridKind.SNODES, 8), np.ones(8))
         g = GridFn(cgl_nodes(GridKind.UNODES, 8), np.ones(8))
+        t = GridFn(cgl_nodes(GridKind.TNODES, 8), np.ones(8))
         with pytest.raises(GridMismatchError):
-            inner_product(f, g, Space.LD2)
-        with pytest.raises(GridMismatchError):
-            inner_product(g, g, Space.LD2)
+            inner_product(f, g)
+        with pytest.raises(GridMismatchError):  # T-nodes carry no quadrature rule
+            inner_product(t, t)
 
     def test_norm_reciprocal_weight(self):
         # Continuum value is 1; the discrete second-kind rule gives
@@ -145,13 +145,13 @@ class TestInnerProduct:
         for n in (16, 256):
             g = cgl_nodes(GridKind.UNODES, n)
             f = GridFn(g, 1.0 / g.weights)
-            got = norm(f, Space.LM2)
+            got = norm(f)
             assert got == pytest.approx(math.sqrt(n / (n + 1.0)), abs=1e-14)
             assert abs(got - 1.0) < 1.0 / n
 
     def test_norm_zero(self):
         g = cgl_nodes(GridKind.SNODES, 8)
-        assert norm(GridFn(g, np.zeros(8)), Space.LD2) == 0.0
+        assert norm(GridFn(g, np.zeros(8))) == 0.0
 
 
 class TestResample:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fhtcheb import (
     MAX_DEGREE,
-    Flavor,
     GridFn,
     GridKind,
     ResampleMode,
@@ -25,6 +24,7 @@ from fhtcheb import (
     fht_inverse_m,
     plancherel_check,
     resample,
+    system_matrix,
 )
 from fhtcheb.cosh import _contract, _fold, _iterate, _plan
 from fhtcheb.fht import _u_analysis, m_analysis_sgrid
@@ -60,7 +60,7 @@ def test_d_flavor_roundtrip_and_plancherel(n, seed):
     v[0] = 0.0  # w vanishes at t_0 = 1
     f = GridFn(tg, v)
     np.testing.assert_allclose(fht_inverse_d(fht_forward_d(f)).values, v, atol=1e-12)
-    assert plancherel_check(f, Flavor.D).defect < 1e-10
+    assert plancherel_check(f).defect < 1e-10
 
 
 @PROPERTY
@@ -127,12 +127,18 @@ WEIGHTS = st.one_of(st.floats(-19.0, 19.0).map(WeightParam.cosh_real),
 def test_parity_split_step_matches_unsplit(n, seed, p):
     # The operators of both iterations flip parity: their same-parity blocks
     # vanish, and one split step equals one step of the unsplit operator.
+    # blocks[p, q]: rows of parity p, columns of parity q (0 even, 1 odd)
+    def fold2(a):
+        return _fold(_fold(a).transpose(2, 0, 1)).transpose(2, 0, 3, 1)
+
     for a in (build(TransformKind.HD, n)[:, 1:], build(TransformKind.HM, n).T):
-        # blocks[p, q]: rows of parity p, columns of parity q (0 even, 1 odd)
-        blocks = _fold(_fold(a).transpose(2, 0, 1)).transpose(2, 0, 3, 1)
+        blocks = fold2(a)
         h1, h2 = a.shape[1] // 2, a.shape[0] // 2
         same = max(np.max(np.abs(blocks[0, 0])), np.max(np.abs(blocks[1, 1, :h2, :h1]), initial=0.0))
         assert same <= 1e-15 * np.max(np.abs(a))
+    # The direct solver drops the cross-parity blocks of its system matrix.
+    blocks = fold2(system_matrix(p, n)[1:, 1:])
+    assert max(np.max(np.abs(blocks[0, 1])), np.max(np.abs(blocks[1, 0]))) <= 1e-14
 
     rng = np.random.default_rng(seed)
     plan = _plan(p, n)
