@@ -105,11 +105,46 @@ def _uniform_path(path: str) -> str:
     return f"{stem}_uniform.{ext}"
 
 
-def _emit(args, in_fn: GridFn, out: GridFn, reference, uniform_pair, report):
+class _Clock:
+    """The start of one command, and the milliseconds each of its stages took."""
+
+    def __init__(self):
+        self.t0, self.ms = time.monotonic(), {}
+
+    def run(self, stage: str, fn, *args, **kwargs):
+        t = time.monotonic()
+        out = fn(*args, **kwargs)
+        self.ms[stage] = (time.monotonic() - t) * 1000.0
+        return out
+
+
+def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solve_report=None):
     # The reference column gives the expected *output* on the output grid, which
     # has the input's N.
     max_error = None if reference is None else float(np.max(np.abs(out.values - reference)))
-    report["max_error"] = max_error
+    report = {
+        "command": args.command,
+        "n": out.grid.n,
+        "mu_or_eta": args.mu if args.mu is not None else args.eta,
+        "iterations": 0,
+        "residual_history": [],
+        "measured_ratio": None,
+        "bound_ratio": None,
+        "coercive_const": None,
+        "final_defect": None,
+        "max_error": max_error,
+        "wall_time_ms": (time.monotonic() - clock.t0) * 1000.0,
+    }
+    if solve_report is not None:
+        report.update(
+            iterations=solve_report.iterations,
+            residual_history=list(solve_report.residual_history),
+            measured_ratio=solve_report.measured_ratio,
+            bound_ratio=solve_report.bound_ratio,
+            coercive_const=solve_report.coercive_const,
+            final_defect=solve_report.final_defect,
+        )
+    t = time.monotonic()
     if args.output_path:
         write_csv(args.output_path, out.grid.nodes, out.values, reference)
         xs, vals = uniform_pair
@@ -122,82 +157,59 @@ def _emit(args, in_fn: GridFn, out: GridFn, reference, uniform_pair, report):
         if max_error is not None:
             series.append(("error", out.grid.nodes, out.values - reference))
         write_svg(args.plot_path, series, title=args.command)
+    report["stage_ms"] = dict(clock.ms, write=(time.monotonic() - t) * 1000.0)
     write_json_report(args.json_path, report)
-
-
-def _base_report(args, n: int, t0: float, solve_report=None) -> dict:
-    rep = {
-        "command": args.command,
-        "n": n,
-        "mu_or_eta": args.mu if args.mu is not None else args.eta,
-        "iterations": 0,
-        "residual_history": [],
-        "measured_ratio": None,
-        "bound_ratio": None,
-        "coercive_const": None,
-        "final_defect": None,
-        "max_error": None,
-        "wall_time_ms": (time.monotonic() - t0) * 1000.0,
-    }
-    if solve_report is not None:
-        rep.update(
-            iterations=solve_report.iterations,
-            residual_history=list(solve_report.residual_history),
-            measured_ratio=solve_report.measured_ratio,
-            bound_ratio=solve_report.bound_ratio,
-            coercive_const=solve_report.coercive_const,
-            final_defect=solve_report.final_defect,
-        )
-    return rep
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_forward(args) -> int:
-    t0 = time.monotonic()
-    f, ref = _load_grid_fn(args, GridKind.TNODES)
-    F = fht_forward_d(f)
-    _emit(args, f, F, ref, _uniform(F), _base_report(args, f.grid.n, t0))
+    clock = _Clock()
+    f, ref = clock.run("read", _load_grid_fn, args, GridKind.TNODES)
+    F = clock.run("compute", fht_forward_d, f)
+    _emit(args, clock, f, F, ref, clock.run("resample", _uniform, F))
     return EXIT_OK
 
 
 def cmd_invert(args) -> int:
-    t0 = time.monotonic()
-    F, ref = _load_grid_fn(args, GridKind.SNODES)
-    f = fht_inverse_d(F)
-    _emit(args, F, f, ref, _uniform(f), _base_report(args, F.grid.n, t0))
+    clock = _Clock()
+    F, ref = clock.run("read", _load_grid_fn, args, GridKind.SNODES)
+    f = clock.run("compute", fht_inverse_d, F)
+    _emit(args, clock, F, f, ref, clock.run("resample", _uniform, f))
     return EXIT_OK
 
 
 def cmd_cosh_forward(args) -> int:
-    t0 = time.monotonic()
+    clock = _Clock()
     p = _weight_param(args, required=True)
-    f, ref = _load_grid_fn(args, GridKind.TNODES)
-    F = cosh_forward(f, p)
-    _emit(args, f, F, ref, _uniform(F), _base_report(args, f.grid.n, t0))
+    f, ref = clock.run("read", _load_grid_fn, args, GridKind.TNODES)
+    F = clock.run("compute", cosh_forward, f, p)
+    _emit(args, clock, f, F, ref, clock.run("resample", _uniform, F))
     return EXIT_OK
 
 
 def cmd_cosh_invert(args) -> int:
-    t0 = time.monotonic()
+    clock = _Clock()
     p = _weight_param(args, required=True)
     if args.method == "mean_constrained" and args.mean_fbar is None:
         raise ParameterError("--mean-fbar is required for method mean_constrained")
     if args.method != "direct":  # before the input is read
         _check_stopping(args.tol, args.max_iter, args.mean_fbar or 0.0)
     if args.method == "mean_constrained":
-        F, ref = _load_grid_fn(args, GridKind.UNODES)
-        f, rep = cosh_invert_mean_constrained(F, p, args.mean_fbar, args.tol, args.max_iter)
-        uniform = _uniform(f, weighted=True)
+        F, ref = clock.run("read", _load_grid_fn, args, GridKind.UNODES)
+        f, rep = clock.run("compute", cosh_invert_mean_constrained,
+                           F, p, args.mean_fbar, args.tol, args.max_iter)
+        uniform = clock.run("resample", _uniform, f, weighted=True)
     else:
-        F, ref = _load_grid_fn(args, GridKind.SNODES)
+        F, ref = clock.run("read", _load_grid_fn, args, GridKind.SNODES)
         if args.method == "direct":
-            f, rep = cosh_invert_direct(F, p)
+            f, rep = clock.run("compute", cosh_invert_direct, F, p)
         else:
-            f, rep = cosh_invert_neumann(F, p, tol=args.tol, max_iter=args.max_iter)
-        uniform = _uniform(f)
-    _emit(args, F, f, ref, uniform, _base_report(args, F.grid.n, t0, rep))
+            f, rep = clock.run("compute", cosh_invert_neumann,
+                               F, p, tol=args.tol, max_iter=args.max_iter)
+        uniform = clock.run("resample", _uniform, f)
+    _emit(args, clock, F, f, ref, uniform, rep)
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 

@@ -119,10 +119,13 @@ def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
     b1 = np.zeros(x.shape, dtype=np.result_type(a, x))
     if a.shape[0] == 0:
         return b1
-    b2 = np.zeros_like(b1)
+    b2, b0 = np.zeros_like(b1), np.empty_like(b1)
     two_x = 2.0 * x
-    for ak in a[:0:-1]:
-        b1, b2 = two_x * b1 - b2 + ak, b1
+    for ak in a[:0:-1].tolist():  # in place, rounding as two_x * b1 - b2 + ak
+        np.multiply(two_x, b1, out=b0)
+        b0 -= b2
+        b0 += ak
+        b0, b1, b2 = b2, b0, b1
     return a[0] + (two_x if second_kind else x) * b1 - b2
 
 

@@ -3,6 +3,9 @@
 CSV files carry a `x,value` (or `x,value,reference`) header and 17
 significant digits per float so 64-bit values round-trip losslessly. SVG
 plots are self-contained 800x500 documents built from inline polylines.
+Each CSV body and each polyline is formatted with one `%` over a repeated
+per-value template, and each CSV is parsed in one pass over its cells; the
+bytes are those of formatting and parsing one value at a time.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -26,17 +30,14 @@ class CsvData:
 
 
 def write_csv(path, x, value, reference=None) -> None:
-    x = np.asarray(x, dtype=float)
-    value = np.asarray(value, dtype=float)
-    cols = [x, value]
-    header = "x,value"
-    if reference is not None:
-        cols.append(np.asarray(reference, dtype=float))
-        header += ",reference"
+    cols = [np.asarray(c, dtype=float) for c in (x, value, reference) if c is not None]
+    if len({len(c) for c in cols}) > 1:
+        raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
+    header = "x,value" if reference is None else "x,value,reference"
+    table = np.column_stack(cols)
+    row = ",".join([_FMT] * len(cols)) + "\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            fh.write(",".join(_FMT % v for v in row) + "\n")
+        fh.write(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_csv(path) -> CsvData:
@@ -53,7 +54,23 @@ def read_csv(path) -> CsvData:
     ):
         raise InputError(f"{path}:1: expected header 'x,value[,reference]'")
     ncol = len(header)
-    rows = []
+    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    if not rows:
+        raise InputError(f"{path}: no data rows")
+    ok = all(len(r) == ncol for r in rows)
+    try:
+        arr = np.array(list(map(float, chain.from_iterable(rows))))
+    except ValueError:
+        ok = False
+    if not (ok and np.isfinite(arr).all()):
+        _raise_row_fault(path, lines, ncol)
+    arr = arr.reshape(-1, ncol)
+    ref = arr[:, 2] if ncol == 3 else None
+    return CsvData(x=arr[:, 0], value=arr[:, 1], reference=ref)
+
+
+def _raise_row_fault(path, lines, ncol: int) -> None:
+    """Raise the InputError of the first data row that read_csv rejects."""
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -66,12 +83,6 @@ def read_csv(path) -> CsvData:
             raise InputError(f"{path}:{lineno}: {exc}") from exc
         if not all(map(math.isfinite, row)):
             raise InputError(f"{path}:{lineno}: non-finite value")
-        rows.append(row)
-    if not rows:
-        raise InputError(f"{path}: no data rows")
-    arr = np.array(rows, dtype=float)
-    ref = arr[:, 2] if ncol == 3 else None
-    return CsvData(x=arr[:, 0], value=arr[:, 1], reference=ref)
 
 
 def write_json_report(path, report: dict) -> None:
@@ -91,16 +102,11 @@ _ML, _MR, _MT, _MB = 60, 20, 30, 40
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
 
 
-def _finite(a):
-    a = np.asarray(a, dtype=float)
-    return a[np.isfinite(a)]
-
-
 def write_svg(path, series, title="") -> None:
     """series: iterable of (label, x array, y array)."""
     series = [(lbl, np.asarray(x, float), np.asarray(y, float)) for lbl, x, y in series]
-    xs = np.concatenate([_finite(x) for _, x, _ in series]) if series else np.array([0.0, 1.0])
-    ys = np.concatenate([_finite(y) for _, _, y in series]) if series else np.array([0.0, 1.0])
+    xs = np.concatenate([x[np.isfinite(x)] for _, x, _ in series] or [np.array([0.0, 1.0])])
+    ys = np.concatenate([y[np.isfinite(y)] for _, _, y in series] or [np.array([0.0, 1.0])])
     x0, x1 = float(xs.min()), float(xs.max())
     y0, y1 = float(ys.min()), float(ys.max())
     if x1 == x0:
@@ -140,9 +146,8 @@ def write_svg(path, series, title="") -> None:
     for i, (lbl, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         good = np.isfinite(x) & np.isfinite(y)
-        pts = " ".join(
-            f"{px(a):.2f},{py(b):.2f}" for a, b in zip(x[good], y[good])
-        )
+        xy = np.column_stack((px(x[good]), py(y[good])))
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )

@@ -179,6 +179,26 @@ class TestForwardInvert:
         assert main(["forward", "--input", "/does/not/exist.csv"]) == 3
 
 
+@pytest.mark.parametrize("argv", [["forward", "--input", "{f}"], ["invert", "--input", "{F}"],
+                                  ["cosh-forward", "--mu", "1", "--input", "{f}"],
+                                  ["cosh-invert", "--mu", "1", "--input", "{F}"]])
+def test_stage_ms_reported(tmp_path, argv):
+    n = 64
+    _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
+    sg = cgl_nodes(GridKind.SNODES, n)
+    write_csv(tmp_path / "F.csv", sg.nodes, sg.nodes)
+    argv = [a.format(f=tmp_path / "f.csv", F=tmp_path / "F.csv") for a in argv]
+    rep = tmp_path / "r.json"
+    assert main([*argv, "--output", str(tmp_path / "o.csv"), "--plot", str(tmp_path / "o.svg"),
+                 "--json", str(rep)]) == 0
+    data = json.loads(rep.read_text())
+    stages = data["stage_ms"]
+    assert set(stages) == {"read", "compute", "resample", "write"}
+    assert all(ms >= 0.0 for ms in stages.values())
+    # the three stages before the report lie inside wall_time_ms
+    assert stages["read"] + stages["compute"] + stages["resample"] <= data["wall_time_ms"] + 1e-6
+
+
 class TestCoshCommands:
     def test_roundtrip_direct(self, tmp_path):
         fin = tmp_path / "f.csv"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhtcheb import (
+    MAX_DEGREE,
     Basis,
     DomainError,
     GridFn,
@@ -18,6 +19,7 @@ from fhtcheb import (
     resample,
     weight_w,
 )
+from fhtcheb.grids import _clenshaw
 
 
 class TestCglNodes:
@@ -82,6 +84,18 @@ class TestChebEval:
     def test_degree_cap(self):
         with pytest.raises(DomainError):
             cheb_eval(Basis.FIRST_T, 5000, 0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 256, MAX_DEGREE + 1])
+    def test_clenshaw_bit_identical_to_the_plain_recurrence(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n) * np.exp(-np.arange(n) / 64.0)
+        x = np.concatenate([[-1.0, -0.0, 1.0], rng.uniform(-1.0, 1.0, 300)])
+        for second_kind in (False, True):
+            b1, b2, two_x = np.zeros_like(x), np.zeros_like(x), 2.0 * x
+            for ak in a[:0:-1]:
+                b1, b2 = two_x * b1 - b2 + ak, b1
+            want = a[0] + (two_x if second_kind else x) * b1 - b2
+            assert np.array_equal(_clenshaw(a, x, second_kind), want)
 
 
 class TestWeight:
