@@ -3,9 +3,9 @@
 CSV files carry a `x,value` (or `x,value,reference`) header and 17
 significant digits per float so 64-bit values round-trip losslessly. SVG
 plots are self-contained 800x500 documents built from inline polylines.
-Each CSV body and each polyline is formatted with one `%` over a repeated
-per-value template, and each CSV is parsed in one pass over its cells; the
-bytes are those of formatting and parsing one value at a time.
+Each CSV body and each polyline is formatted in one `%` call over a repeated
+per-value template, giving the bytes of formatting each value on its own; a
+CSV is parsed in one pass, and its rows are walked only to name a bad line.
 """
 
 from __future__ import annotations
