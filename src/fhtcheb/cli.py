@@ -14,6 +14,7 @@ null-experiment. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import lru_cache
@@ -99,10 +100,7 @@ def _uniform(out: GridFn, weighted: bool = False) -> tuple[np.ndarray, np.ndarra
 
 
 def _uniform_path(path: str) -> str:
-    stem, dot, ext = path.rpartition(".")
-    if not dot:
-        return path + "_uniform"
-    return f"{stem}_uniform.{ext}"
+    return "{}_uniform{}".format(*os.path.splitext(path))
 
 
 class _Clock:
@@ -132,6 +130,7 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
         "bound_ratio": None,
         "coercive_const": None,
         "final_defect": None,
+        "solver_form": None,
         "max_error": max_error,
         "wall_time_ms": (time.monotonic() - clock.t0) * 1000.0,
     }
@@ -143,6 +142,7 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
             bound_ratio=solve_report.bound_ratio,
             coercive_const=solve_report.coercive_const,
             final_defect=solve_report.final_defect,
+            solver_form=solve_report.form,
         )
     t = time.monotonic()
     if args.output_path:

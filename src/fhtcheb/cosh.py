@@ -11,10 +11,11 @@ tanh -> tan with contraction tan^2(eta).
 Every solver works on parity halves: tanh and the Hilbert kernel are odd,
 so each operator maps even functions to even ones and odd to odd. The
 iterations (_iterate) run an even and an odd chain of about N/2 x N/2
-blocks, eight steps per product (K^8) when many steps are predicted; the
-direct solver keeps the two halves of the system matrix per (weight, N),
-inverted or, where (1+c)/(1-c) is too large, as they are for LU. Each
-solver checks its residual once through the unsplit operator: final_defect.
+blocks, eight steps per product (K^8) and one stop test per pass of many
+products when many steps are predicted; the direct solver keeps the two
+halves of the system matrix per (weight, N), inverted or, where
+(1+c)/(1-c) is too large, as they are for LU. Each solver checks its
+residual once through the unsplit operator: final_defect.
 
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
@@ -117,6 +118,7 @@ class SolveReport:
     coercive_const: float = 1.0
     final_defect: float = 0.0
     converged: bool = True
+    form: str = ""  # how the solver ran: "one-step", "powered", "inverse" or "lu"
 
 
 @dataclass(frozen=True)
@@ -147,7 +149,8 @@ def _check_stopping(tol: float, max_iter: int, mean_fbar: float = 0.0) -> None:
                              f"got tol={tol}, max_iter={max_iter}, mean_fbar={mean_fbar}")
 
 
-def _report(p: WeightParam, history: list[float], tol: float, defect: float) -> SolveReport:
+def _report(p: WeightParam, history: list[float], tol: float, defect: float,
+            form: str) -> SolveReport:
     steps = np.asarray(history)
     before, after = steps[:-1], steps[1:]
     return SolveReport(
@@ -159,6 +162,7 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float) -> 
         coercive_const=p.coercive_const,
         final_defect=defect,
         converged=not history or history[-1] < tol,  # a direct solve takes no steps
+        form=form,
     )
 
 
@@ -174,9 +178,10 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float) -> 
 # so K splits into two independent chains of half size, one per parity of x.
 
 # The chain blocks of one (operator, N) hold N^2/2 values, half as many as HD;
-# the few most recently used are kept. For _POWER_CROSSOVER see _iterate.
+# the few most recently used are kept. For _POWER_CROSSOVER and _PASS_BYTES see _iterate.
 _BLOCK_CACHE_SIZE = 4
 _POWER_CROSSOVER = 0.5
+_PASS_BYTES = 1 << 22
 
 
 def _fold(a: np.ndarray) -> np.ndarray:
@@ -235,7 +240,7 @@ def _chain_blocks(kind: TransformKind, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np.ndarray,
-             tol: float, max_iter: int) -> tuple[np.ndarray, list[float]]:
+             tol: float, max_iter: int) -> tuple[np.ndarray, list[float], str]:
     """Iterate x <- f0 + K x from x = f0 until a step is shorter than tol.
 
     Step k is K^k f0, x sums steps 0..k, and in either form a step's length
@@ -244,7 +249,9 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     >= ||K||, exceed _POWER_CROSSOVER times the block size m ~ N/2, it forms
     P = K^8 and runs V <- P V from V = [K f0 ... K^8 f0] (break-even 0.25 m
     at N = 2048 to 0.65 m at N = 256, one core); else step k = L (R step
-    k-1). Returns the last x and the step lengths.
+    k-1), in passes: one buffer of the blocks the bound predicts from the last step,
+    at most max_iter steps and _PASS_BYTES, then one norm, stop test and sum for
+    them all. Returns the last x, the step lengths and "powered" or "one-step".
     """
     # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
     # d1 and d2; an odd diagonal is 0 at a centre node.
@@ -256,28 +263,35 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     step = left @ (right @ b)
     x, history = b + step, [math.sqrt(np.vdot(step, step)) * scale]
     c = float(np.abs(d1).max() * np.abs(d2).max())  # 0 for mu = 0, where K = 0
-    # Two logarithms: tol / |K f0| can underflow to 0. np.tanh rounds to 1 near
-    # |mu| = 19, and at c = 1 only max_iter bounds the count.
-    if c > 0.0 and history[0] >= tol and min(max_iter, math.inf if c == 1.0 else 1 + (
-            math.log(tol) - math.log(history[0])) / math.log(c)) > _POWER_CROSSOVER * left.shape[1]:
+    def steps_after(length: float) -> float:  # a bound on the steps until one is below tol
+        # Two logs: tol / length can underflow. c = 1 (np.tanh(19) rounds to 1) predicts no count.
+        return math.inf if c == 1.0 else 1 + (math.log(tol) - math.log(length)) / math.log(c)
+    if c > 0.0 and history[0] >= tol and \
+            min(max_iter, steps_after(history[0])) > _POWER_CROSSOVER * left.shape[1]:
         k, v, left, right = left @ right, step, None, None  # only K is used below
         for _ in range(3):  # v = [K b ... K^8 b], k = K^8
             v = np.concatenate((v, k @ v), axis=2)
             k = k @ k
-        x, history = b, []
-        while True:  # a block's steps, up to max_iter and its first short one
-            norms = (np.linalg.norm(v, axis=(0, 1)) * scale)[:max_iter - len(history)].tolist()
-            take = next((i + 1 for i, r in enumerate(norms) if r < tol), len(norms))
-            history += norms[:take]
-            x = x + v[..., :take].sum(axis=2, keepdims=True)
+        steps, x, history = min(max_iter, 1 + steps_after(history[0])), b, []
+        while True:  # a pass; the first measures step 1 again, hence 1 + steps_after above
+            buf = np.empty((max(1, min(_PASS_BYTES // v.nbytes, math.ceil(steps / 8))),) + v.shape)
+            buf[0] = v
+            for j in range(1, buf.shape[0]):
+                np.matmul(k, buf[j - 1], out=buf[j])
+            norms = np.sqrt(np.einsum("jpmi,jpmi->ji", buf, buf)).ravel()[:max_iter - len(history)]
+            norms *= scale  # the step lengths in order, up to max_iter
+            take = next(iter(np.flatnonzero(norms < tol) + 1), norms.size)  # to the first short one
+            history += norms[:take].tolist()
+            buf[take // 8:, ..., take % 8:] = 0.0  # the steps past the stop
+            x = x + buf[:take // 8 + 1].sum(axis=0).sum(axis=2, keepdims=True)
             if history[-1] < tol or len(history) == max_iter:
-                break
-            v = k @ v
+                return _unfold(x[..., 0], f0.shape[0]), history, "powered"
+            v, steps = k @ buf[-1], min(max_iter - len(history), steps_after(history[-1]))
     while history[-1] >= tol and len(history) < max_iter:
         step = left @ (right @ step)
         x += step
         history.append(math.sqrt(np.vdot(step, step)) * scale)
-    return _unfold(x[..., 0], f0.shape[0]), history
+    return _unfold(x[..., 0], f0.shape[0]), history, "one-step"
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +376,7 @@ def _contract(plan: _Plan, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _invert_d(F_mu: GridFn, p: WeightParam, name: str, solve, tol: float = 0.0):
-    """Shell of the d-flavor inversions; solve(plan, HD, f0) returns (fhat, steps).
+    """Shell of the d-flavor inversions; solve(plan, HD, f0) returns (fhat, steps, form).
 
     fhat solves fhat - HD^T D_s HD D_t fhat = f0 = HD^T (F_mu / cosh_s), and f = fhat / cosh_t.
     The L_d^2 defect of fhat is computed once, through the unsplit operator.
@@ -373,11 +387,11 @@ def _invert_d(F_mu: GridFn, p: WeightParam, name: str, solve, tol: float = 0.0):
     plan = _plan(p, n)
     hd = build(TransformKind.HD, n)
     f0 = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
-    fhat, history = solve(plan, hd, f0)
+    fhat, history, form = solve(plan, hd, f0)
     defect = float(np.linalg.norm((fhat - f0 - _contract(plan, hd, fhat))[1:])) / math.sqrt(n)
     fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
-    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect)
+    return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect, form)
 
 
 def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
@@ -390,7 +404,7 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
     matrix-free residual, O(N^2), or solves by LU on the halves,
     O(N^3 / 4). The choice depends on (weight, N) only.
     """
-    def solve(plan: _Plan, hd: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    def solve(plan: _Plan, hd: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float], str]:
         n, c = b.shape[0], p.contraction
         inverse = math.sqrt(n) * (1 + c) / (1 - c) * np.finfo(float).eps < _INVERSE_LIMIT
         with plan.lock:
@@ -407,7 +421,7 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
         fhat = half_solve(b)
         if inverse:
             fhat += half_solve(b - fhat + _contract(plan, hd, fhat))
-        return fhat, []
+        return fhat, [], "inverse" if inverse else "lu"
 
     return _invert_d(F_mu, p, "cosh_invert_direct", solve)
 
@@ -421,10 +435,10 @@ def cosh_invert_neumann(
     """Fixed-point iteration fhat_{k+1} = fhat_0 + M fhat_k, contraction tanh^2(mu)."""
     _check_stopping(tol, max_iter)
 
-    def solve(plan: _Plan, hd: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        x, history = _iterate(TransformKind.HD, f0.shape[0], plan.d_t[1:], plan.d_s, f0[1:],
-                              tol, max_iter)
-        return np.concatenate(([0.0], x)), history  # column 0 of HD is 0, so f0[0] = 0
+    def solve(plan: _Plan, hd: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, list[float], str]:
+        x, history, form = _iterate(TransformKind.HD, f0.shape[0], plan.d_t[1:], plan.d_s,
+                                    f0[1:], tol, max_iter)
+        return np.concatenate(([0.0], x)), history, form  # column 0 of HD is 0, so f0[0] = 0
 
     return _invert_d(F_mu, p, "cosh_invert_neumann", solve, tol)
 
@@ -486,12 +500,13 @@ def cosh_invert_mean_constrained(
     # In y = w_s v the step is HM D_u HM^T D_s y, and the L_m^2 norm
     # sqrt(c0^2 + sum d^2 / 2) of the (c0 + sum d T_{k+1})/w split of v is
     # ||y|| / sqrt(N), because C3 is orthogonal.
-    y, history = _iterate(TransformKind.HM, n, plan.d_s, plan.d_u, sg.weights * f0, tol, max_iter)
+    y, history, form = _iterate(TransformKind.HM, n, plan.d_s, plan.d_u, sg.weights * f0,
+                                tol, max_iter)
     f = y / sg.weights
     inner = fht_forward_m(GridFn(sg, plan.d_s * f))
     step = fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
     defect = float(np.linalg.norm(sg.weights * (f - f0 - step))) / math.sqrt(n)
-    return GridFn(sg, (f + mean_fbar) / plan.cosh_s), _report(p, history, tol, defect)
+    return GridFn(sg, (f + mean_fbar) / plan.cosh_s), _report(p, history, tol, defect, form)
 
 
 # ---------------------------------------------------------------------------

@@ -199,6 +199,34 @@ def test_stage_ms_reported(tmp_path, argv):
     assert stages["read"] + stages["compute"] + stages["resample"] <= data["wall_time_ms"] + 1e-6
 
 
+@pytest.mark.parametrize("output, uniform", [("./F", "./F_uniform"),
+                                              ("run.1/F", "run.1/F_uniform"),
+                                              ("F.csv", "F_uniform.csv")])
+def test_uniform_file_named_after_the_output(tmp_path, monkeypatch, output, uniform):
+    # Only the last component's extension moves behind "_uniform".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.1").mkdir()
+    _write_tgrid_csv(tmp_path / "f.csv", 64, weight_w)
+    assert main(["cosh-forward", "--mu", "1", "--input", "f.csv", "--output", output,
+                 "--json", "r.json"]) == 0
+    assert read_csv(tmp_path / output).x.shape == (64,)
+    np.testing.assert_allclose(read_csv(tmp_path / uniform).x, uniform_grid(64), atol=1e-15)
+
+
+def test_solver_form_reported(tmp_path):
+    n = 256
+    _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
+    for argv, form in ((["forward"], None),
+                       (["cosh-forward", "--mu", "3"], None),
+                       (["cosh-invert", "--method", "direct", "--mu", "3"], "inverse"),
+                       (["cosh-invert", "--method", "neumann", "--mu", "3"], "powered")):
+        fin, fout = ("f.csv", "F.csv") if form is None else ("F.csv", "g.csv")
+        rep = tmp_path / "r.json"
+        assert main([*argv, "--input", str(tmp_path / fin), "--output", str(tmp_path / fout),
+                     "--json", str(rep)]) == 0
+        assert json.loads(rep.read_text())["solver_form"] == form, argv
+
+
 class TestCoshCommands:
     def test_roundtrip_direct(self, tmp_path):
         fin = tmp_path / "f.csv"

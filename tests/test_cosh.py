@@ -365,7 +365,7 @@ def test_iterate_matches_fixed_point(kind, n, p, crossover, monkeypatch):
     if crossover is not None:
         monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", crossover)
     d1, d2, f0 = _kernel_args(kind, n, p)
-    x, history = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
+    x, history, _ = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
     x_ref, history_ref = _fixed_point(kind, n, d1, d2, f0, 1e-10, 10000)
     assert len(history) == len(history_ref)
     gap = np.max(np.abs(np.array(history) - np.array(history_ref)))
@@ -380,7 +380,7 @@ def test_iterate_stops_inside_a_block():
     n, p = 64, WeightParam.cosh_real(2.0)
     for kind in (TransformKind.HD, TransformKind.HM):
         d1, d2, f0 = _kernel_args(kind, n, p)
-        x, history = _iterate(kind, n, d1, d2, f0, 1e-300, 1001)
+        x, history, _ = _iterate(kind, n, d1, d2, f0, 1e-300, 1001)
         x_ref, _ = _fixed_point(kind, n, d1, d2, f0, 1e-300, 1001)
         assert len(history) == 1001
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -411,7 +411,7 @@ def test_iterate_forms_agree_below_rounding(monkeypatch):
         for crossover in (0.0, math.inf):
             monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", crossover)
             runs.append(_iterate(kind, n, d1, d2, f0, 1e-300, 1000))
-        (x, history), (x_one, history_one) = runs
+        (x, history, _), (x_one, history_one, _) = runs
         assert len(history) == len(history_one) < 1000 and history[-1] < 1e-300
         np.testing.assert_allclose(history, history_one, rtol=1e-9)
         assert np.linalg.norm(x - x_one) <= 1e-12 * np.linalg.norm(x_one)
@@ -441,6 +441,70 @@ def test_iterate_where_tanh_rounds_to_one():
                                                     max_iter=max_iter)):
             assert rep.iterations == max_iter and not rep.converged
             assert np.all(np.isfinite(rep.residual_history))
+
+
+@pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
+def test_iterate_independent_of_pass_size(kind, monkeypatch):
+    # _PASS_BYTES = 1 makes every pass one block of eight steps; the default
+    # fits the whole solve (about 290 steps at mu = 2, N = 256) in one pass.
+    n, p = 256, WeightParam.cosh_real(2.0)
+    d1, d2, f0 = _kernel_args(kind, n, p)
+    x, history, form = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
+    monkeypatch.setattr(fhtcheb.cosh, "_PASS_BYTES", 1)
+    x_one, history_one, form_one = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
+    assert form == form_one == "powered"
+    assert len(history) == len(history_one) > 8
+    np.testing.assert_allclose(history, history_one, rtol=1e-12)
+    np.testing.assert_allclose(x, x_one, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
+
+
+# With one-block passes, step 9 opens the second pass and step 21 lies inside
+# the third; with the default budget both lie inside the first pass.
+@pytest.mark.parametrize("budget", [1, None])
+@pytest.mark.parametrize("stop, max_iter", [(9, 1000), (21, 1000), (21, 21)],
+                         ids=["tol-first-column", "tol-inside", "max-iter-inside"])
+@pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
+def test_iterate_stops_inside_a_pass(kind, stop, max_iter, budget, monkeypatch):
+    n, p = 64, WeightParam.cosh_real(2.0)
+    d1, d2, f0 = _kernel_args(kind, n, p)
+    monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", math.inf)
+    _, steps, _ = _iterate(kind, n, d1, d2, f0, 1e-300, stop)
+    assert all(a > b for a, b in zip(steps, steps[1:]))  # |K v| <= c |v|
+    # a tol between steps stop - 1 and stop, or below every step for max_iter
+    tol = math.sqrt(steps[-2] * steps[-1]) if max_iter > stop else 1e-300
+    x_ref, history_ref, form_ref = _iterate(kind, n, d1, d2, f0, tol, max_iter)
+    monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", 0.0)
+    if budget is not None:
+        monkeypatch.setattr(fhtcheb.cosh, "_PASS_BYTES", budget)
+    x, history, form = _iterate(kind, n, d1, d2, f0, tol, max_iter)
+    assert (form_ref, form) == ("one-step", "powered")
+    assert len(history) == len(history_ref) == stop
+    np.testing.assert_allclose(history, history_ref, rtol=1e-12)
+    assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_iterate_runs_to_max_iter_where_the_bound_is_one():
+    # At mu = 19, N = 64 the bound c is 1 (for HM it is 1 - 1.1e-16) and
+    # predicts no count: the pass buffer is sized by max_iter and the budget.
+    n, p = 64, WeightParam.cosh_real(19.0)
+    for kind in (TransformKind.HD, TransformKind.HM):
+        d1, d2, f0 = _kernel_args(kind, n, p)
+        _, history, form = _iterate(kind, n, d1, d2, f0, 1e-10, 5000)
+        assert form == "powered" and len(history) == 5000
+        assert np.all(np.isfinite(history)) and history[-1] >= 1e-10
+
+
+@pytest.mark.parametrize("solver, mu, n, form", [
+    (cosh_invert_neumann, 0.5, 256, "one-step"),
+    (cosh_invert_neumann, 3.0, 256, "powered"),
+    (cosh_invert_direct, 3.0, 64, "inverse"),
+    (cosh_invert_direct, 14.0, 64, "lu"),
+])
+def test_report_names_the_solver_form(solver, mu, n, form):
+    p = WeightParam.cosh_real(mu)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    _, rep = solver(cosh_forward(GridFn(tg, tg.weights), p), p)
+    assert rep.form == form
 
 
 def test_neumann_longest_run_pinned():

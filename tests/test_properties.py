@@ -146,12 +146,12 @@ def test_parity_split_step_matches_unsplit(n, seed, p):
     ug = cgl_nodes(GridKind.UNODES, n)
 
     f0 = np.concatenate(([0.0], rng.standard_normal(n - 1)))
-    got, _ = _iterate(TransformKind.HD, n, plan.d_t[1:], plan.d_s, f0[1:], 1e-300, 1)
+    got, _, _ = _iterate(TransformKind.HD, n, plan.d_t[1:], plan.d_s, f0[1:], 1e-300, 1)
     want = f0 + _contract(plan, build(TransformKind.HD, n), f0)
     assert np.linalg.norm(got - want[1:]) <= 1e-13 * np.linalg.norm(want)
 
     y0 = rng.standard_normal(n)  # y = w_s v
-    got, _ = _iterate(TransformKind.HM, n, plan.d_s, plan.d_u, y0, 1e-300, 1)
+    got, _, _ = _iterate(TransformKind.HM, n, plan.d_s, plan.d_u, y0, 1e-300, 1)
     inner = fht_forward_m(GridFn(sg, plan.d_s * y0 / sg.weights))
     want = y0 + sg.weights * fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
