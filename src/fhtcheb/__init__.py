@@ -34,10 +34,6 @@ from .fht import (
     range_defect,
 )
 from .cosh import (
-    ConditionEstimate,
-    NullExperimentRow,
-    SolveReport,
-    WeightFlavor,
     WeightParam,
     condition_estimate,
     cosh_forward,
@@ -48,56 +44,6 @@ from .cosh import (
     null_experiment,
     system_matrix,
 )
-from .oracle import AnalyticPair, cosh_pv_forward, pair, pv_fht, pv_reciprocal_weight
+from .oracle import cosh_pv_forward, pair, pv_fht, pv_reciprocal_weight
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyticPair",
-    "Basis",
-    "ConditionEstimate",
-    "DomainError",
-    "FhtChebError",
-    "Grid",
-    "GridFn",
-    "GridKind",
-    "GridMismatchError",
-    "InvalidSizeError",
-    "MAX_DEGREE",
-    "NullExperimentRow",
-    "ParameterError",
-    "ReducedAccuracyWarning",
-    "ResampleMode",
-    "SolveReport",
-    "TransformKind",
-    "WeightFlavor",
-    "WeightParam",
-    "apply",
-    "build",
-    "cgl_nodes",
-    "cheb_eval",
-    "coeffs_from_sgrid",
-    "coeffs_from_tgrid",
-    "condition_estimate",
-    "cosh_forward",
-    "cosh_invert_direct",
-    "cosh_invert_mean_constrained",
-    "cosh_invert_neumann",
-    "cosh_pv_forward",
-    "fht_forward_d",
-    "fht_forward_m",
-    "fht_inverse_d",
-    "fht_inverse_m",
-    "inner_product",
-    "kernel",
-    "norm",
-    "null_experiment",
-    "pair",
-    "plancherel_check",
-    "pv_fht",
-    "pv_reciprocal_weight",
-    "range_defect",
-    "resample",
-    "system_matrix",
-    "weight_w",
-]

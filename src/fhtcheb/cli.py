@@ -6,7 +6,8 @@ null-experiment. Exit codes are a stable contract:
     0  success
     2  non-convergence (or verify-suite failure); reports are still written
     3  input error (unreadable/malformed CSV, non-finite value, wrong grid,
-       fewer than 8 or more than MAX_DEGREE + 1 rows)
+       fewer than 8 or more than MAX_DEGREE + 1 rows) or an output file
+       (--output, --plot, --json) that cannot be written
     4  parameter error (bad mu/eta, missing mean value, bad sizes, or a
        malformed command line: unknown flag or choice, unparsable number)
 """
@@ -32,22 +33,9 @@ from .cosh import (
     null_experiment,
 )
 from .errors import FhtChebError, InputError, ParameterError
-from .fht import (
-    coeffs_from_sgrid,
-    coeffs_from_tgrid,
-    fht_forward_d,
-    fht_inverse_d,
-)
-from .grids import (
-    MAX_DEGREE,
-    GridFn,
-    GridKind,
-    ResampleMode,
-    cgl_nodes,
-    resample,
-    weight_w,
-)
-from .report import read_csv, uniform_grid, write_csv, write_json_report, write_svg
+from .fht import evaluate, fht_forward_d, fht_inverse_d
+from .grids import MAX_DEGREE, GridFn, GridKind, cgl_nodes, weight_w
+from .report import _write_text, read_csv, uniform_grid, write_csv, write_json_report, write_svg
 from .verify import SIZES, run_suite
 
 EXIT_OK = 0
@@ -88,15 +76,11 @@ def _load_grid_fn(args, kind: GridKind):
 
 
 def _uniform(out: GridFn, weighted: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """out on the uniform display grid: a T-grid function by its sine series, an
-    S-grid one by its T-series or, if weighted, f * w by its T-series over w."""
+    """out on the uniform display grid; if weighted, out * w evaluated and divided by w."""
     xs = uniform_grid(out.grid.n)
-    if out.grid.kind is GridKind.TNODES:
-        return xs, resample(coeffs_from_tgrid(out), xs, ResampleMode.WU_SERIES)
-    if not weighted:
-        return xs, resample(coeffs_from_sgrid(out), xs, ResampleMode.T_SERIES)
-    fw = coeffs_from_sgrid(GridFn(out.grid, out.values * out.grid.weights))
-    return xs, resample(fw, xs, ResampleMode.T_SERIES) / weight_w(xs)
+    if weighted:
+        return xs, evaluate(GridFn(out.grid, out.values * out.grid.weights), xs) / weight_w(xs)
+    return xs, evaluate(out, xs)
 
 
 def _uniform_path(path: str) -> str:
@@ -247,8 +231,7 @@ def _write_table(path: str | None, header: str, rows) -> None:
     lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+        _write_text(path, text)
     else:
         sys.stdout.write(text)
 

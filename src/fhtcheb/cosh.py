@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .fht import _u_analysis, coeffs_from_sgrid, fht_forward_m, fht_inverse_m
+from .fht import _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
 from .grids import (
     Grid,
     GridFn,
@@ -558,9 +558,7 @@ def null_experiment(p: WeightParam, sizes) -> list[NullExperimentRow]:
         tg = cgl_nodes(GridKind.TNODES, n)
         f = GridFn(tg, np.cos(p.value * tg.weights))
         F = cosh_forward(f, p)
-        nd = norm(F)
         ug = cgl_nodes(GridKind.UNODES, n)
-        f_u = resample(coeffs_from_sgrid(F), ug.nodes, ResampleMode.T_SERIES)
-        nm = norm(GridFn(ug, f_u))
-        rows.append(NullExperimentRow(n=n, norm_d=nd, norm_m=nm))
+        nm = norm(GridFn(ug, evaluate(F, ug.nodes)))
+        rows.append(NullExperimentRow(n=n, norm_d=norm(F), norm_m=nm))
     return rows

@@ -90,18 +90,21 @@ def _u_analysis(F: GridFn) -> np.ndarray:
     return np.sqrt(2.0 / (n + 1)) * sv[1:]
 
 
+def evaluate(f: GridFn, x):
+    """f at arbitrary points x in [-1, 1], by the series its grid's kind implies.
+
+    A T-grid function is evaluated by its sine series w(x) sum a_n U_{n-1}(x),
+    an S-grid one by its T-series; U-grid functions raise GridMismatchError.
+    """
+    if f.grid.kind is GridKind.TNODES:
+        return resample(coeffs_from_tgrid(f), x, ResampleMode.WU_SERIES)
+    return resample(coeffs_from_sgrid(f), x, ResampleMode.T_SERIES)
+
+
 def sgrid_to_unodes(f: GridFn) -> np.ndarray:
     """Resample an S-grid function onto the U-grid of the same size."""
     ug = cgl_nodes(GridKind.UNODES, f.grid.n)
-    fw = coeffs_from_sgrid(GridFn(f.grid, f.values * f.grid.weights))
-    return resample(fw, ug.nodes, ResampleMode.T_SERIES) / ug.weights
-
-
-def tgrid_to_snodes(f: GridFn) -> np.ndarray:
-    """Resample a T-grid function onto the S-grid via its sine series."""
-    a = coeffs_from_tgrid(f)
-    sg = cgl_nodes(GridKind.SNODES, f.grid.n)
-    return resample(a, sg.nodes, ResampleMode.WU_SERIES)
+    return evaluate(GridFn(f.grid, f.values * f.grid.weights), ug.nodes) / ug.weights
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +178,7 @@ def plancherel_check(f: GridFn) -> PlancherelReport:
     if f.grid.kind is GridKind.TNODES:
         F = fht_forward_d(f)
         lhs = norm(F) ** 2
-        rhs = norm(GridFn(F.grid, tgrid_to_snodes(f))) ** 2
+        rhs = norm(GridFn(F.grid, evaluate(f, F.grid.nodes))) ** 2
     else:
         F = fht_forward_m(f)
         lhs = norm(F) ** 2

@@ -29,6 +29,15 @@ class CsvData:
     reference: np.ndarray | None
 
 
+def _write_text(path, text: str) -> None:
+    """Write text to the file at path; a file that cannot be written is an InputError."""
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path, x, value, reference=None) -> None:
     cols = [np.asarray(c, dtype=float) for c in (x, value, reference) if c is not None]
     if len({len(c) for c in cols}) > 1:
@@ -36,8 +45,7 @@ def write_csv(path, x, value, reference=None) -> None:
     header = "x,value" if reference is None else "x,value,reference"
     table = np.column_stack(cols)
     row = ",".join([_FMT] * len(cols)) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
+    _write_text(path, header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
 
 
 def read_csv(path) -> CsvData:
@@ -90,8 +98,7 @@ def write_json_report(path, report: dict) -> None:
     if path is None:
         print(text)
     else:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(text + "\n")
+        _write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +168,7 @@ def write_svg(path, series, title="") -> None:
             f'font-size="12">{lbl}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def uniform_grid(n: int) -> np.ndarray:

@@ -59,6 +59,18 @@ EXIT_CASES = [
     # checked before the input is read, so the S-grid file never reaches the solver
     ("mean-fbar-nan", ["cosh-invert", "--method", "mean_constrained", "--mu", "1",
                        "--mean-fbar", "nan", "--input", "{F}"], 4),
+    ("no-weight", ["cosh-forward", "--input", "{f}"], 4),
+    ("no-input", ["forward"], 3),
+    ("seven-rows", ["forward", "--input", "{seven}"], 3),
+    ("empty-csv", ["forward", "--input", "{empty}"], 3),
+    ("wrong-header", ["forward", "--input", "{header}"], 3),
+    ("cond-sweep-no-mu-list", ["cond-sweep", "--n", "64"], 4),
+    ("null-experiment-no-mu", ["null-experiment", "--sizes", "64"], 4),
+    ("mu-nan", ["cosh-forward", "--mu", "nan", "--input", "{f}"], 4),
+    ("output-dir-missing", ["forward", "--input", "{f}", "--output", "{dir}/nodir/F.csv"], 3),
+    ("plot-dir-missing", ["forward", "--input", "{f}", "--plot", "{dir}/nodir/p.svg"], 3),
+    ("cond-sweep-output-dir-missing", ["cond-sweep", "--mu-list", "1", "--n", "64",
+                                       "--output", "{dir}/nodir/c.csv"], 3),
 ]
 
 
@@ -75,12 +87,23 @@ def test_exit_codes(tmp_path, argv, code):
     write_csv(tmp_path / "nan.csv", tg.nodes, vals)
     write_csv(tmp_path / "inf.csv", sg.nodes, sg.nodes, np.full(n, np.inf))
     _write_tgrid_csv(tmp_path / "big.csv", 2 * MAX_DEGREE, weight_w)
+    _write_tgrid_csv(tmp_path / "seven.csv", 7, weight_w)
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "header.csv").write_text("t,value\n" + (tmp_path / "f.csv").read_text()[8:])
     files = {stem: tmp_path / f"{stem}.csv"
-             for stem in ("f", "F", "offgrid", "nan", "inf", "big")}
+             for stem in ("f", "F", "offgrid", "nan", "inf", "big", "seven", "empty", "header")}
     argv = [a.format(dir=tmp_path, **files) for a in argv]
     if argv[0] not in ("cond-sweep", "null-experiment"):  # the two take no --json
         argv += ["--json", str(tmp_path / "r.json")]
     assert main(argv) == code
+
+
+def test_unwritable_json_report_is_input_error(tmp_path, capsys):
+    _write_tgrid_csv(tmp_path / "f.csv", 64, weight_w)
+    bad = tmp_path / "nodir" / "r.json"
+    assert main(["forward", "--input", str(tmp_path / "f.csv"), "--json", str(bad)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and str(bad) in err[0]
 
 
 def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
@@ -328,3 +351,10 @@ class TestSweeps:
 class TestVerify:
     def test_eta_rejected(self):
         assert main(["verify", "--eta", "0.9"]) == 4
+
+    def test_passes_without_weight(self, tmp_path):
+        rep = tmp_path / "v.json"
+        assert main(["verify", "--json", str(rep)]) == 0
+        data = json.loads(rep.read_text())
+        assert data["failed"] == 0 and data["passed"] == len(data["checks"])
+        assert not any(name.startswith("condition_bound_") for name in data["checks"])

@@ -21,7 +21,7 @@ from fhtcheb import (
     range_defect,
     resample,
 )
-from fhtcheb.fht import sgrid_to_unodes
+from fhtcheb.fht import evaluate, sgrid_to_unodes
 
 
 def _u_on(grid, k):
@@ -243,3 +243,21 @@ class TestCoeffs:
         got = resample(a, sg.nodes, ResampleMode.T_SERIES)
         np.testing.assert_allclose(got, vals, atol=1e-12)
         assert a[0] == pytest.approx(1.5, abs=1e-13)
+
+
+class TestEvaluate:
+    @pytest.mark.parametrize("n", [8, 9, 64, 255])
+    @pytest.mark.parametrize("kind", [GridKind.TNODES, GridKind.SNODES])
+    def test_reproduces_samples_at_own_nodes(self, kind, n):
+        # the T-grid's node t_0 = 1 is a zero of every w U_k term
+        grid = cgl_nodes(kind, n)
+        vals = np.random.default_rng(n).standard_normal(n)
+        got = evaluate(GridFn(grid, vals), grid.nodes)
+        first = 1 if kind is GridKind.TNODES else 0
+        err = np.max(np.abs(got[first:] - vals[first:]))
+        assert err <= 1e-11 * np.max(np.abs(vals))
+
+    def test_u_grid_raises(self):
+        ug = cgl_nodes(GridKind.UNODES, 16)
+        with pytest.raises(GridMismatchError):
+            evaluate(GridFn(ug, ug.weights), 0.3)
