@@ -9,7 +9,8 @@ null-experiment. Exit codes are a stable contract:
        fewer than 8 or more than MAX_DEGREE + 1 rows) or an output file
        (--output, --plot, --json) that cannot be written
     4  parameter error (bad mu/eta, missing mean value, bad sizes, or a
-       malformed command line: unknown flag or choice, unparsable number)
+       malformed command line: unknown flag or choice, unparsable number,
+       empty --output, --plot or --json path)
 """
 
 from __future__ import annotations
@@ -284,16 +285,23 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(f"{self.prog}: {message}")
 
 
+def _path(text: str) -> str:
+    """An output path; an empty one is a malformed command line (exit 4)."""
+    if not text:
+        raise argparse.ArgumentTypeError("the path is empty")
+    return text
+
+
 def _add_common(sp, weighted=False, io=False):
-    sp.add_argument("--json", dest="json_path",
+    sp.add_argument("--json", dest="json_path", type=_path,
                     help="write the JSON report here instead of stdout")
     if weighted:
         sp.add_argument("--mu", type=float)
         sp.add_argument("--eta", type=float)
     if io:
         sp.add_argument("--input", dest="input_path")
-        sp.add_argument("--output", dest="output_path")
-        sp.add_argument("--plot", dest="plot_path")
+        sp.add_argument("--output", dest="output_path", type=_path)
+        sp.add_argument("--plot", dest="plot_path", type=_path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     cs = sub.add_parser("cond-sweep")
     cs.add_argument("--n", type=int, default=256)
     cs.add_argument("--mu-list", help="comma-separated mu values")
-    cs.add_argument("--output", dest="output_path")
+    cs.add_argument("--output", dest="output_path", type=_path)
     ne = sub.add_parser("null-experiment")
     ne.add_argument("--mu", type=float)
     ne.add_argument("--sizes", help="comma-separated grid sizes")
-    ne.add_argument("--output", dest="output_path")
+    ne.add_argument("--output", dest="output_path", type=_path)
     return ap
 
 

@@ -34,17 +34,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .fht import _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
 from .grids import (
-    Grid,
     GridFn,
     GridKind,
-    ResampleMode,
     _clenshaw,
     cgl_nodes,
     norm,
-    resample,
 )
 from .transforms import TransformKind, apply, build
 
@@ -119,12 +116,6 @@ class SolveReport:
     final_defect: float = 0.0
     converged: bool = True
     form: str = ""  # how the solver ran: "one-step", "powered", "inverse" or "lu"
-
-
-@dataclass(frozen=True)
-class KernelFn:
-    values: np.ndarray
-    series: np.ndarray  # Kd: T-series of the slope on S-nodes; Km: its U-series on U-nodes
 
 
 @dataclass(frozen=True)
@@ -512,25 +503,24 @@ def cosh_invert_mean_constrained(
 # ---------------------------------------------------------------------------
 # kernels, conditioning, null-function experiment
 
-def kernel(kind: str, p: WeightParam, eval_grid: Grid) -> KernelFn:
-    """Polynomial kernels K_d / K_m generated by the slope function.
+def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
+    """Polynomial kernel K_d or K_m at points x in [-1, 1], the slope interpolated at n nodes.
 
-    Kd: tanh(mu s) = sum c_n T_n(s) interpolated at S-nodes, mapped term by
-    term to sum_{n>=1} c_n U_{n-1}(t). Km: tanh(mu u) = sum d_n U_n(u)
-    interpolated at U-nodes, mapped to sum d_n T_{n+1}(t). Both kernels are
-    odd.
+    Kd: tanh(mu s) = sum c_k T_k(s) interpolated at S-nodes, mapped term by
+    term to sum_{k>=1} c_k U_{k-1}(t). Km: tanh(mu u) = sum d_k U_k(u)
+    interpolated at U-nodes, mapped to sum d_k T_{k+1}(t). The slope is odd,
+    so both kernels are even.
     """
-    n = eval_grid.n
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(np.abs(x) > 1.0):
+        raise DomainError("kernel points outside [-1, 1]")
     if kind == "Kd":
         series = coeffs_from_sgrid(GridFn(cgl_nodes(GridKind.SNODES, n), _plan(p, n).d_s))
-        vals = _clenshaw(series[1:], eval_grid.nodes, second_kind=True)
-    elif kind == "Km":
+        return _clenshaw(series[1:], x, second_kind=True)
+    if kind == "Km":
         series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
-        tcoeffs = np.concatenate(([0.0], series))  # shift: d_n multiplies T_{n+1}
-        vals = resample(tcoeffs, eval_grid.nodes, ResampleMode.T_SERIES)
-    else:
-        raise ParameterError(f"unknown kernel kind {kind!r}")
-    return KernelFn(values=np.atleast_1d(vals), series=series)
+        return _clenshaw(np.concatenate(([0.0], series)), x, second_kind=False)
+    raise ParameterError(f"unknown kernel kind {kind!r}")
 
 
 def condition_estimate(p: WeightParam, n: int) -> ConditionEstimate:

@@ -303,10 +303,10 @@ def check_condition(p: WeightParam, n: int = 256) -> CheckResult:
 def check_kernel_parity(n: int = 64) -> CheckResult:
     """Both kernels are even: they are transforms of the odd slope function."""
     p = WeightParam.cosh_real(1.0)
+    nodes = cgl_nodes(GridKind.SNODES, n).nodes
     worst = 0.0
     for kind in ("Kd", "Km"):
-        k = kernel(kind, p, cgl_nodes(GridKind.SNODES, n))
-        vals = k.values
+        vals = kernel(kind, p, n, nodes)
         worst = max(worst, float(np.max(np.abs(vals - vals[::-1]))))
     return _result("kernel_even_parity", worst, 1e-10)
 
@@ -315,9 +315,7 @@ def check_kernel_oracle() -> CheckResult:
     # Reference: theta-substituted PV quadrature of tanh(s)/((s-t) pi w(s))
     # at t = 0.3, mu = 1, frozen after a doubled-resolution confirmation.
     ref = 0.8463690558
-    p = WeightParam.cosh_real(1.0)
-    k = kernel("Kd", p, cgl_nodes(GridKind.TNODES, 128))
-    got = resample(k.series, 0.3, ResampleMode.WU_SERIES) / weight_w(0.3)
+    (got,) = kernel("Kd", WeightParam.cosh_real(1.0), 128, [0.3])
     return _result("kernel_Kd_oracle_t0.3", abs(got - ref), 1e-6)
 
 
@@ -325,29 +323,28 @@ def check_kernel_oracle() -> CheckResult:
 _MQ = 20001
 
 
+def _kernel_quadrature(kind: str, p: WeightParam, n: int, t: np.ndarray, u: np.ndarray,
+                       weights: np.ndarray) -> np.ndarray:
+    """sum_q (K(t) - K(u_q)) / (t - u_q) weights_q at every t, K = kernel(kind, p, n, .)."""
+    kt, ku = kernel(kind, p, n, t), kernel(kind, p, n, u)
+    return ((kt[:, None] - ku) / (t[:, None] - u)) @ weights
+
+
 def _kd_equivalence() -> float:
-    """Max-norm gap between the composite operator M and its kernel form (d)."""
+    """Max-norm gap between the composite operator M and its kernel form (d).
+
+    At t = 1 the kernel is finite and w(1) = 0 leaves only the diagonal term.
+    """
     n = 32
     p = WeightParam.cosh_real(1.0)
     tg = cgl_nodes(GridKind.TNODES, n)
     fv = tg.weights * (1.0 + 0.5 * tg.nodes - 0.3 * (2 * tg.nodes ** 2 - 1))
     lhs = (np.eye(n) - system_matrix(p, n)) @ fv
-    kd = kernel("Kd", p, tg)
 
-    h = 2.0 / _MQ
-    uq = -1.0 + (np.arange(_MQ) + 0.5) * h
-    kdu = resample(kd.series, uq, ResampleMode.WU_SERIES) / weight_w(uq)
-    fu = evaluate(GridFn(tg, fv), uq)
-    tu = p.slope(uq)
-    rhs = np.empty(n)
-    for i, t in enumerate(tg.nodes):
-        base = p.slope(t) ** 2 * fv[i]
-        if i == 0:
-            rhs[i] = base  # w(1) = 0 kills the integral term
-            continue
-        kdt = resample(kd.series, t, ResampleMode.WU_SERIES) / weight_w(t)
-        dq = (kdt - kdu) / (t - uq)
-        rhs[i] = base + weight_w(t) * np.sum(dq * tu * fu) * h / np.pi
+    uq = -1.0 + (np.arange(_MQ) + 0.5) * (2.0 / _MQ)
+    weights = p.slope(uq) * evaluate(GridFn(tg, fv), uq) * (2.0 / _MQ / np.pi)
+    rhs = p.slope(tg.nodes) ** 2 * fv \
+        + tg.weights * _kernel_quadrature("Kd", p, n, tg.nodes, uq, weights)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -358,27 +355,13 @@ def _km_equivalence() -> float:
     sg = cgl_nodes(GridKind.SNODES, n)
     ug = cgl_nodes(GridKind.UNODES, n)
     fS = (sg.nodes + 0.4 * cheb_eval(Basis.FIRST_T, 3, sg.nodes)) / sg.weights
-    slope_s = p.slope(sg.nodes)
-    slope_u = p.slope(ug.nodes)
-    inner = fht_forward_m(GridFn(sg, slope_s * fS))
-    lhs = fht_inverse_m(GridFn(ug, slope_u * inner.values)).values
+    inner = fht_forward_m(GridFn(sg, p.slope(sg.nodes) * fS))
+    lhs = fht_inverse_m(GridFn(ug, p.slope(ug.nodes) * inner.values)).values
 
-    km = kernel("Km", p, sg)
-    c0, dc = m_analysis_sgrid(GridFn(sg, fS))
-    tcoeffs = np.concatenate(([c0], dc))
-    km_coeffs = np.concatenate(([0.0], km.series))
-
-    hq = np.pi / _MQ
-    phq = (np.arange(_MQ) + 0.5) * hq
-    uq = np.cos(phq)
-    g = resample(tcoeffs, uq, ResampleMode.T_SERIES)
-    kmu = resample(km_coeffs, uq, ResampleMode.T_SERIES)
-    tu = p.slope(uq)
-    rhs = np.empty(n)
-    for i, t in enumerate(sg.nodes):
-        kmt = resample(km_coeffs, t, ResampleMode.T_SERIES)
-        dq = (kmt - kmu) / (t - uq)
-        rhs[i] = p.slope(t) ** 2 * fS[i] - np.sum(dq * tu * g) * hq / (np.pi * sg.weights[i])
+    uq = np.cos((np.arange(_MQ) + 0.5) * (np.pi / _MQ))
+    weights = p.slope(uq) * evaluate(GridFn(sg, fS * sg.weights), uq) / _MQ  # f w at uq
+    rhs = p.slope(sg.nodes) ** 2 * fS \
+        - _kernel_quadrature("Km", p, n, sg.nodes, uq, weights) / sg.weights
     return float(np.max(np.abs(lhs - rhs)))
 
 

@@ -71,6 +71,29 @@ EXIT_CASES = [
     ("plot-dir-missing", ["forward", "--input", "{f}", "--plot", "{dir}/nodir/p.svg"], 3),
     ("cond-sweep-output-dir-missing", ["cond-sweep", "--mu-list", "1", "--n", "64",
                                        "--output", "{dir}/nodir/c.csv"], 3),
+    # an empty path is refused while parsing, before the (missing) input is read
+    ("forward-empty-output", ["forward", "--input", "{dir}/missing.csv", "--output", ""], 4),
+    ("forward-empty-plot", ["forward", "--input", "{dir}/missing.csv", "--plot", ""], 4),
+    ("forward-empty-json", ["forward", "--input", "{dir}/missing.csv", "--json", ""], 4),
+    ("invert-empty-output", ["invert", "--input", "{dir}/missing.csv", "--output", ""], 4),
+    ("invert-empty-plot", ["invert", "--input", "{dir}/missing.csv", "--plot", ""], 4),
+    ("invert-empty-json", ["invert", "--input", "{dir}/missing.csv", "--json", ""], 4),
+    ("cosh-forward-empty-output", ["cosh-forward", "--mu", "3",
+                                   "--input", "{dir}/missing.csv", "--output", ""], 4),
+    ("cosh-forward-empty-plot", ["cosh-forward", "--mu", "3",
+                                 "--input", "{dir}/missing.csv", "--plot", ""], 4),
+    ("cosh-forward-empty-json", ["cosh-forward", "--mu", "3",
+                                 "--input", "{dir}/missing.csv", "--json", ""], 4),
+    ("cosh-invert-empty-output", ["cosh-invert", "--mu", "3",
+                                  "--input", "{dir}/missing.csv", "--output", ""], 4),
+    ("cosh-invert-empty-plot", ["cosh-invert", "--mu", "3",
+                                "--input", "{dir}/missing.csv", "--plot", ""], 4),
+    ("cosh-invert-empty-json", ["cosh-invert", "--mu", "3",
+                                "--input", "{dir}/missing.csv", "--json", ""], 4),
+    ("verify-empty-json", ["verify", "--json", ""], 4),
+    ("cond-sweep-empty-output", ["cond-sweep", "--mu-list", "1", "--n", "64", "--output", ""], 4),
+    ("null-experiment-empty-output", ["null-experiment", "--mu", "3", "--sizes", "64",
+                                      "--output", ""], 4),
 ]
 
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from fhtcheb import (
+    MAX_DEGREE,
     Basis,
+    DomainError,
     GridFn,
     GridKind,
     ParameterError,
@@ -23,6 +25,7 @@ from fhtcheb import (
     cosh_invert_neumann,
     fht_forward_d,
     fht_inverse_d,
+    fht_inverse_m,
     kernel,
     norm,
     null_experiment,
@@ -31,6 +34,7 @@ from fhtcheb import (
 )
 import fhtcheb.cosh
 from fhtcheb.cosh import _fold, _iterate, _plan, _unfold
+from fhtcheb.fht import evaluate
 from fhtcheb.transforms import TransformKind
 
 
@@ -575,7 +579,7 @@ def test_one_plan_serves_every_operator():
     cosh_invert_neumann(F, p)
     cosh_invert_mean_constrained(GridFn(ug, ug.nodes), p, 0.0)
     for kind in ("Kd", "Km"):
-        kernel(kind, p, tg)
+        kernel(kind, p, n, tg.nodes)
     plan = _plan(p, n)
     assert plan.halves is None  # no direct state before the first direct solve
     cosh_invert_direct(F, p)
@@ -659,31 +663,77 @@ class TestMeanConstrained:
                                          WeightParam.cosh_real(0.5), 0.0)
 
 
+_KERNEL_WEIGHTS = [WeightParam.cosh_real(mu) for mu in (0.5, 1.0, 3.0, -2.0)] \
+    + [WeightParam.cos_imaginary(0.5)]
+_KERNEL_SIZES = [16, 32, 63, 64, 255]
+
+
+def _relative_gap(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
 class TestKernel:
+    @pytest.mark.parametrize("n", _KERNEL_SIZES)
+    @pytest.mark.parametrize("p", _KERNEL_WEIGHTS, ids=str)
+    def test_kd_times_w_is_inverse_d_of_slope(self, p, n):
+        # HD^T maps the slope's T_k on S-nodes to w U_{k-1}, the terms of w K_d.
+        sg = cgl_nodes(GridKind.SNODES, n)
+        x = np.linspace(-1.0, 1.0, 41)[1:-1]
+        want = evaluate(fht_inverse_d(GridFn(sg, p.slope(sg.nodes))), x)
+        assert _relative_gap(kernel("Kd", p, n, x) * weight_w(x), want) <= 1e-12
+
+    @pytest.mark.parametrize("n", _KERNEL_SIZES)
+    @pytest.mark.parametrize("p", _KERNEL_WEIGHTS, ids=str)
+    def test_km_is_w_times_inverse_m_of_slope(self, p, n):
+        # The m-flavor inverse maps the slope's U_k on U-nodes to T_{k+1} / w.
+        sg, ug = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.UNODES, n)
+        want = sg.weights * fht_inverse_m(GridFn(ug, p.slope(ug.nodes))).values
+        assert _relative_gap(kernel("Km", p, n, sg.nodes), want) <= 1e-12
+
+    @pytest.mark.parametrize("n", _KERNEL_SIZES)
+    @pytest.mark.parametrize("p", _KERNEL_WEIGHTS, ids=str)
+    def test_kd_finite_and_even_at_the_ends(self, p, n):
+        lo, hi = kernel("Kd", p, n, [-1.0, 1.0])
+        assert math.isfinite(lo) and math.isfinite(hi)
+        assert abs(lo - hi) <= 1e-12 * abs(hi)
+
+    @pytest.mark.parametrize("kind", ["Kd", "Km"])
+    def test_largest_size_matches_a_smaller_one(self, kind):
+        # The slope is analytic, so both interpolants have converged at N = 255.
+        p = WeightParam.cosh_real(1.0)
+        x = np.linspace(-1.0, 1.0, 9)
+        got = kernel(kind, p, MAX_DEGREE + 1, x)
+        assert _relative_gap(got, kernel(kind, p, 255, x)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["Kd", "Km"])
+    @pytest.mark.parametrize("x", [1.0 + 1e-12, -1.5, [0.0, 2.0]])
+    def test_outside_the_interval_raises(self, kind, x):
+        with pytest.raises(DomainError):
+            kernel(kind, WeightParam.cosh_real(1.0), 32, x)
+
     def test_mu_zero_vanishes(self):
         p = WeightParam.cosh_real(0.0)
         for kind in ("Kd", "Km"):
-            k = kernel(kind, p, cgl_nodes(GridKind.SNODES, 32))
-            assert np.max(np.abs(k.values)) < 1e-14
+            k = kernel(kind, p, 32, cgl_nodes(GridKind.SNODES, 32).nodes)
+            assert np.max(np.abs(k)) < 1e-14
 
     def test_kd_matches_frozen_oracle(self):
         # theta-substituted PV quadrature of tanh(s)/((s-t) pi w(s)) at
         # t = 0.3, mu = 1; frozen after doubled-resolution confirmation.
         p = WeightParam.cosh_real(1.0)
-        k = kernel("Kd", p, cgl_nodes(GridKind.TNODES, 128))
-        got = resample(k.series, 0.3, ResampleMode.WU_SERIES) / weight_w(0.3)
+        (got,) = kernel("Kd", p, 128, [0.3])
         assert got == pytest.approx(0.8463690558, abs=1e-6)
 
     def test_even_parity(self):
         # The kernels are transforms of the odd slope function, hence even.
         p = WeightParam.cosh_real(1.0)
         for kind in ("Kd", "Km"):
-            k = kernel(kind, p, cgl_nodes(GridKind.SNODES, 64))
-            assert np.max(np.abs(k.values - k.values[::-1])) < 1e-10
+            k = kernel(kind, p, 64, cgl_nodes(GridKind.SNODES, 64).nodes)
+            assert np.max(np.abs(k - k[::-1])) < 1e-10
 
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
-            kernel("Kx", WeightParam.cosh_real(1.0), cgl_nodes(GridKind.SNODES, 16))
+            kernel("Kx", WeightParam.cosh_real(1.0), 16, cgl_nodes(GridKind.SNODES, 16).nodes)
 
 
 class TestCondition:
