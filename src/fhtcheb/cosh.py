@@ -43,7 +43,7 @@ from .grids import (
     cgl_nodes,
     norm,
 )
-from .transforms import TransformKind, apply, build
+from .transforms import TransformKind, _hd_apply, build
 
 
 class WeightFlavor(enum.Enum):
@@ -323,15 +323,16 @@ def _plan(p: WeightParam, n: int) -> _Plan:
 
 
 def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
-    """F_mu = cosh_s * [HD - D_s HD D_t] (cosh_t * f) on S-nodes, HD = C3 S1^T."""
+    """F_mu = cosh_s * [HD - D_s HD D_t] (cosh_t * f) on S-nodes, HD = C3 S1^T.
+
+    Both products with HD are one batched FFT correlation (_hd_apply)."""
     if f.grid.kind is not GridKind.TNODES:
         raise ParameterError("cosh_forward expects samples on T-nodes")
     n = f.grid.n
     plan = _plan(p, n)
-    hd = build(TransformKind.HD, n)
     fhat = plan.cosh_t * f.values
-    out = plan.cosh_s * (apply(hd, fhat) - plan.d_s * apply(hd, plan.d_t * fhat))
-    return GridFn(cgl_nodes(GridKind.SNODES, n), out)
+    hd_fhat, hd_dt_fhat = _hd_apply(np.stack((fhat, plan.d_t * fhat)))
+    return GridFn(cgl_nodes(GridKind.SNODES, n), plan.cosh_s * (hd_fhat - plan.d_s * hd_dt_fhat))
 
 
 def system_matrix(p: WeightParam, n: int) -> np.ndarray:
@@ -361,13 +362,15 @@ def _halves(p: WeightParam, n: int) -> np.ndarray:
     return halves
 
 
-def _contract(plan: _Plan, hd: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free."""
-    return hd.T @ (plan.d_s * (hd @ (plan.d_t * v)))
+def _contract(plan: _Plan, v: np.ndarray) -> np.ndarray:
+    """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free.
+
+    Both products are FFT correlations (_hd_apply) with the whole, unsplit HD."""
+    return _hd_apply(plan.d_s * _hd_apply(plan.d_t * v), transposed=True)
 
 
 def _invert_d(F_mu: GridFn, p: WeightParam, name: str, solve, tol: float = 0.0):
-    """Shell of the d-flavor inversions; solve(plan, HD, f0) returns (fhat, steps, form).
+    """Shell of the d-flavor inversions; solve(plan, f0) returns (fhat, steps, form).
 
     fhat solves fhat - HD^T D_s HD D_t fhat = f0 = HD^T (F_mu / cosh_s), and f = fhat / cosh_t.
     The L_d^2 defect of fhat is computed once, through the unsplit operator.
@@ -376,10 +379,9 @@ def _invert_d(F_mu: GridFn, p: WeightParam, name: str, solve, tol: float = 0.0):
         raise ParameterError(f"{name} expects samples on S-nodes")
     n = F_mu.grid.n
     plan = _plan(p, n)
-    hd = build(TransformKind.HD, n)
-    f0 = apply(hd, F_mu.values / plan.cosh_s, transposed=True)
-    fhat, history, form = solve(plan, hd, f0)
-    defect = float(np.linalg.norm((fhat - f0 - _contract(plan, hd, fhat))[1:])) / math.sqrt(n)
+    f0 = _hd_apply(F_mu.values / plan.cosh_s, transposed=True)
+    fhat, history, form = solve(plan, f0)
+    defect = float(np.linalg.norm((fhat - f0 - _contract(plan, fhat))[1:])) / math.sqrt(n)
     fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
     return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect, form)
@@ -395,7 +397,7 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
     matrix-free residual, O(N^2), or solves by LU on the halves,
     O(N^3 / 4). The choice depends on (weight, N) only.
     """
-    def solve(plan: _Plan, hd: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[float], str]:
+    def solve(plan: _Plan, b: np.ndarray) -> tuple[np.ndarray, list[float], str]:
         n, c = b.shape[0], p.contraction
         inverse = math.sqrt(n) * (1 + c) / (1 - c) * np.finfo(float).eps < _INVERSE_LIMIT
         with plan.lock:
@@ -411,7 +413,7 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
 
         fhat = half_solve(b)
         if inverse:
-            fhat += half_solve(b - fhat + _contract(plan, hd, fhat))
+            fhat += half_solve(b - fhat + _contract(plan, fhat))
         return fhat, [], "inverse" if inverse else "lu"
 
     return _invert_d(F_mu, p, "cosh_invert_direct", solve)
@@ -426,7 +428,7 @@ def cosh_invert_neumann(
     """Fixed-point iteration fhat_{k+1} = fhat_0 + M fhat_k, contraction tanh^2(mu)."""
     _check_stopping(tol, max_iter)
 
-    def solve(plan: _Plan, hd: np.ndarray, f0: np.ndarray) -> tuple[np.ndarray, list[float], str]:
+    def solve(plan: _Plan, f0: np.ndarray) -> tuple[np.ndarray, list[float], str]:
         x, history, form = _iterate(TransformKind.HD, f0.shape[0], plan.d_t[1:], plan.d_s,
                                     f0[1:], tol, max_iter)
         return np.concatenate(([0.0], x)), history, form  # column 0 of HD is 0, so f0[0] = 0

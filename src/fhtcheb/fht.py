@@ -13,8 +13,9 @@ composes with the plain-convention transform.
 Both flavors rest on the two transforms of transforms.py: C3 of size N
 analyzes (or synthesizes) T-series on S-nodes, and S1 of size N+1, on its
 interior rows and columns, does the same for w U-series on U-nodes. The
-d- and m-flavor pairs apply their fused products HD and HM, one
-matrix-vector product each.
+d-flavor pair applies their fused product HD by one FFT correlation with
+its closed-form generator (transforms._hd_apply), O(N log N); the m-flavor
+pair applies the fused product HM, one dense matrix-vector product each.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .grids import (
     norm,
     resample,
 )
-from .transforms import TransformKind, apply, build
+from .transforms import TransformKind, _hd_apply, apply, build
 
 
 def _require(f: GridFn, kind: GridKind) -> None:
@@ -113,17 +114,13 @@ def sgrid_to_unodes(f: GridFn) -> np.ndarray:
 def fht_forward_d(f: GridFn) -> GridFn:
     """F = HD f = C3 S1^T f: maps w U_{n-1} samples on T-nodes to T_n on S-nodes."""
     _require(f, GridKind.TNODES)
-    n = f.grid.n
-    out = apply(build(TransformKind.HD, n), f.values)
-    return GridFn(cgl_nodes(GridKind.SNODES, n), out)
+    return GridFn(cgl_nodes(GridKind.SNODES, f.grid.n), _hd_apply(f.values))
 
 
 def fht_inverse_d(F: GridFn) -> GridFn:
     """f = HD^T F = S1 C3^T F; the T_0 component of F is annihilated."""
     _require(F, GridKind.SNODES)
-    n = F.grid.n
-    out = apply(build(TransformKind.HD, n), F.values, transposed=True)
-    return GridFn(cgl_nodes(GridKind.TNODES, n), out)
+    return GridFn(cgl_nodes(GridKind.TNODES, F.grid.n), _hd_apply(F.values, transposed=True))
 
 
 def fht_forward_m(f: GridFn) -> GridFn:

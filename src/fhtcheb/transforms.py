@@ -6,15 +6,18 @@ Every other table the package needs is a scaled slice of one of them, for
 example T_{k+1}(s_m) = sqrt(N/2) C3[m, k+1] and
 U_k(u_j) = sqrt((N+1)/2) S1_{N+1}[j, k+1] / sin(j pi/(N+1)). The fused
 products HD = C3 S1^T (the d-flavor FHT) and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T
-(the m-flavor one) make each transform one matrix-vector product.
+(the m-flavor one) make each transform one product with one operator.
 
 Every angle is an integer multiple of pi/d, reduced exactly before its sine
 is taken, so C3, S1 and HD are correct to rounding and O(N^2) to build (HD
 in closed form, Hankel plus Toeplitz). HM, whose angles have denominators N
 and N+1, has no closed form and costs one O(N^3) product per N (0.4 s at
-N = 2048 on one core). Every apply is O(N^2), sub-millisecond up to N = 512.
-The matrices are cached per (kind, N); an N x N matrix takes 8 N^2 bytes
-(32 MB at N = 2048), so the cache keeps only the most recently used few.
+N = 2048 on one core). A dense apply is O(N^2). The matrices are cached per
+(kind, N); an N x N matrix takes 8 N^2 bytes (32 MB at N = 2048), so the
+cache keeps only the most recently used few. HD, a Hankel plus a Toeplitz
+matrix on 3N-1 closed-form values, is applied per operation without its
+table: _hd_apply is one real-FFT correlation with their cached spectrum,
+O(N log N).
 """
 
 from __future__ import annotations
@@ -61,17 +64,45 @@ def _s1(n: int) -> np.ndarray:
     return _sinpi(np.outer(idx, idx), n, np.sqrt(2.0 / n))
 
 
-def _hd(n: int) -> np.ndarray:
-    """HD[m, j] = (S(j+m+1/2) + S(j-m-1/2)) / N with S(q) = sum_{k<N} sin(k q pi/N).
+def _hd_generator(n: int) -> np.ndarray:
+    """The 3N-1 values s[i] = S(i + 1/2 - N) / N with S(q) = sum_{k<N} sin(k q pi/N).
 
-    S(q) = sin((N-1) q pi/2N) sin(q pi/2) / sin(q pi/2N) in closed form, where
-    2q is odd, so the denominator never vanishes. The Hankel and Toeplitz
-    terms are two views of the 3N-1 values of S.
+    HD[m, j] = (S(j+m+1/2) + S(j-m-1/2)) / N = s[N+m+j] + s[N-1-m+j]: a Hankel
+    plus a Toeplitz matrix. S(q) = sin((N-1) q pi/2N) sin(q pi/2) / sin(q pi/2N)
+    in closed form, where 2q is odd, so the denominator never vanishes.
     """
     r = np.arange(1 - 2 * n, 4 * n - 2, 2)  # r = 2q
-    s = _sinpi((n - 1) * r, 4 * n) * _sinpi(n * r, 4 * n) / (n * _sinpi(r, 4 * n))
-    w = sliding_window_view(s, n)  # w[i, j] = s[i + j]
-    return w[n:] + w[n - 1::-1]
+    return _sinpi((n - 1) * r, 4 * n) * _sinpi(n * r, 4 * n) / (n * _sinpi(r, 4 * n))
+
+
+@lru_cache(maxsize=_BUILD_CACHE_SIZE)
+def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
+    """(L, rfft of the HD generator at length L), read-only.
+
+    L is the least 2^k or 3 * 2^k from 3N-1 up (3N for N a power of 2), a
+    length at which numpy's FFT is fast; any L >= 3N-1 keeps the correlations
+    of _hd_apply from wrapping around.
+    """
+    size = min(p << (-(-(3 * n - 1) // p) - 1).bit_length() for p in (1, 3))
+    spectrum = np.fft.rfft(_hd_generator(n), size)
+    spectrum.flags.writeable = False
+    return size, spectrum
+
+
+def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """HD v (or HD^T v) along the last axis of v, by one FFT correlation with the generator s.
+
+    With c[k] = sum_j s[k+j] v[j], HD v = c[N:2N] + c[N-1::-1], and
+    HD^T u = corr(s, [u[::-1], u])[:N]. A correlation with v is a convolution
+    with v reversed, and [u[::-1], u] is its own reverse.
+    """
+    n = v.shape[-1]
+    size, spectrum = _hd_spectrum(n)
+    if transposed:
+        both = np.concatenate((v[..., ::-1], v), axis=-1)
+        return np.fft.irfft(spectrum * np.fft.rfft(both, size), size)[..., 2 * n - 1:3 * n - 1]
+    c = np.fft.irfft(spectrum * np.fft.rfft(v[..., ::-1], size), size)[..., n - 1:3 * n - 1]
+    return c[..., n:] + c[..., n - 1::-1]
 
 
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
@@ -89,7 +120,8 @@ def build(kind: TransformKind, n: int) -> np.ndarray:
     elif kind is TransformKind.S1:
         m = _s1(n)
     elif kind is TransformKind.HD:
-        m = _hd(n)
+        w = sliding_window_view(_hd_generator(n), n)  # w[i, j] = s[i + j]
+        m = w[n:] + w[n - 1::-1]
     elif kind is TransformKind.HM:
         m = _c3(n)[:, 1:] @ _s1(n + 1)[1:, 1:n].T
     else:  # pragma: no cover

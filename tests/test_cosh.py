@@ -570,6 +570,28 @@ def test_stopping_arguments_rejected(tol, max_iter, mean_fbar):
             cosh_invert_neumann(F_u, p, tol=tol, max_iter=max_iter)
 
 
+def test_warm_d_flavor_ops_read_no_dense_hd(monkeypatch):
+    # Warm, every d-flavor op applies HD by FFT; only the cold direct halves
+    # and Neumann chain blocks are built from the dense table.
+    n = 256
+    p = WeightParam.cosh_real(3.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    f = GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes))
+    F = cosh_forward(f, p)
+    want = [cosh_invert_direct(F, p)[0].values, cosh_invert_neumann(F, p)[0].values]
+
+    def refuse(kind, n):
+        raise AssertionError(f"{kind} built at n = {n}")
+
+    monkeypatch.setattr("fhtcheb.fht.build", refuse)
+    monkeypatch.setattr("fhtcheb.cosh.build", refuse)
+    back = fht_inverse_d(fht_forward_d(f))
+    np.testing.assert_allclose(back.values[1:], f.values[1:], rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(cosh_forward(f, p).values, F.values)
+    got = [cosh_invert_direct(F, p)[0].values, cosh_invert_neumann(F, p)[0].values]
+    np.testing.assert_array_equal(got, want)
+
+
 def test_one_plan_serves_every_operator():
     n = 64
     p = WeightParam.cosh_real(1.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fhtcheb import GridMismatchError, InvalidSizeError, TransformKind, apply, build
+from fhtcheb.transforms import _hd_apply, _hd_spectrum
 
 
 def _fused_by_sums(n):
@@ -127,6 +128,19 @@ class TestApply:
         m = build(TransformKind.C3, 8)
         with pytest.raises(GridMismatchError):
             apply(m, np.ones(9))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 512, 1024, 2049])
+    def test_hd_by_fft_matches_dense(self, n):
+        hd = build(TransformKind.HD, n)
+        v = np.random.default_rng(n).standard_normal((2, n))
+        for transposed, dense in ((False, hd), (True, hd.T)):
+            want = v @ dense.T
+            batched = _hd_apply(v, transposed)
+            for row in range(2):
+                tol = 1e-14 * np.abs(want[row]).max()
+                assert np.abs(batched[row] - want[row]).max() <= tol
+                assert np.abs(_hd_apply(v[row], transposed) - want[row]).max() <= tol
+        assert not _hd_spectrum(n)[1].flags.writeable
 
 
 class TestMAnalysisRoundtrip:
