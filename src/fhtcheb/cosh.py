@@ -184,8 +184,8 @@ def _fold(a: np.ndarray) -> np.ndarray:
     n, h = a.shape[0], a.shape[0] // 2
     top, bottom = a[:h], a[::-1][:h]
     out = np.zeros((2, n - h) + a.shape[1:])
-    out[0, :h] = top + bottom
-    out[1, :h] = top - bottom
+    np.add(top, bottom, out=out[0, :h])
+    np.subtract(top, bottom, out=out[1, :h])
     out[:, :h] *= math.sqrt(0.5)
     if n % 2:
         out[0, h] = a[h]
@@ -336,10 +336,17 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
 
 
 def system_matrix(p: WeightParam, n: int) -> np.ndarray:
-    """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver."""
+    """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver.
+
+    Built in place, with two N x N arrays besides HD; 0 - x keeps eye - x's zero signs."""
     plan = _plan(p, n)
     hd = build(TransformKind.HD, n)
-    return np.eye(n) - hd.T @ (plan.d_s[:, None] * hd * plan.d_t[None, :])
+    scaled = plan.d_s[:, None] * hd
+    scaled *= plan.d_t
+    out = hd.T @ scaled
+    np.subtract(0.0, out, out=out)
+    out.flat[::n + 1] += 1.0
+    return out
 
 
 def _halves(p: WeightParam, n: int) -> np.ndarray:
@@ -354,8 +361,9 @@ def _halves(p: WeightParam, n: int) -> np.ndarray:
     h = (n - 1) // 2
     left, right = rows[..., :h], rows[..., ::-1][..., :h]
     halves = np.zeros((2, n - 1 - h, n - 1 - h))
-    halves[0, :, :h] = (left[0] + right[0]) * math.sqrt(0.5)
-    halves[1, :, :h] = (left[1] - right[1]) * math.sqrt(0.5)
+    np.add(left[0], right[0], out=halves[0, :, :h])
+    np.subtract(left[1], right[1], out=halves[1, :, :h])
+    halves[:, :, :h] *= math.sqrt(0.5)
     if n % 2 == 0:
         halves[0, :, h] = rows[0, :, h]
         halves[1, h, h] = 1.0

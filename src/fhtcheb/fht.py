@@ -10,12 +10,11 @@ maps to zero. The basis map is T_{n+1}/w <-> U_n with the positive sign of
 the classical Tricomi pairs; see the sign note in cosh.py for how this
 composes with the plain-convention transform.
 
-Both flavors rest on the two transforms of transforms.py: C3 of size N
-analyzes (or synthesizes) T-series on S-nodes, and S1 of size N+1, on its
-interior rows and columns, does the same for w U-series on U-nodes. The
-d-flavor pair applies their fused product HD by one FFT correlation with
-its closed-form generator (transforms._hd_apply), O(N log N); the m-flavor
-pair applies the fused product HM, one dense matrix-vector product each.
+Both flavors rest on the two transforms of transforms.py. C3^T of size N
+analyzes T-series on S-nodes, S1 sine series on T-nodes, and S1 of size N+1
+w U-series on U-nodes, each by one real FFT. The d-flavor pair applies their
+fused product HD by one FFT correlation with its closed-form generator, the
+m-flavor pair the fused product HM, one dense matrix-vector product each.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .grids import (
     norm,
     resample,
 )
-from .transforms import TransformKind, _hd_apply, apply, build
+from .transforms import TransformKind, _c3t_apply, _hd_apply, _s1_apply, apply, build
 
 
 def _require(f: GridFn, kind: GridKind) -> None:
@@ -48,25 +47,22 @@ def _require(f: GridFn, kind: GridKind) -> None:
 # coefficient analysis / synthesis helpers
 
 def coeffs_from_tgrid(f: GridFn) -> np.ndarray:
-    """Series coefficients a_n of a T-grid function: f(cos th) = sum a_n sin(n th).
+    """Series coefficients a_n of a T-grid function, f(cos th) = sum a_n sin(n th), by one DST-I.
 
     The same a_n are the T-series coefficients of the forward image
     F(cos th) = sum a_n cos(n th); a_0 is identically zero (range condition).
     """
     _require(f, GridKind.TNODES)
-    n = f.grid.n
-    s1 = build(TransformKind.S1, n)
-    a = np.sqrt(2.0 / n) * apply(s1, f.values, transposed=True)
+    a = np.sqrt(2.0 / f.grid.n) * _s1_apply(f.values)
     a[0] = 0.0
     return a
 
 
 def coeffs_from_sgrid(F: GridFn) -> np.ndarray:
-    """T-series coefficients of an S-grid function (a_0 included)."""
+    """T-series coefficients of an S-grid function (a_0 included), by one DCT-II."""
     _require(F, GridKind.SNODES)
     n = F.grid.n
-    c3 = build(TransformKind.C3, n)
-    ah = apply(c3, F.values, transposed=True)
+    ah = _c3t_apply(F.values)
     a = np.sqrt(2.0 / n) * ah
     a[0] = ah[0] / np.sqrt(n)
     return a
@@ -85,10 +81,8 @@ def m_analysis_sgrid(f: GridFn) -> tuple[float, np.ndarray]:
 
 def _u_analysis(F: GridFn) -> np.ndarray:
     """Coefficients d_k of a U-grid function F = sum_k d_k U_k, k = 0..N-1."""
-    n = F.grid.n
-    s1 = build(TransformKind.S1, n + 1)
-    sv = apply(s1, np.concatenate(([0.0], F.grid.weights * F.values)), transposed=True)
-    return np.sqrt(2.0 / (n + 1)) * sv[1:]
+    sv = _s1_apply(np.concatenate(([0.0], F.grid.weights * F.values)))  # S1 at N+1
+    return np.sqrt(2.0 / sv.shape[0]) * sv[1:]
 
 
 def evaluate(f: GridFn, x):

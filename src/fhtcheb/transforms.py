@@ -1,23 +1,15 @@
-"""The dense trigonometric transforms every operator is built from.
+"""The trigonometric transforms every operator is built from.
 
 C3 is the orthogonal DCT-III on half-integer angles (S-nodes); S1 the
-symmetric DST-I on integer angles (T-nodes at size N, U-nodes at size N+1).
-Every other table the package needs is a scaled slice of one of them, for
-example T_{k+1}(s_m) = sqrt(N/2) C3[m, k+1] and
-U_k(u_j) = sqrt((N+1)/2) S1_{N+1}[j, k+1] / sin(j pi/(N+1)). The fused
-products HD = C3 S1^T (the d-flavor FHT) and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T
-(the m-flavor one) make each transform one product with one operator.
+symmetric DST-I on integer angles (T-nodes at size N, U-nodes at size N+1),
+whose zero row and column 0 encode f(t_0) = 0. HD = C3 S1^T is the d-flavor
+FHT and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T the m-flavor one.
 
-Every angle is an integer multiple of pi/d, reduced exactly before its sine
-is taken, so C3, S1 and HD are correct to rounding and O(N^2) to build (HD
-in closed form, Hankel plus Toeplitz). HM, whose angles have denominators N
-and N+1, has no closed form and costs one O(N^3) product per N (0.4 s at
-N = 2048 on one core). A dense apply is O(N^2). The matrices are cached per
-(kind, N); an N x N matrix takes 8 N^2 bytes (32 MB at N = 2048), so the
-cache keeps only the most recently used few. HD, a Hankel plus a Toeplitz
-matrix on 3N-1 closed-form values, is applied per operation without its
-table: _hd_apply is one real-FFT correlation with their cached spectrum,
-O(N log N).
+Every angle is reduced exactly, so every table is correct to rounding. C3, S1
+and HD (closed form) take O(N^2) to build, HM one O(N^3) product (0.4 s at
+N = 2048, one core); the few most recently used are cached, 8 N^2 bytes each.
+Per operation C3^T, S1 and HD are applied in O(N log N), with no table, by
+real FFTs: _c3t_apply, _s1_apply and _hd_apply.
 """
 
 from __future__ import annotations
@@ -77,12 +69,8 @@ def _hd_generator(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
-    """(L, rfft of the HD generator at length L), read-only.
-
-    L is the least 2^k or 3 * 2^k from 3N-1 up (3N for N a power of 2), a
-    length at which numpy's FFT is fast; any L >= 3N-1 keeps the correlations
-    of _hd_apply from wrapping around.
-    """
+    """(L, rfft of the HD generator at length L), read-only. Any L >= 3N-1 keeps the
+    correlations of _hd_apply from wrapping; L is the least fast 2^k or 3 * 2^k."""
     size = min(p << (-(-(3 * n - 1) // p) - 1).bit_length() for p in (1, 3))
     spectrum = np.fft.rfft(_hd_generator(n), size)
     spectrum.flags.writeable = False
@@ -90,12 +78,9 @@ def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
 
 
 def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """HD v (or HD^T v) along the last axis of v, by one FFT correlation with the generator s.
-
-    With c[k] = sum_j s[k+j] v[j], HD v = c[N:2N] + c[N-1::-1], and
-    HD^T u = corr(s, [u[::-1], u])[:N]. A correlation with v is a convolution
-    with v reversed, and [u[::-1], u] is its own reverse.
-    """
+    """HD v (or HD^T v) along the last axis of v, by one FFT correlation with the generator s:
+    with c[k] = sum_j s[k+j] v[j], HD v = c[N:2N] + c[N-1::-1] and HD^T u =
+    corr(s, [u[::-1], u])[:N], by convolutions with v and [u[::-1], u] reversed."""
     n = v.shape[-1]
     size, spectrum = _hd_spectrum(n)
     if transposed:
@@ -105,14 +90,27 @@ def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
     return c[..., n:] + c[..., n - 1::-1]
 
 
+def _c3t_apply(v: np.ndarray) -> np.ndarray:
+    """C3^T v, the orthonormal DCT-II, by the rfft y of [v, v[::-1]] (Makhoul 1980):
+    sum_m v_m cos((m+1/2) k pi/N) = Re(e^{-i k pi/2N} y_k) / 2."""
+    n = v.shape[0]
+    y = np.fft.rfft(np.concatenate((v, v[::-1])))[:n] * np.exp(-0.5j * np.pi / n * np.arange(n))
+    x = y.real * np.sqrt(0.5 / n)
+    x[0] *= np.sqrt(0.5)
+    return x
+
+
+def _s1_apply(v: np.ndarray) -> np.ndarray:
+    """S1 v, the DST-I, by the rfft y of [0, v_1..v_{N-1}, 0, -v_{N-1}..-v_1]:
+    sum_k v_k sin(j k pi/N) = -Im(y_j) / 2, and v_0 meets S1's zero column."""
+    n = v.shape[0]
+    y = np.fft.rfft(np.concatenate(([0.0], v[1:], [0.0], -v[:0:-1])))[:n]
+    return y.imag * -np.sqrt(0.5 / n)
+
+
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def build(kind: TransformKind, n: int) -> np.ndarray:
-    """Build (and cache) the transform matrix of one kind and size n, read-only.
-
-    C3 is the orthogonal DCT-III on half-integer angles; S1 the symmetric
-    DST-I on integer angles (row 0 and column 0 are zero, encoding the
-    boundary condition f(t_0) = 0); HD and HM are the fused products above.
-    """
+    """Build (and cache) the read-only matrix of one kind and size n."""
     if n < 2:
         raise InvalidSizeError(f"transform size must be >= 2, got {n}")
     if kind is TransformKind.C3:

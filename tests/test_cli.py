@@ -18,6 +18,7 @@ from fhtcheb import (
 )
 from fhtcheb.cli import main
 from fhtcheb.report import read_csv, uniform_grid, write_csv
+from fhtcheb.transforms import TransformKind, build
 
 
 def _write_tgrid_csv(path, n, func, reference=None):
@@ -381,3 +382,39 @@ class TestVerify:
         data = json.loads(rep.read_text())
         assert data["failed"] == 0 and data["passed"] == len(data["checks"])
         assert not any(name.startswith("condition_bound_") for name in data["checks"])
+
+
+def test_display_resampling_builds_no_c3_or_s1(tmp_path, monkeypatch):
+    # The *_uniform.csv display grid is analyzed by FFT; every file matches the unpatched run.
+    n = 256
+    _write_tgrid_csv(tmp_path / "f.csv", n, lambda x: weight_w(x) * (1.0 + 0.3 * x))
+    sg = cgl_nodes(GridKind.SNODES, n)
+    write_csv(tmp_path / "F.csv", sg.nodes, sg.nodes + 0.15 * (2.0 * sg.nodes ** 2 - 1.0))
+    jobs = {"fwd": ["forward", "--input", "f.csv"], "inv": ["invert", "--input", "F.csv"],
+            "cf": ["cosh-forward", "--mu", "3", "--input", "f.csv"],
+            "ci": ["cosh-invert", "--method", "direct", "--mu", "3", "--input", "F.csv"]}
+
+    def run_all(tag):
+        outputs = {}
+        for name, argv in jobs.items():
+            out = tmp_path / f"{tag}_{name}"
+            argv = [str(tmp_path / a) if a.endswith(".csv") else a for a in argv]
+            assert main([*argv, "--output", f"{out}.csv", "--plot", f"{out}.svg",
+                         "--json", f"{out}.json"]) == 0
+            report = json.loads((tmp_path / f"{out}.json").read_text())
+            for timing in ("wall_time_ms", "stage_ms"):
+                del report[timing]
+            outputs[name] = [(tmp_path / f"{out}{ext}").read_bytes()
+                             for ext in (".csv", "_uniform.csv", ".svg")] + [report]
+        return outputs
+
+    want = run_all("plain")
+
+    def refuse_c3_s1(kind, size):
+        if kind in (TransformKind.C3, TransformKind.S1):
+            raise AssertionError(f"{kind} built at n = {size}")
+        return build(kind, size)
+
+    monkeypatch.setattr("fhtcheb.fht.build", refuse_c3_s1)
+    monkeypatch.setattr("fhtcheb.cosh.build", refuse_c3_s1)
+    assert run_all("guarded") == want

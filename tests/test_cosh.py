@@ -35,7 +35,7 @@ from fhtcheb import (
 import fhtcheb.cosh
 from fhtcheb.cosh import _fold, _iterate, _plan, _unfold
 from fhtcheb.fht import evaluate
-from fhtcheb.transforms import TransformKind
+from fhtcheb.transforms import TransformKind, build
 
 
 class TestWeightParam:
@@ -568,6 +568,18 @@ def test_stopping_arguments_rejected(tol, max_iter, mean_fbar):
         # the arguments are checked first, before the grid kind
         with pytest.raises(ParameterError, match="tol"):
             cosh_invert_neumann(F_u, p, tol=tol, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 255])
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(0.5), WeightParam.cosh_real(3.0),
+                               WeightParam.cosh_real(14.0), WeightParam.cos_imaginary(0.5)])
+def test_system_matrix_is_built_in_place_to_the_same_bits(n, p):
+    hd = build(TransformKind.HD, n)
+    d_s, d_t = (p.slope(cgl_nodes(k, n).nodes) for k in (GridKind.SNODES, GridKind.TNODES))
+    want = np.eye(n) - hd.T @ (d_s[:, None] * hd * d_t[None, :])
+    got = fhtcheb.cosh.system_matrix(p, n)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_warm_d_flavor_ops_read_no_dense_hd(monkeypatch):

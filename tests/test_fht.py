@@ -7,6 +7,9 @@ from fhtcheb import (
     GridKind,
     GridMismatchError,
     ResampleMode,
+    TransformKind,
+    WeightParam,
+    build,
     cgl_nodes,
     cheb_eval,
     coeffs_from_sgrid,
@@ -15,6 +18,7 @@ from fhtcheb import (
     fht_forward_m,
     fht_inverse_d,
     fht_inverse_m,
+    kernel,
     norm,
     pair,
     plancherel_check,
@@ -243,6 +247,30 @@ class TestCoeffs:
         got = resample(a, sg.nodes, ResampleMode.T_SERIES)
         np.testing.assert_allclose(got, vals, atol=1e-12)
         assert a[0] == pytest.approx(1.5, abs=1e-13)
+
+
+def test_analysis_builds_no_c3_or_s1(monkeypatch):
+    # Every analysis is one FFT; only HM, for the m-flavor transforms, is still built.
+    n = 255
+    sg, tg = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.TNODES, n)
+    f = GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes))
+    F = GridFn(sg, sg.nodes + 0.15 * (2.0 * sg.nodes ** 2 - 1.0))
+    x = np.linspace(-1.0, 1.0, 101)
+    p = WeightParam.cosh_real(3.0)
+    ops = [lambda: coeffs_from_tgrid(f), lambda: coeffs_from_sgrid(F),
+           lambda: evaluate(f, x), lambda: evaluate(F, x), lambda: sgrid_to_unodes(F),
+           lambda: kernel("Kd", p, n, x), lambda: kernel("Km", p, n, x)]
+    want = [op() for op in ops]
+
+    def refuse_c3_s1(kind, size):
+        if kind in (TransformKind.C3, TransformKind.S1):
+            raise AssertionError(f"{kind} built at n = {size}")
+        return build(kind, size)
+
+    monkeypatch.setattr("fhtcheb.fht.build", refuse_c3_s1)
+    monkeypatch.setattr("fhtcheb.cosh.build", refuse_c3_s1)
+    for op, value in zip(ops, want):
+        np.testing.assert_array_equal(op(), value)
 
 
 class TestEvaluate:

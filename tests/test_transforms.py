@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fhtcheb import GridMismatchError, InvalidSizeError, TransformKind, apply, build
-from fhtcheb.transforms import _hd_apply, _hd_spectrum
+from fhtcheb.transforms import _c3t_apply, _hd_apply, _hd_spectrum, _s1_apply
 
 
 def _fused_by_sums(n):
@@ -141,6 +141,17 @@ class TestApply:
                 assert np.abs(batched[row] - want[row]).max() <= tol
                 assert np.abs(_hd_apply(v[row], transposed) - want[row]).max() <= tol
         assert not _hd_spectrum(n)[1].flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 1024, 2049])
+    def test_c3t_and_s1_by_fft_match_dense(self, n):
+        # S1 at n + 1 is the size the U-grid analysis uses.
+        rng = np.random.default_rng(n)
+        checks = [(_c3t_apply, build(TransformKind.C3, n).T, rng.standard_normal(n))]
+        for size in (n, n + 1):
+            checks.append((_s1_apply, build(TransformKind.S1, size), rng.standard_normal(size)))
+        for fast, dense, v in checks:
+            want = dense @ v
+            assert np.abs(fast(v) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestMAnalysisRoundtrip:
