@@ -84,10 +84,6 @@ def _uniform(out: GridFn, weighted: bool = False) -> tuple[np.ndarray, np.ndarra
     return xs, evaluate(out, xs)
 
 
-def _uniform_path(path: str) -> str:
-    return "{}_uniform{}".format(*os.path.splitext(path))
-
-
 class _Clock:
     """The start of one command, and the milliseconds each of its stages took."""
 
@@ -132,8 +128,7 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
     t = time.monotonic()
     if args.output_path:
         write_csv(args.output_path, out.grid.nodes, out.values, reference)
-        xs, vals = uniform_pair
-        write_csv(_uniform_path(args.output_path), xs, vals)
+        write_csv("{}_uniform{}".format(*os.path.splitext(args.output_path)), *uniform_pair)
     if args.plot_path:
         series = [
             ("input", in_fn.grid.nodes, in_fn.values),
@@ -149,53 +144,42 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_forward(args) -> int:
+def _transform(args, kind: GridKind, compute, weighted: bool = False) -> int:
+    """Read on kind-nodes, compute(input) -> (output, SolveReport or None), resample, report."""
     clock = _Clock()
-    f, ref = clock.run("read", _load_grid_fn, args, GridKind.TNODES)
-    F = clock.run("compute", fht_forward_d, f)
-    _emit(args, clock, f, F, ref, clock.run("resample", _uniform, F))
-    return EXIT_OK
+    in_fn, ref = clock.run("read", _load_grid_fn, args, kind)
+    out, rep = clock.run("compute", compute, in_fn)
+    uniform = clock.run("resample", _uniform, out, weighted)
+    _emit(args, clock, in_fn, out, ref, uniform, rep)
+    return EXIT_NOT_CONVERGED if rep is not None and not rep.converged else EXIT_OK
+
+
+def cmd_forward(args) -> int:
+    return _transform(args, GridKind.TNODES, lambda f: (fht_forward_d(f), None))
 
 
 def cmd_invert(args) -> int:
-    clock = _Clock()
-    F, ref = clock.run("read", _load_grid_fn, args, GridKind.SNODES)
-    f = clock.run("compute", fht_inverse_d, F)
-    _emit(args, clock, F, f, ref, clock.run("resample", _uniform, f))
-    return EXIT_OK
+    return _transform(args, GridKind.SNODES, lambda F: (fht_inverse_d(F), None))
 
 
 def cmd_cosh_forward(args) -> int:
-    clock = _Clock()
     p = _weight_param(args, required=True)
-    f, ref = clock.run("read", _load_grid_fn, args, GridKind.TNODES)
-    F = clock.run("compute", cosh_forward, f, p)
-    _emit(args, clock, f, F, ref, clock.run("resample", _uniform, F))
-    return EXIT_OK
+    return _transform(args, GridKind.TNODES, lambda f: (cosh_forward(f, p), None))
 
 
 def cmd_cosh_invert(args) -> int:
-    clock = _Clock()
     p = _weight_param(args, required=True)
     if args.method == "mean_constrained" and args.mean_fbar is None:
         raise ParameterError("--mean-fbar is required for method mean_constrained")
     if args.method != "direct":  # before the input is read
         _check_stopping(args.tol, args.max_iter, args.mean_fbar or 0.0)
-    if args.method == "mean_constrained":
-        F, ref = clock.run("read", _load_grid_fn, args, GridKind.UNODES)
-        f, rep = clock.run("compute", cosh_invert_mean_constrained,
-                           F, p, args.mean_fbar, args.tol, args.max_iter)
-        uniform = clock.run("resample", _uniform, f, weighted=True)
-    else:
-        F, ref = clock.run("read", _load_grid_fn, args, GridKind.SNODES)
-        if args.method == "direct":
-            f, rep = clock.run("compute", cosh_invert_direct, F, p)
-        else:
-            f, rep = clock.run("compute", cosh_invert_neumann,
-                               F, p, tol=args.tol, max_iter=args.max_iter)
-        uniform = clock.run("resample", _uniform, f)
-    _emit(args, clock, F, f, ref, uniform, rep)
-    return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
+    if args.method == "direct":
+        return _transform(args, GridKind.SNODES, lambda F: cosh_invert_direct(F, p))
+    if args.method == "neumann":
+        return _transform(args, GridKind.SNODES, lambda F: cosh_invert_neumann(
+            F, p, tol=args.tol, max_iter=args.max_iter))
+    return _transform(args, GridKind.UNODES, lambda F: cosh_invert_mean_constrained(
+        F, p, args.mean_fbar, args.tol, args.max_iter), weighted=True)
 
 
 def cmd_verify(args) -> int:

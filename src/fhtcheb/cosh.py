@@ -34,12 +34,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .fht import _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
 from .grids import (
     GridFn,
     GridKind,
     _clenshaw,
+    _points,
     cgl_nodes,
     norm,
 )
@@ -358,15 +359,11 @@ def _halves(p: WeightParam, n: int) -> np.ndarray:
     is padded with a unit diagonal entry.
     """
     rows = _fold(system_matrix(p, n)[1:, 1:])  # even and odd rows, then fold the columns
-    h = (n - 1) // 2
-    left, right = rows[..., :h], rows[..., ::-1][..., :h]
-    halves = np.zeros((2, n - 1 - h, n - 1 - h))
-    np.add(left[0], right[0], out=halves[0, :, :h])
-    np.subtract(left[1], right[1], out=halves[1, :, :h])
-    halves[:, :, :h] *= math.sqrt(0.5)
+    blocks = _fold(rows.transpose(2, 0, 1))  # [column parity, column, row parity, row]
+    del rows  # before the halves are stacked: the peak stays at two N x N arrays
+    halves = np.stack((blocks[0, :, 0].T, blocks[1, :, 1].T))
     if n % 2 == 0:
-        halves[0, :, h] = rows[0, :, h]
-        halves[1, h, h] = 1.0
+        halves[1, -1, -1] = 1.0
     return halves
 
 
@@ -522,8 +519,7 @@ def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
     so both kernels are even.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if np.any(np.abs(x) > 1.0):
-        raise DomainError("kernel points outside [-1, 1]")
+    _points(x, "kernel points")
     if kind == "Kd":
         series = coeffs_from_sgrid(GridFn(cgl_nodes(GridKind.SNODES, n), _plan(p, n).d_s))
         return _clenshaw(series[1:], x, second_kind=True)

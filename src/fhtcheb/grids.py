@@ -101,11 +101,16 @@ def _cgl_grid(kind: GridKind, n: int) -> Grid:
     return Grid(kind=kind, n=n, nodes=np.cos(angles), angles=angles)
 
 
+def _points(x: np.ndarray, what: str) -> None:
+    """Refuse x unless every point lies in [-1, 1]; NaN lies nowhere, so it is refused."""
+    if not np.all(np.abs(x) <= 1.0):
+        raise DomainError(f"{what} outside [-1, 1]")
+
+
 def weight_w(t):
     """w(t) = sqrt(1 - t^2); exactly 0 at +-1. Accepts scalars or arrays."""
     t = np.asarray(t, dtype=float)
-    if np.any(np.abs(t) > 1.0):
-        raise DomainError("weight_w argument outside [-1, 1]")
+    _points(t, "weight_w argument")
     out = np.sqrt(np.maximum(0.0, (1.0 - t) * (1.0 + t)))
     return out if out.ndim else float(out)
 
@@ -139,8 +144,7 @@ def cheb_eval(basis: Basis, n: int, x):
     if n > MAX_DEGREE:
         raise DomainError(f"degree {n} exceeds recurrence cap {MAX_DEGREE}")
     x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise DomainError("cheb_eval argument outside [-1, 1]")
+    _points(x, "cheb_eval argument")
     scalar = x.ndim == 0
     unit = np.zeros(n + 1)
     unit[n] = 1.0
@@ -179,8 +183,7 @@ def resample(coeffs: np.ndarray, targets, mode: ResampleMode):
     (U_{-1} = 0).
     """
     x = np.asarray(targets, dtype=float)
-    if np.any(np.abs(x) > 1.0):
-        raise DomainError("resample targets outside [-1, 1]")
+    _points(x, "resample targets")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     a = np.asarray(coeffs)

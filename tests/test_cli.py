@@ -228,13 +228,20 @@ class TestForwardInvert:
 
 @pytest.mark.parametrize("argv", [["forward", "--input", "{f}"], ["invert", "--input", "{F}"],
                                   ["cosh-forward", "--mu", "1", "--input", "{f}"],
-                                  ["cosh-invert", "--mu", "1", "--input", "{F}"]])
+                                  ["cosh-invert", "--mu", "1", "--input", "{F}"],
+                                  ["cosh-invert", "--mu", "1", "--method", "neumann",
+                                   "--input", "{F}"],
+                                  ["cosh-invert", "--mu", "1", "--method", "mean_constrained",
+                                   "--mean-fbar", "0", "--input", "{U}"]])
 def test_stage_ms_reported(tmp_path, argv):
     n = 64
     _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
     sg = cgl_nodes(GridKind.SNODES, n)
     write_csv(tmp_path / "F.csv", sg.nodes, sg.nodes)
-    argv = [a.format(f=tmp_path / "f.csv", F=tmp_path / "F.csv") for a in argv]
+    ug = cgl_nodes(GridKind.UNODES, n)
+    write_csv(tmp_path / "U.csv", ug.nodes, ug.nodes)
+    argv = [a.format(f=tmp_path / "f.csv", F=tmp_path / "F.csv", U=tmp_path / "U.csv")
+            for a in argv]
     rep = tmp_path / "r.json"
     assert main([*argv, "--output", str(tmp_path / "o.csv"), "--plot", str(tmp_path / "o.svg"),
                  "--json", str(rep)]) == 0

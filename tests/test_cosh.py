@@ -740,7 +740,9 @@ class TestKernel:
         assert _relative_gap(got, kernel(kind, p, 255, x)) <= 1e-12
 
     @pytest.mark.parametrize("kind", ["Kd", "Km"])
-    @pytest.mark.parametrize("x", [1.0 + 1e-12, -1.5, [0.0, 2.0]])
+    # NaN lies nowhere on [-1, 1]; +-1 itself is accepted (the two tests above)
+    @pytest.mark.parametrize("x", [1.0 + 1e-12, -1.5, [0.0, 2.0],
+                                   np.nan, 1.0 + 2.0 ** -52, [0.5, np.nan]])
     def test_outside_the_interval_raises(self, kind, x):
         with pytest.raises(DomainError):
             kernel(kind, WeightParam.cosh_real(1.0), 32, x)

@@ -3,6 +3,7 @@ import pytest
 
 from fhtcheb import (
     Basis,
+    DomainError,
     GridFn,
     GridKind,
     GridMismatchError,
@@ -289,3 +290,12 @@ class TestEvaluate:
         ug = cgl_nodes(GridKind.UNODES, 16)
         with pytest.raises(GridMismatchError):
             evaluate(GridFn(ug, ug.weights), 0.3)
+
+    @pytest.mark.parametrize("x", [np.nan, 1.0 + 2.0 ** -52, [0.5, np.nan]])
+    @pytest.mark.parametrize("kind", [GridKind.TNODES, GridKind.SNODES])
+    def test_points_off_the_interval_raise(self, kind, x):
+        grid = cgl_nodes(kind, 16)
+        f = GridFn(grid, np.cos(grid.nodes))
+        with pytest.raises(DomainError):
+            evaluate(f, x)
+        assert np.all(np.isfinite(evaluate(f, [-1.0, 1.0])))

@@ -109,6 +109,21 @@ class TestWeight:
             weight_w(1.0001)
 
 
+# NaN lies nowhere on [-1, 1], nor does the double just above 1; +-1 itself does.
+@pytest.mark.parametrize("x", [np.nan, 1.0 + 2.0 ** -52, [0.5, np.nan], [-1.0, np.nan]])
+@pytest.mark.parametrize("call", [
+    weight_w,
+    lambda x: cheb_eval(Basis.FIRST_T, 3, x),
+    lambda x: cheb_eval(Basis.SECOND_U, 3, x),
+    lambda x: resample(np.ones(4), x, ResampleMode.T_SERIES),
+    lambda x: resample(np.ones(4), x, ResampleMode.WU_SERIES),
+], ids=["weight_w", "cheb_eval-T", "cheb_eval-U", "resample-T", "resample-WU"])
+def test_points_off_the_interval_refused(call, x):
+    with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+        call(x)
+    assert np.all(np.isfinite(call([-1.0, 1.0])))
+
+
 class TestInnerProduct:
     def test_constant_ld(self):
         g = cgl_nodes(GridKind.SNODES, 16)

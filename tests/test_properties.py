@@ -5,6 +5,7 @@ vector is drawn from a seeded numpy generator rather than element by element.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from fhtcheb import (
     resample,
     system_matrix,
 )
-from fhtcheb.cosh import _contract, _fold, _iterate, _plan
+from fhtcheb.cosh import _contract, _fold, _halves, _iterate, _plan
 from fhtcheb.fht import _u_analysis, m_analysis_sgrid
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -122,15 +123,16 @@ WEIGHTS = st.one_of(st.floats(-19.0, 19.0).map(WeightParam.cosh_real),
                     st.floats(-0.785, 0.785).map(WeightParam.cos_imaginary))
 
 
+def fold2(a):
+    """blocks[p, q] of a: rows of parity p, columns of parity q (0 even, 1 odd)."""
+    return _fold(_fold(a).transpose(2, 0, 1)).transpose(2, 0, 3, 1)
+
+
 @PROPERTY
 @given(n=SIZES, seed=SEEDS, p=WEIGHTS)
 def test_parity_split_step_matches_unsplit(n, seed, p):
     # The operators of both iterations flip parity: their same-parity blocks
     # vanish, and one split step equals one step of the unsplit operator.
-    # blocks[p, q]: rows of parity p, columns of parity q (0 even, 1 odd)
-    def fold2(a):
-        return _fold(_fold(a).transpose(2, 0, 1)).transpose(2, 0, 3, 1)
-
     for a in (build(TransformKind.HD, n)[:, 1:], build(TransformKind.HM, n).T):
         blocks = fold2(a)
         h1, h2 = a.shape[1] // 2, a.shape[0] // 2
@@ -155,3 +157,16 @@ def test_parity_split_step_matches_unsplit(n, seed, p):
     inner = fht_forward_m(GridFn(sg, plan.d_s * y0 / sg.weights))
     want = y0 + sg.weights * fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("mu", [0.5, 3.0, 14.0])
+@pytest.mark.parametrize("n", [8, 9, 64, 255])
+def test_halves_are_the_diagonal_blocks(n, mu):
+    # The direct solver's halves are the same-parity blocks of the system
+    # matrix, bit for bit, with a unit pad closing the odd block for even N.
+    p = WeightParam.cosh_real(mu)
+    blocks = fold2(system_matrix(p, n)[1:, 1:])
+    want = np.stack((blocks[0, 0], blocks[1, 1]))
+    if n % 2 == 0:
+        want[1, -1, -1] = 1.0
+    assert np.array_equal(_halves(p, n), want)
