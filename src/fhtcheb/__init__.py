@@ -22,7 +22,6 @@ from .grids import (
     resample,
     weight_w,
 )
-from .transforms import TransformKind, apply, build
 from .fht import (
     coeffs_from_sgrid,
     coeffs_from_tgrid,

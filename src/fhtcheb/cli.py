@@ -36,7 +36,7 @@ from .cosh import (
 from .errors import FhtChebError, InputError, ParameterError
 from .fht import evaluate, fht_forward_d, fht_inverse_d
 from .grids import MAX_DEGREE, GridFn, GridKind, cgl_nodes, weight_w
-from .report import _write_text, read_csv, uniform_grid, write_csv, write_json_report, write_svg
+from .report import read_csv, uniform_grid, write_csv, write_json_report, write_svg
 from .verify import SIZES, run_suite
 
 EXIT_OK = 0
@@ -211,16 +211,6 @@ def _parse_list(text: str | None, convert, flag: str) -> tuple:
         raise ParameterError(f"bad {flag}: {exc}") from exc
 
 
-def _write_table(path: str | None, header: str, rows) -> None:
-    """A numeric CSV table at 17 significant digits, to path or stdout."""
-    lines = [header] + [",".join("%.17g" % v for v in row) for row in rows]
-    text = "\n".join(lines) + "\n"
-    if path:
-        _write_text(path, text)
-    else:
-        sys.stdout.write(text)
-
-
 def cmd_cond_sweep(args) -> int:
     mu_list = _parse_list(args.mu_list, float, "--mu-list")
     if not mu_list:
@@ -229,11 +219,9 @@ def cmd_cond_sweep(args) -> int:
         raise ParameterError(f"--n must lie in [8, {MAX_DEGREE + 1}], got {args.n}")
     # every mu is checked before the first estimate
     params = [WeightParam.cosh_real(mu) for mu in mu_list]
-    rows = []
-    for p in params:
-        est = condition_estimate(p, args.n)
-        rows.append((p.value, est.measured, est.bound))
-    _write_table(args.output_path, "mu,measured,bound", rows)
+    ests = [condition_estimate(p, args.n) for p in params]
+    write_csv(args.output_path, [p.value for p in params], [e.measured for e in ests],
+              [e.bound for e in ests], header="mu,measured,bound")
     return EXIT_OK
 
 
@@ -246,8 +234,8 @@ def cmd_null_experiment(args) -> int:
     if args.mu is None:
         raise ParameterError("--mu is required")
     rows = null_experiment(WeightParam.cosh_real(args.mu), sizes)
-    _write_table(args.output_path, "n,norm_d,norm_m",
-                 [(r.n, r.norm_d, r.norm_m) for r in rows])
+    write_csv(args.output_path, [r.n for r in rows], [r.norm_d for r in rows],
+              [r.norm_m for r in rows], header="n,norm_d,norm_m")
     return EXIT_OK
 
 

@@ -43,22 +43,20 @@ class ResampleMode(enum.Enum):
 
 @dataclass(frozen=True)
 class Grid:
-    """Collocation grid: node abscissae plus the generating angles.
+    """Collocation grid: node abscissae and the weights w(node).
 
-    Angles are kept so that w(node) == sin(angle), the ``weights``, is
-    available exactly; nodes are always the closed-form cosines, never
-    accumulated. All three arrays are read-only.
+    Both are taken from the generating angles, nodes = cos(angle) and
+    weights = sin(angle), so the weights are exact and the nodes are always
+    the closed-form cosines, never accumulated. Both arrays are read-only.
     """
 
     kind: GridKind
     n: int
     nodes: np.ndarray
-    angles: np.ndarray
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.sin(self.angles))
-        for a in (self.nodes, self.angles, self.weights):
+        for a in (self.nodes, self.weights):
             a.flags.writeable = False
 
     def matches(self, other: "Grid") -> bool:
@@ -67,7 +65,7 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFn:
-    """Sample values attached to a grid."""
+    """Finite sample values attached to a grid."""
 
     grid: Grid
     values: np.ndarray
@@ -78,6 +76,8 @@ class GridFn:
             raise GridMismatchError(
                 f"values length {v.shape} does not match grid size {self.grid.n}"
             )
+        if not np.all(np.isfinite(v)):
+            raise DomainError("grid values must be finite")
         object.__setattr__(self, "values", v)
 
 
@@ -88,7 +88,7 @@ def cgl_nodes(kind: GridKind, n: int) -> Grid:
     return _cgl_grid(kind, n)
 
 
-@lru_cache(maxsize=32)  # a grid is three length-N arrays
+@lru_cache(maxsize=32)  # a grid is two length-N arrays
 def _cgl_grid(kind: GridKind, n: int) -> Grid:
     if kind is GridKind.SNODES:
         angles = (np.arange(n) + 0.5) * np.pi / n
@@ -98,7 +98,7 @@ def _cgl_grid(kind: GridKind, n: int) -> Grid:
         angles = np.arange(1, n + 1) * np.pi / (n + 1)
     else:  # pragma: no cover
         raise GridMismatchError(f"unknown grid kind {kind}")
-    return Grid(kind=kind, n=n, nodes=np.cos(angles), angles=angles)
+    return Grid(kind=kind, n=n, nodes=np.cos(angles), weights=np.sin(angles))
 
 
 def _points(x: np.ndarray, what: str) -> None:

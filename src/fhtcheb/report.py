@@ -1,7 +1,8 @@
 """CSV, JSON and SVG output for the CLI.
 
-CSV files carry a `x,value` (or `x,value,reference`) header and 17
-significant digits per float so 64-bit values round-trip losslessly. SVG
+CSV files carry a `x,value` (or `x,value,reference`) header, the CLI's
+tables their own, and 17 significant digits per float so 64-bit values
+round-trip losslessly. Input CSVs must be ASCII, without a byte-order mark. SVG
 plots are self-contained 800x500 documents built from inline polylines.
 Each CSV body and each polyline is formatted in one `%` call over a repeated
 per-value template, giving the bytes of formatting each value on its own; a
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,7 +32,11 @@ class CsvData:
 
 
 def _write_text(path, text: str) -> None:
-    """Write text to the file at path; a file that cannot be written is an InputError."""
+    """Write text to the file at path, or to stdout if path is None; a file that
+    cannot be written is an InputError."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -38,11 +44,13 @@ def _write_text(path, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
-def write_csv(path, x, value, reference=None) -> None:
-    cols = [np.asarray(c, dtype=float) for c in (x, value, reference) if c is not None]
+def write_csv(path, *columns, header=None) -> None:
+    """The columns that are not None, to path (stdout if None), under header;
+    by default the header is x,value[,reference]."""
+    cols = [np.asarray(c, dtype=float) for c in columns if c is not None]
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
-    header = "x,value" if reference is None else "x,value,reference"
+    header = header or ",".join(["x", "value", "reference"][:len(cols)])
     table = np.column_stack(cols)
     row = ",".join([_FMT] * len(cols)) + "\n"
     _write_text(path, header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
@@ -54,6 +62,9 @@ def read_csv(path) -> CsvData:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a UTF-8 byte-order mark too
+        byte = exc.object[exc.start]
+        raise InputError(f"{path}: not an ASCII file (byte 0x{byte:02x})") from exc
     if not lines:
         raise InputError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]
@@ -94,11 +105,7 @@ def _raise_row_fault(path, lines, ncol: int) -> None:
 
 
 def write_json_report(path, report: dict) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if path is None:
-        print(text)
-    else:
-        _write_text(path, text + "\n")
+    _write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""The trigonometric transforms every operator is built from.
+"""The trigonometric transforms every operator is built from; internal to the package.
 
 C3 is the orthogonal DCT-III on half-integer angles (S-nodes); S1 the
 symmetric DST-I on integer angles (T-nodes at size N, U-nodes at size N+1),
 whose zero row and column 0 encode f(t_0) = 0. HD = C3 S1^T is the d-flavor
 FHT and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T the m-flavor one.
 
-Every angle is reduced exactly, so every table is correct to rounding. C3, S1
-and HD (closed form) take O(N^2) to build, HM one O(N^3) product (0.4 s at
-N = 2048, one core); the few most recently used are cached, 8 N^2 bytes each.
 Per operation C3^T, S1 and HD are applied in O(N log N), with no table, by
-real FFTs: _c3t_apply, _s1_apply and _hd_apply.
+real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. Only the
+solvers read dense tables: HD (closed form, O(N^2)) and HM (one O(N^3)
+product of _c3 and _s1, 0.4 s at N = 2048, one core), the few most recently
+used cached, 8 N^2 bytes each. Every angle is reduced exactly, so every
+table is correct to rounding.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GridMismatchError, InvalidSizeError
 
 
-# Cache bound: one N has at most five matrices (C3, S1 at N and N+1, HD, HM)
-# and each solver uses at most two, so a few sizes in use fit at once.
+# Cache bound: one N has at most two matrices (HD, HM), so a few sizes in use
+# fit at once.
 _BUILD_CACHE_SIZE = 8
 
 
 class TransformKind(enum.Enum):
-    C3 = "c3"
-    S1 = "s1"
     HD = "hd"  # C3 S1^T: f on T-nodes -> F on S-nodes
     HM = "hm"  # C3[:, 1:] S1_{N+1}[1:, 1:N]^T: between U-node and S-node series
 
@@ -91,20 +90,21 @@ def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
 
 
 def _c3t_apply(v: np.ndarray) -> np.ndarray:
-    """C3^T v, the orthonormal DCT-II, by the rfft y of [v, v[::-1]] (Makhoul 1980):
-    sum_m v_m cos((m+1/2) k pi/N) = Re(e^{-i k pi/2N} y_k) / 2."""
-    n = v.shape[0]
-    y = np.fft.rfft(np.concatenate((v, v[::-1])))[:n] * np.exp(-0.5j * np.pi / n * np.arange(n))
-    x = y.real * np.sqrt(0.5 / n)
-    x[0] *= np.sqrt(0.5)
+    """C3^T v along the last axis of v, the orthonormal DCT-II, by the rfft y of
+    [v, v[::-1]] (Makhoul 1980): sum_m v_m cos((m+1/2) k pi/N) = Re(e^{-i k pi/2N} y_k) / 2."""
+    n = v.shape[-1]
+    y = np.fft.rfft(np.concatenate((v, v[..., ::-1]), axis=-1))[..., :n]
+    x = (y * np.exp(-0.5j * np.pi / n * np.arange(n))).real * np.sqrt(0.5 / n)
+    x[..., 0] *= np.sqrt(0.5)
     return x
 
 
 def _s1_apply(v: np.ndarray) -> np.ndarray:
-    """S1 v, the DST-I, by the rfft y of [0, v_1..v_{N-1}, 0, -v_{N-1}..-v_1]:
-    sum_k v_k sin(j k pi/N) = -Im(y_j) / 2, and v_0 meets S1's zero column."""
-    n = v.shape[0]
-    y = np.fft.rfft(np.concatenate(([0.0], v[1:], [0.0], -v[:0:-1])))[:n]
+    """S1 v along the last axis of v, the DST-I, by the rfft y of [0, v_1..v_{N-1}, 0,
+    -v_{N-1}..-v_1]: sum_k v_k sin(j k pi/N) = -Im(y_j) / 2, and v_0 meets S1's zero column."""
+    n = v.shape[-1]
+    zero = np.zeros(v.shape[:-1] + (1,))
+    y = np.fft.rfft(np.concatenate((zero, v[..., 1:], zero, -v[..., :0:-1]), axis=-1))[..., :n]
     return y.imag * -np.sqrt(0.5 / n)
 
 
@@ -113,11 +113,7 @@ def build(kind: TransformKind, n: int) -> np.ndarray:
     """Build (and cache) the read-only matrix of one kind and size n."""
     if n < 2:
         raise InvalidSizeError(f"transform size must be >= 2, got {n}")
-    if kind is TransformKind.C3:
-        m = _c3(n)
-    elif kind is TransformKind.S1:
-        m = _s1(n)
-    elif kind is TransformKind.HD:
+    if kind is TransformKind.HD:
         w = sliding_window_view(_hd_generator(n), n)  # w[i, j] = s[i + j]
         m = w[n:] + w[n - 1::-1]
     elif kind is TransformKind.HM:

@@ -65,6 +65,8 @@ EXIT_CASES = [
     ("seven-rows", ["forward", "--input", "{seven}"], 3),
     ("empty-csv", ["forward", "--input", "{empty}"], 3),
     ("wrong-header", ["forward", "--input", "{header}"], 3),
+    ("utf8-bom", ["forward", "--input", "{bom}"], 3),
+    ("latin1-byte", ["forward", "--input", "{latin1}"], 3),
     ("cond-sweep-no-mu-list", ["cond-sweep", "--n", "64"], 4),
     ("null-experiment-no-mu", ["null-experiment", "--sizes", "64"], 4),
     ("mu-nan", ["cosh-forward", "--mu", "nan", "--input", "{f}"], 4),
@@ -100,7 +102,7 @@ EXIT_CASES = [
 
 @pytest.mark.parametrize("argv, code", [c[1:] for c in EXIT_CASES],
                          ids=[c[0] for c in EXIT_CASES])
-def test_exit_codes(tmp_path, argv, code):
+def test_exit_codes(tmp_path, capsys, argv, code):
     n = 64
     tg = _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
     sg = cgl_nodes(GridKind.SNODES, n)
@@ -114,12 +116,18 @@ def test_exit_codes(tmp_path, argv, code):
     _write_tgrid_csv(tmp_path / "seven.csv", 7, weight_w)
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "header.csv").write_text("t,value\n" + (tmp_path / "f.csv").read_text()[8:])
+    f_bytes = (tmp_path / "f.csv").read_bytes()
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + f_bytes)
+    (tmp_path / "latin1.csv").write_bytes(f_bytes.replace(b"\n", b" \xb5\n", 3))
     files = {stem: tmp_path / f"{stem}.csv"
-             for stem in ("f", "F", "offgrid", "nan", "inf", "big", "seven", "empty", "header")}
+             for stem in ("f", "F", "offgrid", "nan", "inf", "big", "seven", "empty", "header",
+                          "bom", "latin1")}
     argv = [a.format(dir=tmp_path, **files) for a in argv]
     if argv[0] not in ("cond-sweep", "null-experiment"):  # the two take no --json
         argv += ["--json", str(tmp_path / "r.json")]
     assert main(argv) == code
+    if code in (3, 4):
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
 
 def test_unwritable_json_report_is_input_error(tmp_path, capsys):
@@ -128,6 +136,17 @@ def test_unwritable_json_report_is_input_error(tmp_path, capsys):
     assert main(["forward", "--input", str(tmp_path / "f.csv"), "--json", str(bad)]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and str(bad) in err[0]
+
+
+@pytest.mark.parametrize("argv", [["forward"], ["cosh-forward", "--mu", "3"]])
+def test_overflowing_transform_exits_3_and_writes_nothing(tmp_path, argv):
+    # Finite input whose transform overflows; numpy still warns while the FFT runs.
+    fin, out = tmp_path / "huge.csv", tmp_path / "F.csv"
+    _write_tgrid_csv(fin, 64, lambda x: np.full_like(x, 1e308))
+    with pytest.warns(RuntimeWarning):
+        assert main([*argv, "--input", str(fin), "--output", str(out),
+                     "--json", str(tmp_path / "r.json")]) == 3
+    assert not any(tmp_path.glob("F*")) and not (tmp_path / "r.json").exists()
 
 
 def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
@@ -417,11 +436,11 @@ def test_display_resampling_builds_no_c3_or_s1(tmp_path, monkeypatch):
 
     want = run_all("plain")
 
-    def refuse_c3_s1(kind, size):
-        if kind in (TransformKind.C3, TransformKind.S1):
+    def refuse_all_but_hd(kind, size):
+        if kind is not TransformKind.HD:
             raise AssertionError(f"{kind} built at n = {size}")
         return build(kind, size)
 
-    monkeypatch.setattr("fhtcheb.fht.build", refuse_c3_s1)
-    monkeypatch.setattr("fhtcheb.cosh.build", refuse_c3_s1)
+    monkeypatch.setattr("fhtcheb.fht.build", refuse_all_but_hd)
+    monkeypatch.setattr("fhtcheb.cosh.build", refuse_all_but_hd)
     assert run_all("guarded") == want

@@ -8,9 +8,7 @@ from fhtcheb import (
     GridKind,
     GridMismatchError,
     ResampleMode,
-    TransformKind,
     WeightParam,
-    build,
     cgl_nodes,
     cheb_eval,
     coeffs_from_sgrid,
@@ -157,12 +155,12 @@ class TestRangeDefect:
 
     def test_no_dense_transform(self, monkeypatch):
         # Column 0 of C3 is 1/sqrt(N), so the defect needs no N x N build.
-        from fhtcheb import TransformKind, apply, build
+        from fhtcheb.transforms import _c3, apply
 
         n = 256
         sg = cgl_nodes(GridKind.SNODES, n)
         F = GridFn(sg, np.random.default_rng(7).standard_normal(n))
-        want = apply(build(TransformKind.C3, n), F.values, transposed=True)[0]
+        want = apply(_c3(n), F.values, transposed=True)[0]
 
         def refuse(kind, n):
             raise AssertionError(f"{kind} built at n = {n}")
@@ -251,7 +249,7 @@ class TestCoeffs:
 
 
 def test_analysis_builds_no_c3_or_s1(monkeypatch):
-    # Every analysis is one FFT; only HM, for the m-flavor transforms, is still built.
+    # Every analysis is one FFT; none of these operations builds a dense table.
     n = 255
     sg, tg = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.TNODES, n)
     f = GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes))
@@ -263,13 +261,11 @@ def test_analysis_builds_no_c3_or_s1(monkeypatch):
            lambda: kernel("Kd", p, n, x), lambda: kernel("Km", p, n, x)]
     want = [op() for op in ops]
 
-    def refuse_c3_s1(kind, size):
-        if kind in (TransformKind.C3, TransformKind.S1):
-            raise AssertionError(f"{kind} built at n = {size}")
-        return build(kind, size)
+    def refuse(kind, size):
+        raise AssertionError(f"{kind} built at n = {size}")
 
-    monkeypatch.setattr("fhtcheb.fht.build", refuse_c3_s1)
-    monkeypatch.setattr("fhtcheb.cosh.build", refuse_c3_s1)
+    monkeypatch.setattr("fhtcheb.fht.build", refuse)
+    monkeypatch.setattr("fhtcheb.cosh.build", refuse)
     for op, value in zip(ops, want):
         np.testing.assert_array_equal(op(), value)
 

@@ -53,7 +53,7 @@ class TestCglNodes:
     def test_shared_and_read_only(self, kind):
         g = cgl_nodes(kind, 16)
         assert cgl_nodes(kind, 16) is g
-        for a in (g.nodes, g.angles, g.weights):
+        for a in (g.nodes, g.weights):
             with pytest.raises(ValueError):
                 a[0] = 0.5
 
@@ -217,3 +217,13 @@ class TestGridFn:
         g = cgl_nodes(GridKind.SNODES, 8)
         with pytest.raises(GridMismatchError):
             GridFn(g, np.ones(7))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", list(GridKind))
+    def test_non_finite_values_refused(self, kind, bad):
+        g = cgl_nodes(kind, 8)
+        for index in range(8):
+            v = np.ones(8)
+            v[index] = bad
+            with pytest.raises(DomainError):
+                GridFn(g, v)

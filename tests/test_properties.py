@@ -14,9 +14,7 @@ from fhtcheb import (
     GridFn,
     GridKind,
     ResampleMode,
-    TransformKind,
     WeightParam,
-    build,
     cgl_nodes,
     cosh_invert_mean_constrained,
     fht_forward_d,
@@ -29,6 +27,7 @@ from fhtcheb import (
 )
 from fhtcheb.cosh import _contract, _fold, _halves, _iterate, _plan
 from fhtcheb.fht import _u_analysis, m_analysis_sgrid
+from fhtcheb.transforms import TransformKind, _c3, _s1, build
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
 SEEDS = st.integers(0, 2**32 - 1)
@@ -81,7 +80,7 @@ def _forward_m_two_stage(f):
     """fht_forward_m as T-analysis on S-nodes, then a U-synthesis by S1_{N+1}."""
     _, d = m_analysis_sgrid(f)
     n = f.grid.n
-    s1 = build(TransformKind.S1, n + 1)
+    s1 = _s1(n + 1)
     return np.sqrt((n + 1) / 2.0) * (s1 @ np.concatenate(([0.0], d)))[1:]
 
 
@@ -89,7 +88,7 @@ def _inverse_m_two_stage(F):
     """fht_inverse_m as U-analysis on U-nodes, then a T-synthesis by C3."""
     n = F.grid.n
     d = _u_analysis(F)
-    c3 = build(TransformKind.C3, n)
+    c3 = _c3(n)
     return np.sqrt(n / 2.0) * (c3 @ np.concatenate(([0.0], d[:-1])))
 
 

@@ -38,6 +38,24 @@ def test_write_csv_rejects_columns_of_different_lengths(tmp_path):
         write_csv(tmp_path / "t.csv", [0.0, 0.5], [1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+def test_write_csv_header_and_stdout(tmp_path, capsys):
+    cols = [[64, 128], [3.05, 1.0 / 3.0], [1.5, -0.0]]
+    want = _reference_csv("n,norm_d,norm_m", cols)
+    write_csv(tmp_path / "t.csv", *cols, header="n,norm_d,norm_m")
+    write_csv(None, *cols, header="n,norm_d,norm_m")
+    assert (tmp_path / "t.csv").read_text(encoding="ascii") == want == capsys.readouterr().out
+    write_csv(None, cols[0], cols[1], None)  # a None column is skipped
+    assert capsys.readouterr().out == _reference_csv("x,value", cols[:2])
+
+
+@pytest.mark.parametrize("raw", [b"\xef\xbb\xbfx,value\n0.5,1\n", b"x,value\n0.5,1\xb5\n"])
+def test_read_csv_refuses_non_ascii_naming_the_file(tmp_path, raw):
+    p = tmp_path / "t.csv"
+    p.write_bytes(raw)
+    with pytest.raises(InputError, match=re.escape(str(p))):
+        read_csv(p)
+
+
 def _reference_points(series):
     """Each polyline's points with every coordinate formatted on its own."""
     xs = [a for _, x, _ in series for a in x if math.isfinite(a)]

@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from fhtcheb import GridMismatchError, InvalidSizeError, TransformKind, apply, build
-from fhtcheb.transforms import _c3t_apply, _hd_apply, _hd_spectrum, _s1_apply
+from fhtcheb import GridMismatchError, InvalidSizeError
+from fhtcheb.transforms import (
+    TransformKind,
+    _c3,
+    _c3t_apply,
+    _hd_apply,
+    _hd_spectrum,
+    _s1,
+    _s1_apply,
+    apply,
+    build,
+)
+from fhtcheb.verify import check_c3_orthogonality, check_s1_diagonal
 
 
 def _fused_by_sums(n):
@@ -22,44 +33,44 @@ def _fused_by_sums(n):
 
 class TestBuild:
     def test_c3_2(self):
-        m = build(TransformKind.C3, 2)
+        m = _c3(2)
         r = math.sqrt(0.5)
         np.testing.assert_allclose(m, [[r, r], [r, -r]], atol=1e-15)
 
     def test_s1_2(self):
-        m = build(TransformKind.S1, 2)
+        m = _s1(2)
         np.testing.assert_allclose(m, [[0, 0], [0, 1]], atol=1e-15)
 
     def test_s1_4_row1(self):
-        m = build(TransformKind.S1, 4)
+        m = _s1(4)
         want = math.sqrt(0.5) * np.array([0.0, math.sin(np.pi / 4),
                                           math.sin(np.pi / 2), math.sin(3 * np.pi / 4)])
         np.testing.assert_allclose(m[1], want, atol=1e-15)
 
     def test_too_small(self):
         with pytest.raises(InvalidSizeError):
-            build(TransformKind.C3, 1)
+            build(TransformKind.HD, 1)
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_c3_orthogonal(self, n):
-        m = build(TransformKind.C3, n)
+        m = _c3(n)
         assert np.max(np.abs(m.T @ m - np.eye(n))) < 1e-12
 
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_s1_diag(self, n):
-        m = build(TransformKind.S1, n)
+        m = _s1(n)
         d = np.eye(n)
         d[0, 0] = 0.0
         assert np.max(np.abs(m.T @ m - d)) < 1e-12
 
     def test_s1_row0_col0_zero(self):
-        m = build(TransformKind.S1, 16)
+        m = _s1(16)
         assert np.all(m[0] == 0.0)
         assert np.all(m[:, 0] == 0.0)
 
     def test_caches_bounded(self):
         for n in range(2, 20):
-            build(TransformKind.C3, n)
+            build(TransformKind.HD, n)
             info = build.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
 
@@ -68,7 +79,7 @@ class TestBuild:
         hd = build(TransformKind.HD, n)
         hm = build(TransformKind.HM, n)
         # HD is built in closed form, so the product of its factors checks it.
-        c3, s1 = build(TransformKind.C3, n), build(TransformKind.S1, n)
+        c3, s1 = _c3(n), _s1(n)
         np.testing.assert_allclose(hd, c3 @ s1.T, rtol=0, atol=1e-12)
         if n <= 8:
             want_hd, want_hm = _fused_by_sums(n)
@@ -93,7 +104,7 @@ class TestBuild:
         assert float(err) < 1e-15
 
     def test_entries_immutable(self):
-        m = build(TransformKind.C3, 8)
+        m = build(TransformKind.HD, 8)
         with pytest.raises(ValueError):
             m[0, 0] = 99.0
 
@@ -101,7 +112,7 @@ class TestBuild:
 class TestApply:
     def test_c3_e0(self):
         n = 16
-        m = build(TransformKind.C3, n)
+        m = _c3(n)
         e0 = np.zeros(n)
         e0[0] = 1.0
         np.testing.assert_allclose(apply(m, e0), np.full(n, math.sqrt(1.0 / n)),
@@ -109,7 +120,7 @@ class TestApply:
 
     def test_s1_roundtrip_zeroes_a0(self):
         n = 16
-        m = build(TransformKind.S1, n)
+        m = _s1(n)
         rng = np.random.default_rng(0)
         a = rng.standard_normal(n)
         got = apply(m, apply(m, a), transposed=True)
@@ -119,13 +130,13 @@ class TestApply:
 
     def test_c3_roundtrip(self):
         n = 16
-        m = build(TransformKind.C3, n)
+        m = _c3(n)
         rng = np.random.default_rng(1)
         a = rng.standard_normal(n)
         np.testing.assert_allclose(apply(m, apply(m, a), transposed=True), a, atol=1e-12)
 
     def test_size_mismatch(self):
-        m = build(TransformKind.C3, 8)
+        m = _c3(8)
         with pytest.raises(GridMismatchError):
             apply(m, np.ones(9))
 
@@ -146,12 +157,29 @@ class TestApply:
     def test_c3t_and_s1_by_fft_match_dense(self, n):
         # S1 at n + 1 is the size the U-grid analysis uses.
         rng = np.random.default_rng(n)
-        checks = [(_c3t_apply, build(TransformKind.C3, n).T, rng.standard_normal(n))]
+        checks = [(_c3t_apply, _c3(n).T, rng.standard_normal(n))]
         for size in (n, n + 1):
-            checks.append((_s1_apply, build(TransformKind.S1, size), rng.standard_normal(size)))
+            checks.append((_s1_apply, _s1(size), rng.standard_normal(size)))
         for fast, dense, v in checks:
             want = dense @ v
             assert np.abs(fast(v) - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 255, 256, 257, 1024, 2049, 2050])
+    def test_c3t_and_s1_batched_match_rows_bit_for_bit(self, n):
+        v = np.random.default_rng(n).standard_normal((3, n))
+        for fast in (_c3t_apply, _s1_apply):
+            batched = fast(v)
+            for row in range(3):
+                np.testing.assert_array_equal(batched[row], fast(v[row]))
+
+
+@pytest.mark.parametrize("check, fast", [(check_c3_orthogonality, _c3t_apply),
+                                         (check_s1_diagonal, _s1_apply)])
+def test_verify_checks_the_fft_transform(monkeypatch, check, fast):
+    # verify certifies the FFT transforms that run, so a perturbed one fails its check.
+    assert check(64).passed
+    monkeypatch.setattr(f"fhtcheb.verify.{fast.__name__}", lambda v: fast(v) * (1.0 + 1e-9))
+    assert not check(64).passed
 
 
 class TestMAnalysisRoundtrip:
