@@ -6,8 +6,9 @@ null-experiment. Exit codes are a stable contract:
     0  success
     2  non-convergence (or verify-suite failure); reports are still written
     3  input error (unreadable/malformed CSV, non-finite value, wrong grid,
-       fewer than 8 or more than MAX_DEGREE + 1 rows) or an output file
-       (--output, --plot, --json) that cannot be written
+       fewer than 8 or more than MAX_DEGREE + 1 rows, values on which the
+       transform overflows) or an output file (--output, --plot, --json)
+       that cannot be written
     4  parameter error (bad mu/eta, missing mean value, bad sizes, or a
        malformed command line: unknown flag or choice, unparsable number,
        empty --output, --plot or --json path)
@@ -16,6 +17,7 @@ null-experiment. Exit codes are a stable contract:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -24,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .cosh import (
+    SolveReport,
     WeightParam,
     _check_stopping,
     condition_estimate,
@@ -97,7 +100,7 @@ class _Clock:
         return out
 
 
-def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solve_report=None):
+def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solve_report):
     # The reference column gives the expected *output* on the output grid, which
     # has the input's N.
     max_error = None if reference is None else float(np.max(np.abs(out.values - reference)))
@@ -105,26 +108,12 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
         "command": args.command,
         "n": out.grid.n,
         "mu_or_eta": args.mu if args.mu is not None else args.eta,
-        "iterations": 0,
-        "residual_history": [],
-        "measured_ratio": None,
-        "bound_ratio": None,
-        "coercive_const": None,
-        "final_defect": None,
-        "solver_form": None,
         "max_error": max_error,
         "wall_time_ms": (time.monotonic() - clock.t0) * 1000.0,
     }
-    if solve_report is not None:
-        report.update(
-            iterations=solve_report.iterations,
-            residual_history=list(solve_report.residual_history),
-            measured_ratio=solve_report.measured_ratio,
-            bound_ratio=solve_report.bound_ratio,
-            coercive_const=solve_report.coercive_const,
-            final_defect=solve_report.final_defect,
-            solver_form=solve_report.form,
-        )
+    for f in dataclasses.fields(solve_report):  # a shallow copy; the exit code says converged
+        if f.name != "converged":
+            report["solver_form" if f.name == "form" else f.name] = getattr(solve_report, f.name)
     t = time.monotonic()
     if args.output_path:
         write_csv(args.output_path, out.grid.nodes, out.values, reference)
@@ -145,26 +134,30 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
 # commands
 
 def _transform(args, kind: GridKind, compute, weighted: bool = False) -> int:
-    """Read on kind-nodes, compute(input) -> (output, SolveReport or None), resample, report."""
+    """Read on kind-nodes, compute(input) -> (output, SolveReport), resample, report."""
     clock = _Clock()
     in_fn, ref = clock.run("read", _load_grid_fn, args, kind)
-    out, rep = clock.run("compute", compute, in_fn)
+    try:
+        with np.errstate(over="raise"):
+            out, rep = clock.run("compute", compute, in_fn)
+    except FloatingPointError as exc:
+        raise InputError(f"{args.input_path}: the transform overflows float64 ({exc})") from None
     uniform = clock.run("resample", _uniform, out, weighted)
     _emit(args, clock, in_fn, out, ref, uniform, rep)
-    return EXIT_NOT_CONVERGED if rep is not None and not rep.converged else EXIT_OK
+    return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 
 def cmd_forward(args) -> int:
-    return _transform(args, GridKind.TNODES, lambda f: (fht_forward_d(f), None))
+    return _transform(args, GridKind.TNODES, lambda f: (fht_forward_d(f), SolveReport()))
 
 
 def cmd_invert(args) -> int:
-    return _transform(args, GridKind.SNODES, lambda F: (fht_inverse_d(F), None))
+    return _transform(args, GridKind.SNODES, lambda F: (fht_inverse_d(F), SolveReport()))
 
 
 def cmd_cosh_forward(args) -> int:
     p = _weight_param(args, required=True)
-    return _transform(args, GridKind.TNODES, lambda f: (cosh_forward(f, p), None))
+    return _transform(args, GridKind.TNODES, lambda f: (cosh_forward(f, p), SolveReport()))
 
 
 def cmd_cosh_invert(args) -> int:

@@ -35,7 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ParameterError
-from .fht import _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
+from .fht import _require, _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
 from .grids import (
     GridFn,
     GridKind,
@@ -81,19 +81,19 @@ class WeightParam:
     def cos_imaginary(eta: float) -> "WeightParam":
         return WeightParam(WeightFlavor.COS_IMAGINARY, float(eta))
 
+    def _map(self, real_fn, imag_fn, x):
+        """real_fn(mu x) or imag_fn(eta x), a float for a scalar x."""
+        fn = real_fn if self.flavor is WeightFlavor.COSH_REAL else imag_fn
+        out = fn(self.value * np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
+
     def scale(self, x):
         """cosh(mu x) or cos(eta x)."""
-        x = np.asarray(x, dtype=float)
-        out = np.cosh(self.value * x) if self.flavor is WeightFlavor.COSH_REAL \
-            else np.cos(self.value * x)
-        return out if out.ndim else float(out)
+        return self._map(np.cosh, np.cos, x)
 
     def slope(self, x):
         """tanh(mu x) or tan(eta x)."""
-        x = np.asarray(x, dtype=float)
-        out = np.tanh(self.value * x) if self.flavor is WeightFlavor.COSH_REAL \
-            else np.tan(self.value * x)
-        return out if out.ndim else float(out)
+        return self._map(np.tanh, np.tan, x)
 
     @property
     def contraction(self) -> float:
@@ -109,14 +109,16 @@ class WeightParam:
 
 @dataclass
 class SolveReport:
-    iterations: int
+    """What one solve did; every solver sets every field. SolveReport() stands for no solve."""
+
+    iterations: int = 0
     residual_history: list[float] = field(default_factory=list)
-    measured_ratio: float = 0.0
-    bound_ratio: float = 0.0
-    coercive_const: float = 1.0
-    final_defect: float = 0.0
+    measured_ratio: float | None = None
+    bound_ratio: float | None = None
+    coercive_const: float | None = None
+    final_defect: float | None = None
     converged: bool = True
-    form: str = ""  # how the solver ran: "one-step", "powered", "inverse" or "lu"
+    form: str | None = None  # how the solver ran: "one-step", "powered", "inverse" or "lu"
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,11 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     min(max_iter, 1 + log(tol / |K f0|) / log c) steps, c = max|d1| max|d2|
     >= ||K||, exceed _POWER_CROSSOVER times the block size m ~ N/2, it forms
     P = K^8 and runs V <- P V from V = [K f0 ... K^8 f0] (break-even 0.25 m
-    at N = 2048 to 0.65 m at N = 256, one core); else step k = L (R step
-    k-1), in passes: one buffer of the blocks the bound predicts from the last step,
-    at most max_iter steps and _PASS_BYTES, then one norm, stop test and sum for
-    them all. Returns the last x, the step lengths and "powered" or "one-step".
+    at N = 2048 to 0.65 m at N = 256, one core) in passes: one buffer of the
+    blocks the bound predicts from the last step, at most max_iter steps and
+    _PASS_BYTES, then one norm, stop test and sum for them all. Else step k =
+    L (R step k-1), one stop test per step. Returns the last x, the step
+    lengths and "powered" or "one-step".
     """
     # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
     # d1 and d2; an odd diagonal is 0 at a centre node.
@@ -327,8 +330,7 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
     """F_mu = cosh_s * [HD - D_s HD D_t] (cosh_t * f) on S-nodes, HD = C3 S1^T.
 
     Both products with HD are one batched FFT correlation (_hd_apply)."""
-    if f.grid.kind is not GridKind.TNODES:
-        raise ParameterError("cosh_forward expects samples on T-nodes")
+    _require(f, GridKind.TNODES)
     n = f.grid.n
     plan = _plan(p, n)
     fhat = plan.cosh_t * f.values
@@ -374,14 +376,13 @@ def _contract(plan: _Plan, v: np.ndarray) -> np.ndarray:
     return _hd_apply(plan.d_s * _hd_apply(plan.d_t * v), transposed=True)
 
 
-def _invert_d(F_mu: GridFn, p: WeightParam, name: str, solve, tol: float = 0.0):
+def _invert_d(F_mu: GridFn, p: WeightParam, solve, tol: float = 0.0):
     """Shell of the d-flavor inversions; solve(plan, f0) returns (fhat, steps, form).
 
     fhat solves fhat - HD^T D_s HD D_t fhat = f0 = HD^T (F_mu / cosh_s), and f = fhat / cosh_t.
     The L_d^2 defect of fhat is computed once, through the unsplit operator.
     """
-    if F_mu.grid.kind is not GridKind.SNODES:
-        raise ParameterError(f"{name} expects samples on S-nodes")
+    _require(F_mu, GridKind.SNODES)
     n = F_mu.grid.n
     plan = _plan(p, n)
     f0 = _hd_apply(F_mu.values / plan.cosh_s, transposed=True)
@@ -421,7 +422,7 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
             fhat += half_solve(b - fhat + _contract(plan, fhat))
         return fhat, [], "inverse" if inverse else "lu"
 
-    return _invert_d(F_mu, p, "cosh_invert_direct", solve)
+    return _invert_d(F_mu, p, solve)
 
 
 def cosh_invert_neumann(
@@ -438,7 +439,7 @@ def cosh_invert_neumann(
                                     f0[1:], tol, max_iter)
         return np.concatenate(([0.0], x)), history, form  # column 0 of HD is 0, so f0[0] = 0
 
-    return _invert_d(F_mu, p, "cosh_invert_neumann", solve, tol)
+    return _invert_d(F_mu, p, solve, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +485,7 @@ def cosh_invert_mean_constrained(
     iteration converges to cosh(mu t) f(t) - fbar_mu at rate tanh^2(mu).
     """
     _check_stopping(tol, max_iter, mean_fbar)
-    if F_mu.grid.kind is not GridKind.UNODES:
-        raise ParameterError("cosh_invert_mean_constrained expects samples on U-nodes")
+    _require(F_mu, GridKind.UNODES)
     n = F_mu.grid.n
     ug = F_mu.grid
     sg = cgl_nodes(GridKind.SNODES, n)

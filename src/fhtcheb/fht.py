@@ -98,6 +98,7 @@ def evaluate(f: GridFn, x):
 
 def sgrid_to_unodes(f: GridFn) -> np.ndarray:
     """Resample an S-grid function onto the U-grid of the same size."""
+    _require(f, GridKind.SNODES)
     ug = cgl_nodes(GridKind.UNODES, f.grid.n)
     return evaluate(GridFn(f.grid, f.values * f.grid.weights), ug.nodes) / ug.weights
 

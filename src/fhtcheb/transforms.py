@@ -116,10 +116,8 @@ def build(kind: TransformKind, n: int) -> np.ndarray:
     if kind is TransformKind.HD:
         w = sliding_window_view(_hd_generator(n), n)  # w[i, j] = s[i + j]
         m = w[n:] + w[n - 1::-1]
-    elif kind is TransformKind.HM:
+    else:
         m = _c3(n)[:, 1:] @ _s1(n + 1)[1:, 1:n].T
-    else:  # pragma: no cover
-        raise InvalidSizeError(f"unknown transform kind {kind}")
     m.flags.writeable = False
     return m
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from fhtcheb import (
     weight_w,
 )
 from fhtcheb.cli import main
+from fhtcheb.cosh import SolveReport, cosh_invert_neumann
 from fhtcheb.report import read_csv, uniform_grid, write_csv
 from fhtcheb.transforms import TransformKind, build
 
@@ -139,13 +141,14 @@ def test_unwritable_json_report_is_input_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["forward"], ["cosh-forward", "--mu", "3"]])
-def test_overflowing_transform_exits_3_and_writes_nothing(tmp_path, argv):
-    # Finite input whose transform overflows; numpy still warns while the FFT runs.
+def test_overflowing_transform_exits_3_and_writes_nothing(tmp_path, capsys, argv):
+    # Finite input whose transform overflows: one line on stderr, no numpy warning.
     fin, out = tmp_path / "huge.csv", tmp_path / "F.csv"
     _write_tgrid_csv(fin, 64, lambda x: np.full_like(x, 1e308))
-    with pytest.warns(RuntimeWarning):
-        assert main([*argv, "--input", str(fin), "--output", str(out),
-                     "--json", str(tmp_path / "r.json")]) == 3
+    assert main([*argv, "--input", str(fin), "--output", str(out),
+                 "--json", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "overflows" in err[0], err
     assert not any(tmp_path.glob("F*")) and not (tmp_path / "r.json").exists()
 
 
@@ -298,6 +301,30 @@ def test_solver_form_reported(tmp_path):
         assert main([*argv, "--input", str(tmp_path / fin), "--output", str(tmp_path / fout),
                      "--json", str(rep)]) == 0
         assert json.loads(rep.read_text())["solver_form"] == form, argv
+
+
+def test_report_solve_keys_are_the_solve_report_fields(tmp_path):
+    # form is written as solver_form, and converged is left to the exit code
+    keys = {"solver_form" if f.name == "form" else f.name
+            for f in dataclasses.fields(SolveReport) if f.name != "converged"}
+    n, p = 64, WeightParam.cosh_real(1.0)
+    _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
+    sg = cgl_nodes(GridKind.SNODES, n)
+    write_csv(tmp_path / "F.csv", sg.nodes, sg.nodes)
+    reports = {}
+    for argv in (["forward", "--input", str(tmp_path / "f.csv")],
+                 ["cosh-invert", "--method", "neumann", "--mu", "1",
+                  "--input", str(tmp_path / "F.csv")]):
+        assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+        reports[argv[0]] = json.loads((tmp_path / "r.json").read_text())
+    other = {"command", "n", "mu_or_eta", "max_error", "wall_time_ms", "stage_ms"}
+    solve = reports["cosh-invert"]
+    assert set(solve) - other == keys
+    want = dataclasses.asdict(cosh_invert_neumann(GridFn(sg, sg.nodes), p)[1])
+    want["solver_form"] = want.pop("form")
+    assert {k: solve[k] for k in keys} == {k: want[k] for k in keys}
+    none = dict.fromkeys(keys, None) | {"iterations": 0, "residual_history": []}
+    assert {k: reports["forward"][k] for k in keys} == none
 
 
 class TestCoshCommands:

@@ -12,6 +12,7 @@ from fhtcheb import (
     DomainError,
     GridFn,
     GridKind,
+    GridMismatchError,
     ParameterError,
     ResampleMode,
     WeightParam,
@@ -692,7 +693,7 @@ class TestMeanConstrained:
         from fhtcheb import GridKind as GK
 
         sg = cgl_nodes(GK.SNODES, 32)
-        with pytest.raises(ParameterError):
+        with pytest.raises(GridMismatchError):
             cosh_invert_mean_constrained(GridFn(sg, np.zeros(32)),
                                          WeightParam.cosh_real(0.5), 0.0)
 

@@ -13,6 +13,10 @@ from fhtcheb import (
     cheb_eval,
     coeffs_from_sgrid,
     coeffs_from_tgrid,
+    cosh_forward,
+    cosh_invert_direct,
+    cosh_invert_mean_constrained,
+    cosh_invert_neumann,
     fht_forward_d,
     fht_forward_m,
     fht_inverse_d,
@@ -24,7 +28,7 @@ from fhtcheb import (
     range_defect,
     resample,
 )
-from fhtcheb.fht import evaluate, sgrid_to_unodes
+from fhtcheb.fht import evaluate, m_analysis_sgrid, sgrid_to_unodes
 
 
 def _u_on(grid, k):
@@ -55,6 +59,35 @@ class TestForwardD:
         sg = cgl_nodes(GridKind.SNODES, 32)
         with pytest.raises(GridMismatchError):
             fht_forward_d(GridFn(sg, np.zeros(32)))
+
+
+_P = WeightParam.cosh_real(1.0)
+# every public operator on grid functions, with the one grid kind it takes
+_GRID_OPERATORS = {
+    "fht_forward_d": (fht_forward_d, GridKind.TNODES),
+    "fht_inverse_d": (fht_inverse_d, GridKind.SNODES),
+    "fht_forward_m": (fht_forward_m, GridKind.SNODES),
+    "fht_inverse_m": (fht_inverse_m, GridKind.UNODES),
+    "coeffs_from_tgrid": (coeffs_from_tgrid, GridKind.TNODES),
+    "coeffs_from_sgrid": (coeffs_from_sgrid, GridKind.SNODES),
+    "m_analysis_sgrid": (m_analysis_sgrid, GridKind.SNODES),
+    "range_defect": (range_defect, GridKind.SNODES),
+    "sgrid_to_unodes": (sgrid_to_unodes, GridKind.SNODES),
+    "cosh_forward": (lambda f: cosh_forward(f, _P), GridKind.TNODES),
+    "cosh_invert_direct": (lambda F: cosh_invert_direct(F, _P), GridKind.SNODES),
+    "cosh_invert_neumann": (lambda F: cosh_invert_neumann(F, _P), GridKind.SNODES),
+    "cosh_invert_mean_constrained":
+        (lambda F: cosh_invert_mean_constrained(F, _P, 0.0), GridKind.UNODES),
+}
+
+
+@pytest.mark.parametrize("op, kind, wrong", [
+    pytest.param(op, kind, wrong, id=f"{name}-{wrong.value}")
+    for name, (op, kind) in _GRID_OPERATORS.items() for wrong in GridKind if wrong is not kind])
+def test_every_grid_operator_refuses_a_wrong_grid(op, kind, wrong):
+    grid = cgl_nodes(wrong, 16)
+    with pytest.raises(GridMismatchError, match=f"expected {kind.value}-nodes"):
+        op(GridFn(grid, np.ones(16)))
 
 
 class TestInverseD:
