@@ -147,11 +147,13 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float,
             form: str) -> SolveReport:
     steps = np.asarray(history)
     before, after = steps[:-1], steps[1:]
+    # a step that overflowed to inf did not contract (and inf / inf is no ratio)
+    ratio = (float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0))
+             if np.all(np.isfinite(steps)) else math.inf)
     return SolveReport(
         iterations=len(history),
         residual_history=history,
-        measured_ratio=float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0))
-        if history else 0.0,
+        measured_ratio=ratio,
         bound_ratio=p.contraction,
         coercive_const=p.coercive_const,
         final_defect=defect,

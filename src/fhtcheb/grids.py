@@ -14,6 +14,7 @@ S-nodes carry the Gauss-Chebyshev rule for the division-weighted space L_d^2
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -21,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidSizeError
 
-# Recurrence evaluation above this degree is refused: error growth is unquantified.
+# Series above this degree, and grids of more than MAX_DEGREE + 1 nodes, are
+# refused: error growth beyond it is untested.
 MAX_DEGREE = 2048
 
 
@@ -82,9 +84,12 @@ class GridFn:
 
 
 def cgl_nodes(kind: GridKind, n: int) -> Grid:
-    """The CGL grid of the given kind and size (n >= 2), shared between calls."""
-    if n < 2:
-        raise InvalidSizeError(f"grid size must be >= 2, got {n}")
+    """The CGL grid of the given kind and size (2 <= n <= MAX_DEGREE + 1), shared between calls.
+
+    Above that size a grid function's series could not be evaluated off the grid.
+    """
+    if not 2 <= n <= MAX_DEGREE + 1:
+        raise InvalidSizeError(f"grid size must be in [2, {MAX_DEGREE + 1}], got {n}")
     return _cgl_grid(kind, n)
 
 
@@ -118,8 +123,10 @@ def weight_w(t):
 def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
     """sum a_k T_k(x), or sum a_k U_k(x) if second_kind, by Clenshaw's recurrence.
 
-    The backward recurrence b_k = a_k + 2x b_{k+1} - b_{k+2} is the one
-    evaluator behind every Chebyshev series here; it is stable on [-1, 1].
+    The backward recurrence b_k = a_k + 2x b_{k+1} - b_{k+2} is stable on
+    [-1, 1]. It serves `cheb_eval` and `cosh.kernel`, which need U-series
+    without the factor w(x): `_power_series` gives only w(x) times such a
+    series, and dividing by w is 0/0 at +-1. `resample` uses `_power_series`.
     """
     b1 = np.zeros(x.shape, dtype=np.result_type(a, x))
     if a.shape[0] == 0:
@@ -132,6 +139,38 @@ def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
         b0 += ak
         b0, b1, b2 = b2, b0, b1
     return a[0] + (two_x if second_kind else x) * b1 - b2
+
+
+def _power_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(z) = sum a_k z^k at z = x + i w(x) = e^{i theta}, x = cos(theta), for 1-D x.
+
+    Re P = sum a_k T_k(x) and Im P = sum a_k sin(k theta) = w(x) sum a_k U_{k-1}(x).
+    Baby-step/giant-step (Paterson & Stockmeyer, 1973): with k = qB + r and
+    B = ceil(sqrt(N)), P = sum_q z^{qB} sum_r a_{qB+r} z^r. The baby powers
+    z^r and the giant powers z^{qB} are about 2 sqrt(N) in-place products over
+    x in one B x M buffer, the inner sums one real GEMM, and the outer sum one
+    multiply-and-sum.
+    """
+    n, m = a.shape[0], x.shape[0]
+    if n == 0:
+        return np.zeros(m, dtype=complex)
+    b = math.isqrt(n - 1) + 1
+    q = -(-n // b)
+    z = np.empty(m, dtype=complex)
+    z.real, z.imag = x, weight_w(x)
+    powers = np.empty((b, m), dtype=complex)
+    powers[0] = 1.0
+    for r in range(1, b):
+        np.multiply(powers[r - 1], z, out=powers[r])
+    blocks = np.zeros(q * b)
+    blocks[:n] = a
+    # (Q x B) @ (B x 2M): each complex power is a (re, im) pair of reals
+    inner = (blocks.reshape(q, b) @ powers.view(float)).view(complex)
+    step = powers[b - 1] * z
+    for j in range(1, q):  # the giant powers overwrite the spent baby powers (Q <= B)
+        np.multiply(powers[j - 1], step, out=powers[j])
+    inner *= powers[:q]
+    return inner.sum(axis=0)
 
 
 def cheb_eval(basis: Basis, n: int, x):
@@ -180,19 +219,16 @@ def resample(coeffs: np.ndarray, targets, mode: ResampleMode):
 
     T_SERIES returns sum a_n T_n(x); WU_SERIES returns
     w(x) * sum a_n U_{n-1}(x), where the n = 0 term contributes nothing
-    (U_{-1} = 0).
+    (U_{-1} = 0). They are the real and imaginary parts of one `_power_series`.
     """
     x = np.asarray(targets, dtype=float)
     _points(x, "resample targets")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     a = np.asarray(coeffs)
     n_terms = a.shape[0]
     if n_terms - 1 > MAX_DEGREE:
         raise DomainError(f"series degree {n_terms - 1} exceeds cap {MAX_DEGREE}")
-    if mode is ResampleMode.T_SERIES:
-        out = _clenshaw(a, x, second_kind=False)
-    else:
-        # U_{n-1} with the a_0 term dropped.
-        out = weight_w(x) * _clenshaw(a[1:], x, second_kind=True)
-    return float(out[0]) if scalar else out
+    if np.iscomplexobj(a):
+        raise DomainError("series coefficients must be real")
+    p = _power_series(a, x.ravel())
+    out = (p.real if mode is ResampleMode.T_SERIES else p.imag).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out.copy()  # contiguous, not a view of P

@@ -104,8 +104,21 @@ def _raise_row_fault(path, lines, ncol: int) -> None:
             raise InputError(f"{path}:{lineno}: non-finite value")
 
 
+def _finite_or_null(value):
+    """value with every non-finite float in it, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def write_json_report(path, report: dict) -> None:
-    _write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    """report as strict JSON: a NaN or infinite float is written as null."""
+    text = json.dumps(_finite_or_null(report), indent=2, sort_keys=True, allow_nan=False)
+    _write_text(path, text + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,13 @@ def _write_tgrid_csv(path, n, func, reference=None):
     return tg
 
 
+def _write_oversized_csv(path):
+    # T-nodes cos(m pi / n) in closed form: cgl_nodes refuses n = 2 MAX_DEGREE
+    n = 2 * MAX_DEGREE
+    x = np.cos(np.arange(n) * np.pi / n)
+    write_csv(path, x, weight_w(x))
+
+
 # (case, argv with {placeholders} for the files written below, exit code)
 EXIT_CASES = [
     ("forward-ok", ["forward", "--input", "{f}"], 0),
@@ -114,7 +121,7 @@ def test_exit_codes(tmp_path, capsys, argv, code):
     vals[5] = np.nan
     write_csv(tmp_path / "nan.csv", tg.nodes, vals)
     write_csv(tmp_path / "inf.csv", sg.nodes, sg.nodes, np.full(n, np.inf))
-    _write_tgrid_csv(tmp_path / "big.csv", 2 * MAX_DEGREE, weight_w)
+    _write_oversized_csv(tmp_path / "big.csv")
     _write_tgrid_csv(tmp_path / "seven.csv", 7, weight_w)
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "header.csv").write_text("t,value\n" + (tmp_path / "f.csv").read_text()[8:])
@@ -152,13 +159,30 @@ def test_overflowing_transform_exits_3_and_writes_nothing(tmp_path, capsys, argv
     assert not any(tmp_path.glob("F*")) and not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_neumann_solve_writes_strict_json(tmp_path):
+    # steps of 1e155 data overflow to inf: the solve fails (exit 2) and says so in valid JSON
+    sg = cgl_nodes(GridKind.SNODES, 64)
+    write_csv(tmp_path / "big.csv", sg.nodes, np.full(64, 1e155))
+    rep = tmp_path / "r.json"
+    assert main(["cosh-invert", "--method", "neumann", "--mu", "3",
+                 "--input", str(tmp_path / "big.csv"), "--json", str(rep)]) == 2
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    r = json.loads(rep.read_text(), parse_constant=refuse)
+    assert r["measured_ratio"] is None and r["iterations"] == 10000
+    assert None in r["residual_history"]
+
+
 def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
     def refuse(f):
         raise AssertionError(f"transform computed on {f.grid.n} rows")
 
     monkeypatch.setattr("fhtcheb.cli.fht_forward_d", refuse)
     fin = tmp_path / "big.csv"
-    _write_tgrid_csv(fin, 2 * MAX_DEGREE, weight_w)
+    _write_oversized_csv(fin)
     assert main(["forward", "--input", str(fin), "--json", str(tmp_path / "r.json")]) == 3
 
 

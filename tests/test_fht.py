@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from fhtcheb import (
+    MAX_DEGREE,
     Basis,
     DomainError,
     GridFn,
     GridKind,
     GridMismatchError,
+    InvalidSizeError,
     ResampleMode,
     WeightParam,
     cgl_nodes,
@@ -29,6 +31,7 @@ from fhtcheb import (
     resample,
 )
 from fhtcheb.fht import evaluate, m_analysis_sgrid, sgrid_to_unodes
+from fhtcheb.grids import Grid
 
 
 def _u_on(grid, k):
@@ -88,6 +91,19 @@ def test_every_grid_operator_refuses_a_wrong_grid(op, kind, wrong):
     grid = cgl_nodes(wrong, 16)
     with pytest.raises(GridMismatchError, match=f"expected {kind.value}-nodes"):
         op(GridFn(grid, np.ones(16)))
+
+
+@pytest.mark.parametrize("op", [fht_forward_d, lambda f: cosh_forward(f, _P)],
+                         ids=["fht_forward_d", "cosh_forward"])
+def test_oversized_grid_refused_before_the_transform(op):
+    n = 3000
+    assert n > MAX_DEGREE + 1
+    with pytest.raises(InvalidSizeError):
+        cgl_nodes(GridKind.TNODES, n)
+    angles = np.arange(n) * np.pi / n  # a T-grid built by hand, past cgl_nodes
+    f = GridFn(Grid(GridKind.TNODES, n, np.cos(angles), np.sin(angles)), np.sin(angles))
+    with pytest.raises(InvalidSizeError, match=f"got {n}"):
+        op(f)
 
 
 class TestInverseD:

@@ -19,7 +19,10 @@ from fhtcheb import (
     resample,
     weight_w,
 )
+from fhtcheb.cli import main
+from fhtcheb.fht import evaluate
 from fhtcheb.grids import _clenshaw
+from fhtcheb.report import write_csv
 
 
 class TestCglNodes:
@@ -44,6 +47,13 @@ class TestCglNodes:
     def test_too_small(self):
         with pytest.raises(InvalidSizeError):
             cgl_nodes(GridKind.SNODES, 1)
+
+    @pytest.mark.parametrize("kind", list(GridKind))
+    def test_too_large(self, kind):
+        # a grid function on more nodes has a series resample refuses
+        assert cgl_nodes(kind, MAX_DEGREE + 1).n == MAX_DEGREE + 1
+        with pytest.raises(InvalidSizeError):
+            cgl_nodes(kind, MAX_DEGREE + 2)
 
     def test_weights_are_sin_angles(self):
         g = cgl_nodes(GridKind.UNODES, 16)
@@ -210,6 +220,79 @@ class TestResample:
         c = np.array([1.0])
         with pytest.raises(DomainError):
             resample(c, 1.2, ResampleMode.T_SERIES)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double for the reference")
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 255, 1024, MAX_DEGREE + 1])
+    def test_against_trig_reference(self, n):
+        # T_k(cos th) = cos(k th) and w(cos th) U_{k-1}(cos th) = sin(k th)
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        bound = 1e-14 * np.abs(a).sum()
+        for x in (np.linspace(-1.0, 1.0, 257), rng.uniform(-1.0, 1.0, 257),
+                  np.array([-1.0, -0.0, 0.0, 1.0])):
+            angles = np.outer(np.arccos(x.astype(np.longdouble)), np.arange(n))
+            for mode, trig in ((ResampleMode.T_SERIES, np.cos), (ResampleMode.WU_SERIES, np.sin)):
+                err = np.abs(resample(a, x, mode) - trig(angles) @ a.astype(np.longdouble))
+                assert float(err.max()) < bound, (mode, x.shape)
+
+    @pytest.mark.parametrize("mode", list(ResampleMode))
+    def test_empty_series_is_zero(self, mode):
+        x = np.linspace(-1.0, 1.0, 5)
+        np.testing.assert_array_equal(resample(np.array([]), x, mode), np.zeros(5))
+        assert resample(np.array([]), 0.5, mode) == 0.0
+
+    @pytest.mark.parametrize("mode", list(ResampleMode))
+    def test_shapes(self, mode):
+        a = np.random.default_rng(3).standard_normal(20)
+        x = np.linspace(-1.0, 1.0, 15).reshape(3, 5)
+        out = resample(a, x, mode)
+        assert out.shape == (3, 5) and out.flags.c_contiguous
+        np.testing.assert_array_equal(out.ravel(), resample(a, x.ravel(), mode))
+        value = resample(a, 0.25, mode)
+        assert type(value) is float and value == resample(a, [0.25], mode)[0]
+
+    def test_checks_in_order(self):
+        # points first, then the degree cap, then the coefficients' type
+        too_long = np.ones(MAX_DEGREE + 2, dtype=complex)
+        with pytest.raises(DomainError, match=r"outside \[-1, 1\]"):
+            resample(too_long, 1.5, ResampleMode.T_SERIES)
+        with pytest.raises(DomainError, match="exceeds cap"):
+            resample(too_long, 0.5, ResampleMode.T_SERIES)
+        with pytest.raises(DomainError, match="real"):
+            resample(np.array([1.0, 1j]), 0.5, ResampleMode.T_SERIES)
+
+
+def test_resampling_runs_no_clenshaw_recurrence(tmp_path, monkeypatch):
+    # resample, evaluate and the CLI's display files all take the power series
+    n = 255
+    tg, sg = cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.SNODES, n)
+    f = GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes))
+    F = GridFn(sg, sg.nodes + 0.15 * (2.0 * sg.nodes ** 2 - 1.0))
+    x = np.linspace(-1.0, 1.0, 101)
+    a = np.random.default_rng(5).standard_normal(n)
+    write_csv(tmp_path / "f.csv", tg.nodes, f.values)
+    write_csv(tmp_path / "F.csv", sg.nodes, F.values)
+    ops = [lambda: resample(a, x, ResampleMode.T_SERIES),
+           lambda: resample(a, x, ResampleMode.WU_SERIES),
+           lambda: evaluate(f, x), lambda: evaluate(F, x)]
+
+    def cli_outputs(tag):
+        for cmd, stem in (("forward", "f"), ("invert", "F")):
+            out = tmp_path / f"{stem}_{tag}.csv"
+            assert main([cmd, "--input", str(tmp_path / f"{stem}.csv"), "--output", str(out)]) == 0
+        return [(tmp_path / f"{stem}_{tag}_uniform.csv").read_bytes() for stem in "fF"]
+
+    want = [op() for op in ops] + cli_outputs("free")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("Clenshaw recurrence called")
+
+    monkeypatch.setattr("fhtcheb.grids._clenshaw", refuse)
+    monkeypatch.setattr("fhtcheb.cosh._clenshaw", refuse)
+    got = [op() for op in ops] + cli_outputs("patched")
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
 
 
 class TestGridFn:

@@ -1,5 +1,6 @@
 """The CLI's text formats, pinned against one-value-at-a-time references."""
 
+import json
 import math
 import re
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from fhtcheb.errors import InputError
-from fhtcheb.report import _H, _MB, _ML, _MR, _MT, _W, read_csv, write_csv, write_svg
+from fhtcheb.report import (
+    _H, _MB, _ML, _MR, _MT, _W, read_csv, write_csv, write_json_report, write_svg,
+)
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
            1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
@@ -111,3 +114,26 @@ def test_read_csv_header_only(tmp_path, text):
     p.write_text(text)
     with pytest.raises(InputError, match="no data rows"):
         read_csv(p)
+
+
+def _strict_json(path):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def test_json_report_writes_non_finite_floats_as_null(tmp_path):
+    p = tmp_path / "r.json"
+    report = {"a": math.nan, "b": [1.5, math.inf, (np.float64(-math.inf), 2)],
+              "c": {"d": -math.inf, "e": np.float64(0.25)}, "f": None, "g": "x", "h": 3}
+    write_json_report(p, report)
+    assert _strict_json(p) == {"a": None, "b": [1.5, None, [None, 2]],
+                               "c": {"d": None, "e": 0.25}, "f": None, "g": "x", "h": 3}
+
+
+def test_json_report_of_finite_values_unchanged(tmp_path):
+    p = tmp_path / "r.json"
+    report = {"n": 64, "x": [0.1, 1.0 / 3.0, 5e-324], "y": {"z": -1.7976931348623157e308}}
+    write_json_report(p, report)
+    assert p.read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
