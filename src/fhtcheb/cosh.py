@@ -41,6 +41,7 @@ from .grids import (
     GridKind,
     _clenshaw,
     _points,
+    _power_series,
     cgl_nodes,
     norm,
 )
@@ -518,7 +519,8 @@ def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
     Kd: tanh(mu s) = sum c_k T_k(s) interpolated at S-nodes, mapped term by
     term to sum_{k>=1} c_k U_{k-1}(t). Km: tanh(mu u) = sum d_k U_k(u)
     interpolated at U-nodes, mapped to sum d_k T_{k+1}(t). The slope is odd,
-    so both kernels are even.
+    so both kernels are even. Km is summed as Re of `resample`'s power series
+    (accurate at t = +-1 too), Kd by Clenshaw's recurrence.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _points(x, "kernel points")
@@ -527,7 +529,8 @@ def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
         return _clenshaw(series[1:], x, second_kind=True)
     if kind == "Km":
         series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
-        return _clenshaw(np.concatenate(([0.0], series)), x, second_kind=False)
+        t_series = _power_series(np.concatenate(([0.0], series)), x.ravel())
+        return t_series.real.reshape(x.shape).copy()  # contiguous, not a view of P
     raise ParameterError(f"unknown kernel kind {kind!r}")
 
 

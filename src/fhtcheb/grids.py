@@ -124,9 +124,10 @@ def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
     """sum a_k T_k(x), or sum a_k U_k(x) if second_kind, by Clenshaw's recurrence.
 
     The backward recurrence b_k = a_k + 2x b_{k+1} - b_{k+2} is stable on
-    [-1, 1]. It serves `cheb_eval` and `cosh.kernel`, which need U-series
+    [-1, 1]. It serves `cheb_eval` and `cosh.kernel`'s Kd, which need U-series
     without the factor w(x): `_power_series` gives only w(x) times such a
-    series, and dividing by w is 0/0 at +-1. `resample` uses `_power_series`.
+    series, and dividing by w is 0/0 at +-1. T-series (`resample`, Km) go
+    through `_power_series`, since the recurrence loses accuracy at x = +-1.
     """
     b1 = np.zeros(x.shape, dtype=np.result_type(a, x))
     if a.shape[0] == 0:
@@ -148,29 +149,33 @@ def _power_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     Baby-step/giant-step (Paterson & Stockmeyer, 1973): with k = qB + r and
     B = ceil(sqrt(N)), P = sum_q z^{qB} sum_r a_{qB+r} z^r. The baby powers
     z^r and the giant powers z^{qB} are about 2 sqrt(N) in-place products over
-    x in one B x M buffer, the inner sums one real GEMM, and the outer sum one
-    multiply-and-sum.
+    the targets, the inner sums one real GEMM and the outer sum one multiply-and-sum,
+    for at most 512 targets at a time in one buffer that every chunk reuses.
     """
     n, m = a.shape[0], x.shape[0]
+    out = np.zeros(m, dtype=complex)
     if n == 0:
-        return np.zeros(m, dtype=complex)
+        return out
     b = math.isqrt(n - 1) + 1
     q = -(-n // b)
-    z = np.empty(m, dtype=complex)
-    z.real, z.imag = x, weight_w(x)
-    powers = np.empty((b, m), dtype=complex)
-    powers[0] = 1.0
-    for r in range(1, b):
-        np.multiply(powers[r - 1], z, out=powers[r])
     blocks = np.zeros(q * b)
     blocks[:n] = a
-    # (Q x B) @ (B x 2M): each complex power is a (re, im) pair of reals
-    inner = (blocks.reshape(q, b) @ powers.view(float)).view(complex)
-    step = powers[b - 1] * z
-    for j in range(1, q):  # the giant powers overwrite the spent baby powers (Q <= B)
-        np.multiply(powers[j - 1], step, out=powers[j])
-    inner *= powers[:q]
-    return inner.sum(axis=0)
+    buf = np.empty((1 + b + q, min(m, 512)), dtype=complex)  # z, the powers, the inner sums
+    for s in range(0, m, 512):
+        k = min(512, m - s)
+        z, powers, inner = buf[0, :k], buf[1:b + 1, :k], buf[b + 1:, :k]
+        z.real, z.imag = x[s:s + k], weight_w(x[s:s + k])
+        powers[0] = 1.0
+        for r in range(1, b):
+            np.multiply(powers[r - 1], z, out=powers[r])
+        # (Q x B) @ (B x 2M): each complex power is a (re, im) pair of reals
+        np.matmul(blocks.reshape(q, b), powers.view(float), out=inner.view(float))
+        step = powers[b - 1] * z
+        for j in range(1, q):  # the giant powers overwrite the spent baby powers (Q <= B)
+            np.multiply(powers[j - 1], step, out=powers[j])
+        inner *= powers[:q]
+        inner.sum(axis=0, out=out[s:s + k])
+    return out
 
 
 def cheb_eval(basis: Basis, n: int, x):

@@ -4,9 +4,13 @@ CSV files carry a `x,value` (or `x,value,reference`) header, the CLI's
 tables their own, and 17 significant digits per float so 64-bit values
 round-trip losslessly. Input CSVs must be ASCII, without a byte-order mark. SVG
 plots are self-contained 800x500 documents built from inline polylines.
-Each CSV body and each polyline is formatted in one `%` call over a repeated
-per-value template, giving the bytes of formatting each value on its own; a
-CSV is parsed in one pass, and its rows are walked only to name a bad line.
+The x columns (grid nodes, display grid, pixel x) repeat from command to
+command, so each is converted once per process. `_csv_body` (per x and column
+count; 16 entries, at most 95 kB each at N = 2049) and `_svg_points` (per pixel
+x; 16, 44 kB) keep it formatted in a template that one `%` call over the other
+columns fills, giving the bytes of formatting each value on its own; `_parse_x`
+keeps it parsed and read-only per tuple of x fields (8, 185 kB for fields of up
+to 24 characters). That is 3.7 MB at most. Rows are walked only to name a bad line.
 """
 
 from __future__ import annotations
@@ -14,8 +18,9 @@ from __future__ import annotations
 import json
 import math
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,9 +56,15 @@ def write_csv(path, *columns, header=None) -> None:
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
     header = header or ",".join(["x", "value", "reference"][:len(cols)])
-    table = np.column_stack(cols)
-    row = ",".join([_FMT] * len(cols)) + "\n"
-    _write_text(path, header + "\n" + row * len(table) % tuple(table.ravel().tolist()))
+    body = _csv_body(cols[0].tobytes(), len(cols))
+    _write_text(path, header + "\n" + body % tuple(np.array(cols[1:]).T.ravel().tolist()))
+
+
+@lru_cache(maxsize=16)
+def _csv_body(x: bytes, ncol: int) -> str:
+    """CSV rows of the float64 column x, each followed by ncol - 1 `%.17g` fields."""
+    row = _FMT + (",%" + _FMT) * (ncol - 1) + "\n"  # "%%.17g" formats as "%.17g"
+    return row * (len(x) // 8) % tuple(np.frombuffer(x).tolist())
 
 
 def read_csv(path) -> CsvData:
@@ -76,16 +87,22 @@ def read_csv(path) -> CsvData:
     rows = [line.split(",") for line in lines[1:] if line.strip()]
     if not rows:
         raise InputError(f"{path}: no data rows")
-    ok = all(len(r) == ncol for r in rows)
-    try:
-        arr = np.array(list(map(float, chain.from_iterable(rows))))
-    except ValueError:
-        ok = False
-    if not (ok and np.isfinite(arr).all()):
+    cols = []
+    with suppress(ValueError):  # a field that is not a float
+        if all(len(r) == ncol for r in rows):
+            x, *rest = zip(*rows)
+            cols = [_parse_x(x), *(np.array(list(map(float, c))) for c in rest)]
+    if not (cols and all(np.isfinite(c).all() for c in cols)):
         _raise_row_fault(path, lines, ncol)
-    arr = arr.reshape(-1, ncol)
-    ref = arr[:, 2] if ncol == 3 else None
-    return CsvData(x=arr[:, 0], value=arr[:, 1], reference=ref)
+    return CsvData(x=cols[0], value=cols[1], reference=cols[2] if ncol == 3 else None)
+
+
+@lru_cache(maxsize=8)
+def _parse_x(fields: tuple) -> np.ndarray:
+    """The x column parsed from its field strings, read-only since it is shared."""
+    x = np.array(list(map(float, fields)))
+    x.flags.writeable = False
+    return x
 
 
 def _raise_row_fault(path, lines, ncol: int) -> None:
@@ -173,8 +190,7 @@ def write_svg(path, series, title="") -> None:
     for i, (lbl, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         good = np.isfinite(x) & np.isfinite(y)
-        xy = np.column_stack((px(x[good]), py(y[good])))
-        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
+        pts = _svg_points(px(x[good]).tobytes()) % tuple(py(y[good]).tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -189,6 +205,12 @@ def write_svg(path, series, title="") -> None:
         )
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")
+
+
+@lru_cache(maxsize=16)
+def _svg_points(px: bytes) -> str:
+    """Polyline points at the float64 pixel x's px, each followed by a `%.2f` y field."""
+    return " ".join(["%.2f,%%.2f"] * (len(px) // 8)) % tuple(np.frombuffer(px).tolist())
 
 
 def uniform_grid(n: int) -> np.ndarray:

@@ -35,7 +35,7 @@ from fhtcheb import (
 )
 import fhtcheb.cosh
 from fhtcheb.cosh import _fold, _iterate, _plan, _unfold
-from fhtcheb.fht import evaluate
+from fhtcheb.fht import _u_analysis, evaluate
 from fhtcheb.transforms import TransformKind, build
 
 
@@ -731,6 +731,19 @@ class TestKernel:
         lo, hi = kernel("Kd", p, n, [-1.0, 1.0])
         assert math.isfinite(lo) and math.isfinite(hi)
         assert abs(lo - hi) <= 1e-12 * abs(hi)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double for the reference")
+    @pytest.mark.parametrize("n", [64, 1024, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("p", _KERNEL_WEIGHTS, ids=str)
+    def test_km_against_trig_reference(self, p, n):
+        # Km = sum a_k T_k(t) = sum a_k cos(k theta), with a = (0, d_0, d_1, ...)
+        ug = cgl_nodes(GridKind.UNODES, n)
+        a = np.concatenate(([0.0], _u_analysis(GridFn(ug, p.slope(ug.nodes)))))
+        x = np.concatenate(([-1.0, 1.0], np.random.default_rng(n).uniform(-1.0, 1.0, 200)))
+        angles = np.outer(np.arccos(x.astype(np.longdouble)), np.arange(n + 1))
+        err = np.abs(kernel("Km", p, n, x) - np.cos(angles) @ a.astype(np.longdouble))
+        assert float(err.max()) < 1e-14 * np.abs(a).sum()
 
     @pytest.mark.parametrize("kind", ["Kd", "Km"])
     def test_largest_size_matches_a_smaller_one(self, kind):

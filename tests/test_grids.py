@@ -230,7 +230,8 @@ class TestResample:
         a = rng.standard_normal(n)
         bound = 1e-14 * np.abs(a).sum()
         for x in (np.linspace(-1.0, 1.0, 257), rng.uniform(-1.0, 1.0, 257),
-                  np.array([-1.0, -0.0, 0.0, 1.0])):
+                  np.array([-1.0, -0.0, 0.0, 1.0]),
+                  rng.uniform(-1.0, 1.0, 1025)):  # two full chunks of targets and one of 1
             angles = np.outer(np.arccos(x.astype(np.longdouble)), np.arange(n))
             for mode, trig in ((ResampleMode.T_SERIES, np.cos), (ResampleMode.WU_SERIES, np.sin)):
                 err = np.abs(resample(a, x, mode) - trig(angles) @ a.astype(np.longdouble))
