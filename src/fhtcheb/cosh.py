@@ -11,11 +11,12 @@ tanh -> tan with contraction tan^2(eta).
 Every solver works on parity halves: tanh and the Hilbert kernel are odd,
 so each operator maps even functions to even ones and odd to odd. The
 iterations (_iterate) run an even and an odd chain of about N/2 x N/2
-blocks, eight steps per product (K^8) and one stop test per pass of many
-products when many steps are predicted; the direct solver keeps the two
-halves of the system matrix per (weight, N), inverted or, where
-(1+c)/(1-c) is too large, as they are for LU. Each solver checks its
-residual once through the unsplit operator: final_defect.
+blocks; when many steps are predicted, sixteen steps per product (K^16, both
+chains' powers from one chain's squarings) and one stop test per pass of
+many products. The direct solver keeps the two halves of the system matrix
+per (weight, N), inverted or, where (1+c)/(1-c) is too large, as they are
+for LU. Each solver checks its residual once through the unsplit operator:
+final_defect.
 
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
@@ -175,9 +176,11 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float,
 # so K splits into two independent chains of half size, one per parity of x.
 
 # The chain blocks of one (operator, N) hold N^2/2 values, half as many as HD;
-# the few most recently used are kept. For _POWER_CROSSOVER and _PASS_BYTES see _iterate.
+# the few most recently used are kept. For _POWER_CROSSOVER, _BLOCK_STEPS (a power of
+# two) and _PASS_BYTES see _iterate.
 _BLOCK_CACHE_SIZE = 4
 _POWER_CROSSOVER = 0.5
+_BLOCK_STEPS = 16
 _PASS_BYTES = 1 << 22
 
 
@@ -218,7 +221,9 @@ def _chain_blocks(kind: TransformKind, n: int) -> tuple[np.ndarray, np.ndarray]:
     R = B_oe D1, L = B_eo^T D2. The even rows lose their centre row, which
     D2 maps to 0, and B_eo gains a zero centre column when A has one, so
     both chains have the same shapes. The same-parity blocks of A are zero
-    to rounding and are dropped. Only R is stored; L is a view of it.
+    to rounding and are dropped. Only R is stored; L is a view of it. The
+    chains share one matrix, M = R_even^T D2 R_odd: K_even = M^T D1 and
+    K_odd = M D1 (see _block_powers).
     """
     a = build(TransformKind.HD, n)[:, 1:] if kind is TransformKind.HD \
         else build(TransformKind.HM, n).T
@@ -236,6 +241,28 @@ def _chain_blocks(kind: TransformKind, n: int) -> tuple[np.ndarray, np.ndarray]:
     return right[::-1].transpose(0, 2, 1), right
 
 
+def _block_powers(left: np.ndarray, right: np.ndarray, dg1: np.ndarray, dg2: np.ndarray,
+                  step: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = [K b ... K^B b] from step = K b, and K^B, of both chains; B = _BLOCK_STEPS.
+
+    left and right are _chain_blocks, dg1 and dg2 their diagonals as columns.
+    One chain's squarings serve both: with X = K_odd^(q-1) M, K_odd^q = X D1
+    and K_even^q = X^T D1, and X for 2q is X D1 X. So each doubling of q is
+    one m x m product, and no power divides by D1, which is 0 at a centre pad.
+    """
+    xq, q = left[1] @ (dg2 * right[1]), 1  # X = M for q = 1
+    v = np.empty(step.shape[:2] + (_BLOCK_STEPS,))
+    v[..., :1] = step
+    while q < _BLOCK_STEPS:  # v[..., q:2q] = K^q v[..., :q], then X for 2q
+        dv = dg1 * v[..., :q]
+        np.matmul(xq.T, dv[0], out=v[0, :, q:2 * q])
+        np.matmul(xq, dv[1], out=v[1, :, q:2 * q])
+        xq, q = xq @ (dg1 * xq), 2 * q
+    k = np.stack((xq.T, xq))
+    k *= dg1[:, 0]
+    return v, k
+
+
 def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np.ndarray,
              tol: float, max_iter: int) -> tuple[np.ndarray, list[float], str]:
     """Iterate x <- f0 + K x from x = f0 until a step is shorter than tol.
@@ -244,21 +271,24 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     is its norm over sqrt(n), which the orthonormal folding preserves. If
     min(max_iter, 1 + log(tol / |K f0|) / log c) steps, c = max|d1| max|d2|
     >= ||K||, exceed _POWER_CROSSOVER times the block size m ~ N/2, it forms
-    P = K^8 and runs V <- P V from V = [K f0 ... K^8 f0] (break-even 0.25 m
-    at N = 2048 to 0.65 m at N = 256, one core) in passes: one buffer of the
-    blocks the bound predicts from the last step, at most max_iter steps and
-    _PASS_BYTES, then one norm, stop test and sum for them all. Else step k =
-    L (R step k-1), one stop test per step. Returns the last x, the step
-    lengths and "powered" or "one-step".
+    P = K^B, B = _BLOCK_STEPS = 16, by _block_powers (five m x m products)
+    and runs V <- P V from V = [K f0 ... K^B f0] (break-even about 0.2 m at
+    N = 2048, 0.25 m at N = 1024 and 0.35 m at N = 256, one core) in passes: one
+    buffer of the blocks the bound predicts from the last step, at most
+    max_iter steps and _PASS_BYTES, then one norm, stop test and sum for them
+    all. Else step k = L D2 (R D1 step k-1), two matrix-vector products with
+    the diagonals applied to the vectors and one stop test per step, with no
+    m x m product and no scaled copy of the blocks. Returns the last x, the
+    step lengths and "powered" or "one-step".
     """
     # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
     # d1 and d2; an odd diagonal is 0 at a centre node.
     left, right = _chain_blocks(kind, n)
-    left = left * (_fold(d2)[1, :left.shape[2]] * math.sqrt(0.5))
-    right = right * (_fold(d1)[1] * math.sqrt(0.5))
+    dg1 = _fold(d1)[1, :, None] * math.sqrt(0.5)
+    dg2 = _fold(d2)[1, :left.shape[2], None] * math.sqrt(0.5)
     b = _fold(f0)[..., None]
     scale = 1.0 / math.sqrt(n)
-    step = left @ (right @ b)
+    step = left @ (dg2 * (right @ (dg1 * b)))
     x, history = b + step, [math.sqrt(np.vdot(step, step)) * scale]
     c = float(np.abs(d1).max() * np.abs(d2).max())  # 0 for mu = 0, where K = 0
     def steps_after(length: float) -> float:  # a bound on the steps until one is below tol
@@ -266,13 +296,11 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
         return math.inf if c == 1.0 else 1 + (math.log(tol) - math.log(length)) / math.log(c)
     if c > 0.0 and history[0] >= tol and \
             min(max_iter, steps_after(history[0])) > _POWER_CROSSOVER * left.shape[1]:
-        k, v, left, right = left @ right, step, None, None  # only K is used below
-        for _ in range(3):  # v = [K b ... K^8 b], k = K^8
-            v = np.concatenate((v, k @ v), axis=2)
-            k = k @ k
+        v, k = _block_powers(left, right, dg1, dg2, step)
         steps, x, history = min(max_iter, 1 + steps_after(history[0])), b, []
         while True:  # a pass; the first measures step 1 again, hence 1 + steps_after above
-            buf = np.empty((max(1, min(_PASS_BYTES // v.nbytes, math.ceil(steps / 8))),) + v.shape)
+            blocks = math.ceil(steps / _BLOCK_STEPS)
+            buf = np.empty((max(1, min(_PASS_BYTES // v.nbytes, blocks)),) + v.shape)
             buf[0] = v
             for j in range(1, buf.shape[0]):
                 np.matmul(k, buf[j - 1], out=buf[j])
@@ -280,13 +308,14 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
             norms *= scale  # the step lengths in order, up to max_iter
             take = next(iter(np.flatnonzero(norms < tol) + 1), norms.size)  # to the first short one
             history += norms[:take].tolist()
-            buf[take // 8:, ..., take % 8:] = 0.0  # the steps past the stop
-            x = x + buf[:take // 8 + 1].sum(axis=0).sum(axis=2, keepdims=True)
+            last, cols = divmod(take, _BLOCK_STEPS)
+            buf[last:, ..., cols:] = 0.0  # the steps past the stop
+            x = x + buf[:last + 1].sum(axis=0).sum(axis=2, keepdims=True)
             if history[-1] < tol or len(history) == max_iter:
                 return _unfold(x[..., 0], f0.shape[0]), history, "powered"
             v, steps = k @ buf[-1], min(max_iter - len(history), steps_after(history[-1]))
     while history[-1] >= tol and len(history) < max_iter:
-        step = left @ (right @ step)
+        step = left @ (dg2 * (right @ (dg1 * step)))
         x += step
         history.append(math.sqrt(np.vdot(step, step)) * scale)
     return _unfold(x[..., 0], f0.shape[0]), history, "one-step"
@@ -448,7 +477,21 @@ def cosh_invert_neumann(
 # ---------------------------------------------------------------------------
 # mean-constrained multiplication-flavor inverter (requires fbar_mu)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(256)
+@lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 256-point Gauss-Legendre rule, computed on first use."""
+    return np.polynomial.legendre.leggauss(256)
+
+
+# One matrix per node set, N x 256 values (4.2 MB at N = 2049), for the few most recently used.
+@lru_cache(maxsize=4)
+def _pv_quadrature(x: bytes) -> np.ndarray:
+    """W_GL / (x - t_GL) at the float64 points x, read-only: the weight-independent part
+    of slope_fht's rule."""
+    t, w = _gauss_legendre()
+    a = w / (np.frombuffer(x)[:, None] - t)
+    a.flags.writeable = False
+    return a
 
 
 def slope_fht(p: WeightParam, x: np.ndarray) -> np.ndarray:
@@ -456,12 +499,14 @@ def slope_fht(p: WeightParam, x: np.ndarray) -> np.ndarray:
 
     Singularity subtraction with a Gauss-Legendre rule on the regular part;
     the slope function is analytic on [-1, 1], so 256 nodes reach machine
-    precision for |mu| <= 4.
+    precision for |mu| <= 4. The difference g(t) - g(x) is formed before it
+    is weighted: a node x within 1e-7 of a rule node would lose digits if
+    the two terms were summed apart.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     gx = p.slope(x)
-    gt = p.slope(_GL_NODES)
-    reg = ((gt[None, :] - gx[:, None]) / (x[:, None] - _GL_NODES[None, :])) @ _GL_WEIGHTS
+    gt = p.slope(_gauss_legendre()[0])
+    reg = np.einsum("ij,ij->i", gt - gx[:, None], _pv_quadrature(x.tobytes()))
     return (reg + gx * np.log((1.0 + x) / (1.0 - x))) / np.pi
 
 

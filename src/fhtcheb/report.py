@@ -2,7 +2,8 @@
 
 CSV files carry a `x,value` (or `x,value,reference`) header, the CLI's
 tables their own, and 17 significant digits per float so 64-bit values
-round-trip losslessly. Input CSVs must be ASCII, without a byte-order mark. SVG
+round-trip losslessly. Input CSVs must be ASCII, without a byte-order mark, with
+at most MAX_DEGREE + 1 = 2049 data rows. SVG
 plots are self-contained 800x500 documents built from inline polylines.
 The x columns (grid nodes, display grid, pixel x) repeat from command to
 command, so each is converted once per process. `_csv_body` (per x and column
@@ -25,6 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InputError
+from .grids import MAX_DEGREE
 
 _FMT = "%.17g"
 
@@ -68,6 +70,8 @@ def _csv_body(x: bytes, ncol: int) -> str:
 
 
 def read_csv(path) -> CsvData:
+    """The columns of the CSV at path. More than MAX_DEGREE + 1 data rows are refused
+    before any field is split: the CLI resamples a degree N - 1 series for display."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -84,9 +88,12 @@ def read_csv(path) -> CsvData:
     ):
         raise InputError(f"{path}:1: expected header 'x,value[,reference]'")
     ncol = len(header)
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise InputError(f"{path}: no data rows")
+    if len(rows) > MAX_DEGREE + 1:
+        raise InputError(f"{path}: at most {MAX_DEGREE + 1} rows, got {len(rows)}")
+    rows = [line.split(",") for line in rows]
     cols = []
     with suppress(ValueError):  # a field that is not a float
         if all(len(r) == ncol for r in rows):

@@ -19,7 +19,7 @@ from fhtcheb import (
 )
 from fhtcheb.cli import main
 from fhtcheb.cosh import SolveReport, cosh_invert_neumann
-from fhtcheb.report import read_csv, uniform_grid, write_csv
+from fhtcheb.report import _parse_x, read_csv, uniform_grid, write_csv
 from fhtcheb.transforms import TransformKind, build
 
 
@@ -183,7 +183,9 @@ def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
     monkeypatch.setattr("fhtcheb.cli.fht_forward_d", refuse)
     fin = tmp_path / "big.csv"
     _write_oversized_csv(fin)
+    cached = _parse_x.cache_info().currsize
     assert main(["forward", "--input", str(fin), "--json", str(tmp_path / "r.json")]) == 3
+    assert _parse_x.cache_info().currsize == cached  # refused before its x column was parsed
 
 
 def test_oversized_cond_sweep_rejected_before_compute(monkeypatch):

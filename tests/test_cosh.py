@@ -34,7 +34,16 @@ from fhtcheb import (
     weight_w,
 )
 import fhtcheb.cosh
-from fhtcheb.cosh import _fold, _iterate, _plan, _unfold
+from fhtcheb.cosh import (
+    _BLOCK_STEPS,
+    _block_powers,
+    _fold,
+    _iterate,
+    _plan,
+    _pv_quadrature,
+    _unfold,
+    mean_correction,
+)
 from fhtcheb.fht import _u_analysis, evaluate
 from fhtcheb.transforms import TransformKind, build
 
@@ -378,21 +387,58 @@ def test_iterate_matches_fixed_point(kind, n, p, crossover, monkeypatch):
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
+# N = 64 and 256 give HD's d1 (T-nodes 1..N-1) an odd length, so D1 ends in a
+# zero centre pad; N = 63 and 255 do so for HM's d1 (S-nodes).
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(mu) for mu in (1.0, 3.0, -2.0)]
+                         + [WeightParam.cos_imaginary(0.5)], ids=str)
+@pytest.mark.parametrize("n", [63, 64, 255, 256])
+@pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
+def test_block_powers_match_direct_squaring(kind, n, p, monkeypatch):
+    # Both chains' powers come from X = K_odd^(q-1) M: K_odd^q = X D1 and
+    # K_even^q = X^T D1. The reference scales L and R by D2 and D1, forms
+    # K = L R per chain and takes its powers by numpy's repeated squaring.
+    d1, d2, f0 = _kernel_args(kind, n, p)
+    left, right = fhtcheb.cosh._chain_blocks(kind, n)
+    dg1 = _fold(d1)[1, :, None] * math.sqrt(0.5)
+    dg2 = _fold(d2)[1, :left.shape[2], None] * math.sqrt(0.5)
+    k1 = (left * dg2[:, 0]) @ (right * dg1[:, 0])
+    b = _fold(f0)[..., None]
+    padded = d1.shape[0] % 2 == 1
+    assert padded == ((n % 2 == 0) == (kind is TransformKind.HD))
+    assert (dg1[-1, 0] == 0.0) == padded
+    for q in (1, 2, 4, 8, 16):
+        monkeypatch.setattr(fhtcheb.cosh, "_BLOCK_STEPS", q)
+        v, k = _block_powers(left, right, dg1, dg2, k1 @ b)
+        powers = [np.linalg.matrix_power(k1, j) for j in range(1, q + 1)]
+        for chain in (0, 1):
+            want = powers[-1][chain]
+            assert np.max(np.abs(k[chain] - want)) <= 1e-13 * np.max(np.abs(want))
+            want_v = np.concatenate([kj[chain] @ b[chain] for kj in powers], axis=1)
+            assert np.max(np.abs(v[chain] - want_v)) <= 1e-13 * np.max(np.abs(want_v))
+        if padded:  # the even chain's pad row is a row of its own; its column is 0
+            row = powers[-1][0, -1]
+            assert np.max(np.abs(row)) > 0.0
+            assert np.max(np.abs(k[0, -1] - row)) <= 1e-13 * np.max(np.abs(row))
+            assert not k[0, :, -1].any() and not k[1, :, -1].any()
+
+
 def test_iterate_stops_inside_a_block():
-    # 1001 = 8 * 125 + 1 steps: the powered form stops at the first column of a
-    # block. The reference's steps nxt - x reach 0 once K^k f0 drops below the
-    # rounding of x (after about 600 steps), so only the sums are compared.
+    # About 1000 steps, one more than a whole number of blocks: the powered form
+    # stops at the first column of a block. The reference's steps nxt - x reach
+    # 0 once K^k f0 drops below the rounding of x (after about 600 steps), so
+    # only the sums are compared.
     n, p = 64, WeightParam.cosh_real(2.0)
+    stop = _BLOCK_STEPS * (1000 // _BLOCK_STEPS) + 1
     for kind in (TransformKind.HD, TransformKind.HM):
         d1, d2, f0 = _kernel_args(kind, n, p)
-        x, history, _ = _iterate(kind, n, d1, d2, f0, 1e-300, 1001)
-        x_ref, _ = _fixed_point(kind, n, d1, d2, f0, 1e-300, 1001)
-        assert len(history) == 1001
+        x, history, _ = _iterate(kind, n, d1, d2, f0, 1e-300, stop)
+        x_ref, _ = _fixed_point(kind, n, d1, d2, f0, 1e-300, stop)
+        assert len(history) == stop
         assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
     tg = cgl_nodes(GridKind.TNODES, n)
     _, rep = cosh_invert_neumann(cosh_forward(GridFn(tg, tg.weights), p), p, tol=1e-300,
-                                 max_iter=1001)
-    assert rep.iterations == 1001 and rep.converged is False
+                                 max_iter=stop)
+    assert rep.iterations == stop and rep.converged is False
 
 
 def test_iterate_forms_agree_below_rounding(monkeypatch):
@@ -450,7 +496,7 @@ def test_iterate_where_tanh_rounds_to_one():
 
 @pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
 def test_iterate_independent_of_pass_size(kind, monkeypatch):
-    # _PASS_BYTES = 1 makes every pass one block of eight steps; the default
+    # _PASS_BYTES = 1 makes every pass one block of _BLOCK_STEPS steps; the default
     # fits the whole solve (about 290 steps at mu = 2, N = 256) in one pass.
     n, p = 256, WeightParam.cosh_real(2.0)
     d1, d2, f0 = _kernel_args(kind, n, p)
@@ -463,10 +509,13 @@ def test_iterate_independent_of_pass_size(kind, monkeypatch):
     np.testing.assert_allclose(x, x_one, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
 
 
-# With one-block passes, step 9 opens the second pass and step 21 lies inside
-# the third; with the default budget both lie inside the first pass.
+# With one-block passes, step B + 1 opens the second pass and step 2 B + 5
+# lies inside the third (B = _BLOCK_STEPS); with the default budget both lie
+# inside the first pass.
 @pytest.mark.parametrize("budget", [1, None])
-@pytest.mark.parametrize("stop, max_iter", [(9, 1000), (21, 1000), (21, 21)],
+@pytest.mark.parametrize("stop, max_iter", [(_BLOCK_STEPS + 1, 1000),
+                                            (2 * _BLOCK_STEPS + 5, 1000),
+                                            (2 * _BLOCK_STEPS + 5, 2 * _BLOCK_STEPS + 5)],
                          ids=["tol-first-column", "tol-inside", "max-iter-inside"])
 @pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
 def test_iterate_stops_inside_a_pass(kind, stop, max_iter, budget, monkeypatch):
@@ -705,6 +754,35 @@ _KERNEL_SIZES = [16, 32, 63, 64, 255]
 
 def _relative_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def test_pv_quadrature_cache_bounded_and_read_only():
+    p = WeightParam.cosh_real(2.0)
+    _pv_quadrature.cache_clear()
+    maxsize = _pv_quadrature.cache_info().maxsize
+    for n in range(8, 9 + 2 * maxsize):
+        mean_correction(p, cgl_nodes(GridKind.UNODES, n).nodes)
+        assert _pv_quadrature.cache_info().currsize <= maxsize
+    assert _pv_quadrature.cache_info().currsize == maxsize
+    a = _pv_quadrature(cgl_nodes(GridKind.UNODES, 8).nodes.tobytes())
+    assert a.shape == (8, 256)
+    with pytest.raises(ValueError):
+        a[0, 0] = 1.0
+
+
+# From N = 1024 on, U-nodes come within 1.7e-7 of a Gauss-Legendre node.
+@pytest.mark.parametrize("n", [8, 255, 256, 1024, 2049])
+def test_mean_correction_matches_uncached_quadrature(n):
+    t, w = np.polynomial.legendre.leggauss(256)
+    x = cgl_nodes(GridKind.UNODES, n).nodes
+    log = np.log((1.0 + x) / (1.0 - x)) / np.pi
+    for p in [WeightParam.cosh_real(mu) for mu in (0.5, 2.0, 4.0, -3.0)] \
+            + [WeightParam.cos_imaginary(0.7)]:
+        gx = p.slope(x)
+        reg = ((p.slope(t) - gx[:, None]) / (x[:, None] - t)) @ w
+        want = gx * (reg / np.pi + gx * log) - log
+        got = mean_correction(p, x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestKernel:
