@@ -36,7 +36,7 @@ from .cosh import (
     cosh_invert_neumann,
     null_experiment,
 )
-from .errors import FhtChebError, InputError, ParameterError
+from .errors import FhtChebError, InputError, InvalidSizeError, ParameterError
 from .fht import evaluate, fht_forward_d, fht_inverse_d
 from .grids import MAX_DEGREE, GridFn, GridKind, cgl_nodes, weight_w
 from .report import read_csv, uniform_grid, write_csv, write_json_report, write_svg
@@ -218,10 +218,6 @@ def cmd_cond_sweep(args) -> int:
 
 def cmd_null_experiment(args) -> int:
     sizes = _parse_list(args.sizes, int, "--sizes") or (64, 128, 256, 512)
-    # null-experiment resamples a degree N-1 series, so N <= MAX_DEGREE + 1
-    bad = [n for n in sizes if not 2 <= n <= MAX_DEGREE + 1]
-    if bad:
-        raise ParameterError(f"--sizes must lie in [2, {MAX_DEGREE + 1}], got {bad[0]}")
     if args.mu is None:
         raise ParameterError("--mu is required")
     rows = null_experiment(WeightParam.cosh_real(args.mu), sizes)
@@ -311,7 +307,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ParameterError as exc:
+    except (ParameterError, InvalidSizeError) as exc:  # null_experiment's sizes
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except FhtChebError as exc:

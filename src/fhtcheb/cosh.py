@@ -40,9 +40,9 @@ from .fht import _require, _u_analysis, coeffs_from_sgrid, evaluate, fht_forward
 from .grids import (
     GridFn,
     GridKind,
-    _clenshaw,
     _points,
     _power_series,
+    _u_to_t,
     cgl_nodes,
     norm,
 )
@@ -564,19 +564,22 @@ def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
     Kd: tanh(mu s) = sum c_k T_k(s) interpolated at S-nodes, mapped term by
     term to sum_{k>=1} c_k U_{k-1}(t). Km: tanh(mu u) = sum d_k U_k(u)
     interpolated at U-nodes, mapped to sum d_k T_{k+1}(t). The slope is odd,
-    so both kernels are even. Km is summed as Re of `resample`'s power series
-    (accurate at t = +-1 too), Kd by Clenshaw's recurrence.
+    so both kernels are even. Both are summed as Re of `_power_series` (accurate
+    at t = +-1 too), Kd after `_u_to_t` rewrites its U-series as a T-series. Km's
+    degree is n, one above `resample`'s cap at the largest grid, so it skips `resample`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _points(x, "kernel points")
     if kind == "Kd":
         series = coeffs_from_sgrid(GridFn(cgl_nodes(GridKind.SNODES, n), _plan(p, n).d_s))
-        return _clenshaw(series[1:], x, second_kind=True)
-    if kind == "Km":
+        t_series = _u_to_t(series[1:])
+    elif kind == "Km":
         series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
-        t_series = _power_series(np.concatenate(([0.0], series)), x.ravel())
-        return t_series.real.reshape(x.shape).copy()  # contiguous, not a view of P
-    raise ParameterError(f"unknown kernel kind {kind!r}")
+        t_series = np.concatenate(([0.0], series))
+    else:
+        raise ParameterError(f"unknown kernel kind {kind!r}")
+    # contiguous, not a view of P
+    return _power_series(t_series, x.ravel()).real.reshape(x.shape).copy()
 
 
 def condition_estimate(p: WeightParam, n: int) -> ConditionEstimate:
@@ -599,12 +602,11 @@ def null_experiment(p: WeightParam, sizes) -> list[NullExperimentRow]:
     """
     if p.flavor is not WeightFlavor.COSH_REAL or p.value == 0.0:
         raise ParameterError("null experiment requires the cosh flavor with mu != 0")
+    # every size is checked by cgl_nodes before the first transform
+    grids = [(cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.UNODES, n)) for n in sorted(sizes)]
     rows = []
-    for n in sorted(sizes):
-        tg = cgl_nodes(GridKind.TNODES, n)
-        f = GridFn(tg, np.cos(p.value * tg.weights))
-        F = cosh_forward(f, p)
-        ug = cgl_nodes(GridKind.UNODES, n)
+    for tg, ug in grids:
+        F = cosh_forward(GridFn(tg, np.cos(p.value * tg.weights)), p)
         nm = norm(GridFn(ug, evaluate(F, ug.nodes)))
-        rows.append(NullExperimentRow(n=n, norm_d=norm(F), norm_m=nm))
+        rows.append(NullExperimentRow(n=tg.n, norm_d=norm(F), norm_m=nm))
     return rows

@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError, GridMismatchError, InvalidSizeError
 
-# Series above this degree, and grids of more than MAX_DEGREE + 1 nodes, are
-# refused: error growth beyond it is untested.
+# `resample` and `cheb_eval` refuse series above this degree, and `cgl_nodes` grids
+# of more than MAX_DEGREE + 1 nodes: error growth beyond it is untested.
 MAX_DEGREE = 2048
 
 
@@ -120,32 +120,25 @@ def weight_w(t):
     return out if out.ndim else float(out)
 
 
-def _clenshaw(a: np.ndarray, x: np.ndarray, second_kind: bool) -> np.ndarray:
-    """sum a_k T_k(x), or sum a_k U_k(x) if second_kind, by Clenshaw's recurrence.
+def _u_to_t(u: np.ndarray) -> np.ndarray:
+    """T-series coefficients t with sum t_i T_i = sum u_j U_j, in O(N) and with no division.
 
-    The backward recurrence b_k = a_k + 2x b_{k+1} - b_{k+2} is stable on
-    [-1, 1]. It serves `cheb_eval` and `cosh.kernel`'s Kd, which need U-series
-    without the factor w(x): `_power_series` gives only w(x) times such a
-    series, and dividing by w is 0/0 at +-1. T-series (`resample`, Km) go
-    through `_power_series`, since the recurrence loses accuracy at x = +-1.
+    U_j = 2 sum_{i <= j, i = j mod 2} T_i, less T_0 for even j, so t_i is twice the
+    sum of the u_j with j >= i of i's parity, and t_0 is that sum once.
     """
-    b1 = np.zeros(x.shape, dtype=np.result_type(a, x))
-    if a.shape[0] == 0:
-        return b1
-    b2, b0 = np.zeros_like(b1), np.empty_like(b1)
-    two_x = 2.0 * x
-    for ak in a[:0:-1].tolist():  # in place, rounding as two_x * b1 - b2 + ak
-        np.multiply(two_x, b1, out=b0)
-        b0 -= b2
-        b0 += ak
-        b0, b1, b2 = b2, b0, b1
-    return a[0] + (two_x if second_kind else x) * b1 - b2
+    t = np.empty(u.shape[0])
+    for parity in (0, 1):
+        t[parity::2] = 2.0 * np.cumsum(u[parity::2][::-1])[::-1]
+    t[:1] /= 2.0
+    return t
 
 
 def _power_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """P(z) = sum a_k z^k at z = x + i w(x) = e^{i theta}, x = cos(theta), for 1-D x.
 
     Re P = sum a_k T_k(x) and Im P = sum a_k sin(k theta) = w(x) sum a_k U_{k-1}(x).
+    It is the package's one series evaluator: a U-series without the factor w
+    (`cheb_eval`'s U_n, the Kd kernel) is first mapped to a T-series by `_u_to_t`.
     Baby-step/giant-step (Paterson & Stockmeyer, 1973): with k = qB + r and
     B = ceil(sqrt(N)), P = sum_q z^{qB} sum_r a_{qB+r} z^r. The baby powers
     z^r and the giant powers z^{qB} are about 2 sqrt(N) in-place products over
@@ -179,21 +172,16 @@ def _power_series(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def cheb_eval(basis: Basis, n: int, x):
-    """Evaluate T_n(x) or U_n(x) (vectorized over x).
+    """T_n(x) or U_n(x), vectorized over x, summed as a T-series by `resample`.
 
-    Degrees above ``MAX_DEGREE`` are refused.
+    U_n is first rewritten as a T-series by `_u_to_t`. Degrees above ``MAX_DEGREE``
+    are refused before the series is formed.
     """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    if n > MAX_DEGREE:
-        raise DomainError(f"degree {n} exceeds recurrence cap {MAX_DEGREE}")
-    x = np.asarray(x, dtype=float)
-    _points(x, "cheb_eval argument")
-    scalar = x.ndim == 0
+    if not 0 <= n <= MAX_DEGREE:
+        raise DomainError(f"degree must be in [0, {MAX_DEGREE}], got {n}")
     unit = np.zeros(n + 1)
     unit[n] = 1.0
-    out = _clenshaw(unit, np.atleast_1d(x), basis is Basis.SECOND_U)
-    return float(out[0]) if scalar else out
+    return resample(unit if basis is Basis.FIRST_T else _u_to_t(unit), x, ResampleMode.T_SERIES)
 
 
 def inner_product(f: GridFn, g: GridFn) -> float:

@@ -13,6 +13,7 @@ from fhtcheb import (
     GridFn,
     GridKind,
     GridMismatchError,
+    InvalidSizeError,
     ParameterError,
     ResampleMode,
     WeightParam,
@@ -823,6 +824,24 @@ class TestKernel:
         err = np.abs(kernel("Km", p, n, x) - np.cos(angles) @ a.astype(np.longdouble))
         assert float(err.max()) < 1e-14 * np.abs(a).sum()
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double for the reference")
+    @pytest.mark.parametrize("n", [64, 1024, MAX_DEGREE + 1])
+    @pytest.mark.parametrize("p", _KERNEL_WEIGHTS, ids=str)
+    def test_kd_against_trig_reference(self, p, n):
+        # Kd = sum_{k>=1} c_k U_{k-1}(t) = sum c_k sin(k theta) / sin(theta),
+        # with the limits U_{k-1}(+-1) = (+-1)^(k-1) k
+        sg = cgl_nodes(GridKind.SNODES, n)
+        c = coeffs_from_sgrid(GridFn(sg, p.slope(sg.nodes)))
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, 200)
+        theta = np.arccos(x.astype(np.longdouble))
+        k = np.arange(n)
+        want = np.concatenate([[(-1.0) ** (k - 1) * k @ c, k @ c],
+                               np.sin(np.outer(theta, k)) @ c.astype(np.longdouble)
+                               / np.sin(theta)])
+        err = np.abs(kernel("Kd", p, n, np.concatenate(([-1.0, 1.0], x))) - want)
+        assert float(err.max()) < 1e-14 * np.abs(c).sum()
+
     @pytest.mark.parametrize("kind", ["Kd", "Km"])
     def test_largest_size_matches_a_smaller_one(self, kind):
         # The slope is analytic, so both interpolants have converged at N = 255.
@@ -898,6 +917,14 @@ class TestNullExperiment:
         assert [r.n for r in rows] == [64, 128]
         for r in rows:
             assert math.isfinite(r.norm_d) and math.isfinite(r.norm_m)
+
+    def test_every_size_checked_before_the_first_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("cosh_forward called")
+
+        monkeypatch.setattr("fhtcheb.cosh.cosh_forward", refuse)
+        with pytest.raises(InvalidSizeError, match="got 5000"):
+            null_experiment(WeightParam.cosh_real(3.0), [64, 5000])
 
     def test_mu_zero_rejected(self):
         with pytest.raises(ParameterError):

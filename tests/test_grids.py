@@ -13,15 +13,17 @@ from fhtcheb import (
     InvalidSizeError,
     ResampleMode,
     cgl_nodes,
+    WeightParam,
     cheb_eval,
     inner_product,
+    kernel,
     norm,
     resample,
     weight_w,
 )
 from fhtcheb.cli import main
 from fhtcheb.fht import evaluate
-from fhtcheb.grids import _clenshaw
+from fhtcheb.grids import _power_series
 from fhtcheb.report import write_csv
 
 
@@ -95,17 +97,23 @@ class TestChebEval:
         with pytest.raises(DomainError):
             cheb_eval(Basis.FIRST_T, 5000, 0.5)
 
-    @pytest.mark.parametrize("n", [1, 2, 7, 256, MAX_DEGREE + 1])
-    def test_clenshaw_bit_identical_to_the_plain_recurrence(self, n):
-        rng = np.random.default_rng(n)
-        a = rng.standard_normal(n) * np.exp(-np.arange(n) / 64.0)
-        x = np.concatenate([[-1.0, -0.0, 1.0], rng.uniform(-1.0, 1.0, 300)])
-        for second_kind in (False, True):
-            b1, b2, two_x = np.zeros_like(x), np.zeros_like(x), 2.0 * x
-            for ak in a[:0:-1]:
-                b1, b2 = two_x * b1 - b2 + ak, b1
-            want = a[0] + (two_x if second_kind else x) * b1 - b2
-            assert np.array_equal(_clenshaw(a, x, second_kind), want)
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="needs an extended-precision long double for the reference")
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 255, 1024, MAX_DEGREE])
+    @pytest.mark.parametrize("basis", list(Basis))
+    def test_cheb_eval_against_trig_reference(self, basis, n):
+        # T_n(cos th) = cos(n th) and U_n(cos th) = sin((n + 1) th) / sin(th),
+        # with the limits T_n(+-1) = (+-1)^n and U_n(+-1) = (+-1)^n (n + 1)
+        x = np.concatenate([[-1.0, 1.0, -0.0, 0.0],
+                            np.random.default_rng(n).uniform(-1.0, 1.0, 300)])
+        theta = np.arccos(x[2:].astype(np.longdouble))
+        if basis is Basis.FIRST_T:
+            want = np.concatenate([[(-1.0) ** n, 1.0], np.cos(n * theta)])
+        else:
+            want = np.concatenate([[(-1.0) ** n * (n + 1), n + 1],
+                                   np.sin((n + 1) * theta) / np.sin(theta)])
+        err = np.abs(cheb_eval(basis, n, x) - want)
+        assert float(err.max()) <= 3 * (n + 1) * np.finfo(float).eps
 
 
 class TestWeight:
@@ -264,36 +272,49 @@ class TestResample:
             resample(np.array([1.0, 1j]), 0.5, ResampleMode.T_SERIES)
 
 
-def test_resampling_runs_no_clenshaw_recurrence(tmp_path, monkeypatch):
-    # resample, evaluate and the CLI's display files all take the power series
+def test_every_series_is_summed_by_the_power_series(tmp_path, monkeypatch):
+    # resample, evaluate, cheb_eval, both kernels and the CLI's display files
     n = 255
     tg, sg = cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.SNODES, n)
     f = GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes))
     F = GridFn(sg, sg.nodes + 0.15 * (2.0 * sg.nodes ** 2 - 1.0))
     x = np.linspace(-1.0, 1.0, 101)
     a = np.random.default_rng(5).standard_normal(n)
+    p = WeightParam.cosh_real(2.0)
     write_csv(tmp_path / "f.csv", tg.nodes, f.values)
     write_csv(tmp_path / "F.csv", sg.nodes, F.values)
-    ops = [lambda: resample(a, x, ResampleMode.T_SERIES),
-           lambda: resample(a, x, ResampleMode.WU_SERIES),
-           lambda: evaluate(f, x), lambda: evaluate(F, x)]
 
-    def cli_outputs(tag):
-        for cmd, stem in (("forward", "f"), ("invert", "F")):
-            out = tmp_path / f"{stem}_{tag}.csv"
-            assert main([cmd, "--input", str(tmp_path / f"{stem}.csv"), "--output", str(out)]) == 0
-        return [(tmp_path / f"{stem}_{tag}_uniform.csv").read_bytes() for stem in "fF"]
+    def display_file(cmd, stem):
+        out = tmp_path / f"{stem}_out.csv"
+        assert main([cmd, "--input", str(tmp_path / f"{stem}.csv"), "--output", str(out)]) == 0
+        return (tmp_path / f"{stem}_out_uniform.csv").read_bytes()
 
-    want = [op() for op in ops] + cli_outputs("free")
+    ops = {
+        "resample-T": lambda: resample(a, x, ResampleMode.T_SERIES),
+        "resample-WU": lambda: resample(a, x, ResampleMode.WU_SERIES),
+        "evaluate-T": lambda: evaluate(f, x),
+        "evaluate-S": lambda: evaluate(F, x),
+        "cheb_eval-T": lambda: cheb_eval(Basis.FIRST_T, 200, x),
+        "cheb_eval-U": lambda: cheb_eval(Basis.SECOND_U, 200, x),
+        "Kd": lambda: kernel("Kd", p, n, x),
+        "Km": lambda: kernel("Km", p, n, x),
+        "forward": lambda: display_file("forward", "f"),
+        "invert": lambda: display_file("invert", "F"),
+    }
+    want = {name: op() for name, op in ops.items()}
+    calls = []
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("Clenshaw recurrence called")
+    def counted(*args):
+        calls.append(args)
+        return _power_series(*args)
 
-    monkeypatch.setattr("fhtcheb.grids._clenshaw", refuse)
-    monkeypatch.setattr("fhtcheb.cosh._clenshaw", refuse)
-    got = [op() for op in ops] + cli_outputs("patched")
-    for g, w in zip(got, want):
-        np.testing.assert_array_equal(g, w)
+    monkeypatch.setattr("fhtcheb.grids._power_series", counted)
+    monkeypatch.setattr("fhtcheb.cosh._power_series", counted)
+    for name, op in ops.items():
+        calls.clear()
+        got = op()
+        assert calls, name
+        np.testing.assert_array_equal(got, want[name], err_msg=name)
 
 
 class TestGridFn:

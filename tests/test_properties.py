@@ -24,9 +24,11 @@ from fhtcheb import (
     plancherel_check,
     resample,
     system_matrix,
+    weight_w,
 )
 from fhtcheb.cosh import _contract, _fold, _halves, _iterate, _plan
 from fhtcheb.fht import _u_analysis, m_analysis_sgrid
+from fhtcheb.grids import _power_series, _u_to_t
 from fhtcheb.transforms import TransformKind, _c3, _s1, build
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=20)
@@ -49,6 +51,18 @@ def test_resample_matches_trig_sums(degree, seed):
     wu_sum = resample(a, x, ResampleMode.WU_SERIES)
     assert np.max(np.abs(t_sum - np.cos(np.outer(theta, k)) @ a)) <= bound
     assert np.max(np.abs(wu_sum - np.sin(np.outer(theta, k)) @ a)) <= bound
+
+
+@PROPERTY
+@given(length=st.integers(1, 64), seed=SEEDS)
+def test_u_to_t_ties_the_two_views_of_the_power_series(length, seed):
+    # sum u_j U_j(x) summed as a T-series, times w(x), is the WU-series of (0, u)
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(length)
+    x = np.concatenate(([-1.0, 0.0, 1.0], rng.uniform(-1.0, 1.0, 30)))
+    got = weight_w(x) * _power_series(_u_to_t(u), x).real
+    want = resample(np.concatenate(([0.0], u)), x, ResampleMode.WU_SERIES)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(u))
 
 
 @PROPERTY
