@@ -6,7 +6,9 @@ perturbation with norm tanh^2(mu) < 1. That gives a dense linear system that
 is uniformly well conditioned, a convergent Neumann iteration in the division
 flavor, and a mean-constrained iteration in the multiplication flavor. The
 pure-imaginary parameter mu = i eta (|eta| < pi/4) swaps cosh -> cos and
-tanh -> tan with contraction tan^2(eta).
+tanh -> tan with contraction tan^2(eta), and flips the sign of the product
+term: cos(eta(s-t)) = cos(eta s)cos(eta t) + sin(eta s)sin(eta t)
+(WeightParam.product_sign).
 
 Every solver works on parity halves: tanh and the Hilbert kernel are odd,
 so each operator maps even functions to even ones and odd to odd. The
@@ -46,7 +48,7 @@ from .grids import (
     cgl_nodes,
     norm,
 )
-from .transforms import TransformKind, _hd_apply, build
+from .transforms import TransformKind, _hd_apply, _hd_generator, build
 
 
 class WeightFlavor(enum.Enum):
@@ -96,6 +98,12 @@ class WeightParam:
     def slope(self, x):
         """tanh(mu x) or tan(eta x)."""
         return self._map(np.tanh, np.tan, x)
+
+    @property
+    def product_sign(self) -> float:
+        """tanh(mu s) tanh(mu t) / (slope(s) slope(t)): 1, or -1 for the cos flavor,
+        where tanh(i eta s) tanh(i eta t) = -tan(eta s) tan(eta t)."""
+        return 1.0 if self.flavor is WeightFlavor.COSH_REAL else -1.0
 
     @property
     def contraction(self) -> float:
@@ -335,10 +343,16 @@ _PLAN_CACHE_SIZE = 4
 # which a refinement step with the unsplit operator's residual only worsens.
 _INVERSE_LIMIT = 1e-5
 
+_PANEL = 256  # columns of HD per panel of system_matrix
+_FOLD_ROWS = 32  # row pairs per band of _halves
+
 
 @dataclass
 class _Plan:
-    """Read-only tanh(mu .) and cosh(mu .) on the S-, T- and U-nodes, and the direct state."""
+    """Read-only tanh(mu .) and cosh(mu .) on the S-, T- and U-nodes, and the direct state.
+
+    d_s carries the weight's product_sign, so d_s d_t and d_s d_u are the
+    products tanh(mu s) tanh(mu t) of every operator in both flavors."""
 
     d_s: np.ndarray
     d_t: np.ndarray
@@ -354,6 +368,7 @@ class _Plan:
 def _plan(p: WeightParam, n: int) -> _Plan:
     nodes = [cgl_nodes(k, n).nodes for k in (GridKind.SNODES, GridKind.TNODES, GridKind.UNODES)]
     rows = np.array([p.slope(x) for x in nodes] + [p.scale(x) for x in nodes])
+    rows[0] *= p.product_sign
     rows.flags.writeable = False  # each diagonal is a view of one row
     return _Plan(*rows)
 
@@ -373,12 +388,23 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
 def system_matrix(p: WeightParam, n: int) -> np.ndarray:
     """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver.
 
-    Built in place, with two N x N arrays besides HD; 0 - x keeps eye - x's zero signs."""
+    From HD's generator, _PANEL columns of HD times half of D_s HD D_t at a time: no dense
+    HD, and up to N = _PANEL the dense formula's bits. 0 - x keeps eye - x's zero signs."""
     plan = _plan(p, n)
-    hd = build(TransformKind.HD, n)
-    scaled = plan.d_s[:, None] * hd
-    scaled *= plan.d_t
-    out = hd.T @ scaled
+    w = np.lib.stride_tricks.sliding_window_view(_hd_generator(n), n)
+    def panel(j: int, width: int) -> np.ndarray:  # HD[:, j:j + width], added in place: no ufunc buffer
+        cols = w[n:, j:j + width].copy()
+        return np.add(cols, w[n - 1::-1, j:j + width], out=cols)
+
+    out = np.empty((n, n))
+    width = _PANEL * -(-n // (2 * _PANEL))
+    for j in range(0, n, width):
+        scaled = panel(j, width)
+        scaled *= plan.d_s[:, None]
+        scaled *= plan.d_t[j:j + width]
+        for i in range(0, n, _PANEL):
+            np.matmul(panel(i, _PANEL).T, scaled, out=out[i:i + _PANEL, j:j + width])
+        del scaled  # before the next panel is built
     np.subtract(0.0, out, out=out)
     out.flat[::n + 1] += 1.0
     return out
@@ -390,14 +416,20 @@ def _halves(p: WeightParam, n: int) -> np.ndarray:
     Row and column 0 of the system matrix are e_0, and on T-nodes 1..N-1 it
     commutes with the reflection i <-> N-2-i. The cross blocks are below
     5e-15 (N <= 2048, |mu| <= 19) and are dropped; for even N the odd block
-    is padded with a unit diagonal entry.
+    is padded with a unit diagonal entry. _FOLD_ROWS row pairs at a time are
+    folded, then their columns, straight into the halves.
     """
-    rows = _fold(system_matrix(p, n)[1:, 1:])  # even and odd rows, then fold the columns
-    blocks = _fold(rows.transpose(2, 0, 1))  # [column parity, column, row parity, row]
-    del rows  # before the halves are stacked: the peak stays at two N x N arrays
-    halves = np.stack((blocks[0, :, 0].T, blocks[1, :, 1].T))
-    if n % 2 == 0:
-        halves[1, -1, -1] = 1.0
+    a = system_matrix(p, n)[1:, 1:]
+    m, h = n - 1, (n - 1) // 2
+    halves = np.zeros((2, m - h, m - h))
+    for i in range(0, h, _FOLD_ROWS):
+        j = min(i + _FOLD_ROWS, h)
+        pairs = np.concatenate((a[i:j], a[m - j:m - i]))  # rows r and m-1-r, r in i..j-1
+        blocks = _fold(_fold(pairs).transpose(2, 0, 1))  # [column parity, column, row parity, row]
+        halves[0, i:j], halves[1, i:j] = blocks[0, :, 0].T, blocks[1, :, 1].T
+    if m % 2:  # the centre row: even, and 0 in the odd block but for the pad
+        halves[0, h] = _fold(a[h])[0]
+        halves[1, h, h] = 1.0
     return halves
 
 
@@ -511,13 +543,14 @@ def slope_fht(p: WeightParam, x: np.ndarray) -> np.ndarray:
 
 
 def mean_correction(p: WeightParam, x: np.ndarray) -> np.ndarray:
-    """G(s) = tanh(mu s) H[tanh(mu .)](s) - (1/pi) ln((1+s)/(1-s)).
+    """G(s) = tanh(mu s) H[tanh(mu .)](s) - (1/pi) ln((1+s)/(1-s)), the first term
+    times the weight's product_sign.
 
     The log singularity at +-1 is integrable; G is only ever evaluated at
     interior collocation nodes.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    return p.slope(x) * slope_fht(p, x) - np.log((1.0 + x) / (1.0 - x)) / np.pi
+    return p.product_sign * p.slope(x) * slope_fht(p, x) - np.log((1.0 + x) / (1.0 - x)) / np.pi
 
 
 def cosh_invert_mean_constrained(
@@ -571,7 +604,8 @@ def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _points(x, "kernel points")
     if kind == "Kd":
-        series = coeffs_from_sgrid(GridFn(cgl_nodes(GridKind.SNODES, n), _plan(p, n).d_s))
+        sg = cgl_nodes(GridKind.SNODES, n)
+        series = coeffs_from_sgrid(GridFn(sg, p.slope(sg.nodes)))
         t_series = _u_to_t(series[1:])
     elif kind == "Km":
         series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))

@@ -7,9 +7,11 @@ FHT and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T the m-flavor one.
 
 Per operation C3^T, S1 and HD are applied in O(N log N), with no table, by
 real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. Only the
-solvers read dense tables: HD (closed form, O(N^2)) and HM (one O(N^3)
-product of _c3 and _s1, 0.4 s at N = 2048, one core), the few most recently
-used cached, 8 N^2 bytes each. Every angle is reduced exactly, so every
+iterations read dense tables: HD (closed form, O(N^2)) for the Neumann chain
+blocks and HM (one O(N^3) product of _c3 and _s1, 0.4 s at N = 2048, one
+core) for the m-flavor transforms and chain blocks, the few most recently
+used cached, 8 N^2 bytes each; the direct solver forms its system matrix
+from HD's generator panel by panel. Every angle is reduced exactly, so every
 table is correct to rounding.
 """
 

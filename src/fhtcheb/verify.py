@@ -49,7 +49,7 @@ from .grids import (
     resample,
     weight_w,
 )
-from .oracle import pair, pv_fht
+from .oracle import cosh_pv_forward, pair, pv_fht
 from .transforms import _c3t_apply, _s1_apply
 
 
@@ -330,28 +330,27 @@ def _kernel_quadrature(kind: str, p: WeightParam, n: int, t: np.ndarray, u: np.n
     return ((kt[:, None] - ku) / (t[:, None] - u)) @ weights
 
 
-def _kd_equivalence() -> float:
+def _kd_equivalence(p: WeightParam) -> float:
     """Max-norm gap between the composite operator M and its kernel form (d).
 
     At t = 1 the kernel is finite and w(1) = 0 leaves only the diagonal term.
+    M carries the weight's product_sign; the kernel is that of the slope.
     """
     n = 32
-    p = WeightParam.cosh_real(1.0)
     tg = cgl_nodes(GridKind.TNODES, n)
     fv = tg.weights * (1.0 + 0.5 * tg.nodes - 0.3 * (2 * tg.nodes ** 2 - 1))
     lhs = (np.eye(n) - system_matrix(p, n)) @ fv
 
     uq = -1.0 + (np.arange(_MQ) + 0.5) * (2.0 / _MQ)
     weights = p.slope(uq) * evaluate(GridFn(tg, fv), uq) * (2.0 / _MQ / np.pi)
-    rhs = p.slope(tg.nodes) ** 2 * fv \
-        + tg.weights * _kernel_quadrature("Kd", p, n, tg.nodes, uq, weights)
+    rhs = p.product_sign * (p.slope(tg.nodes) ** 2 * fv
+                            + tg.weights * _kernel_quadrature("Kd", p, n, tg.nodes, uq, weights))
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def _km_equivalence() -> float:
+def _km_equivalence(p: WeightParam) -> float:
     """Max-norm gap for the multiplication flavor, theta-substituted quadrature."""
     n = 32
-    p = WeightParam.cosh_real(1.0)
     sg = cgl_nodes(GridKind.SNODES, n)
     ug = cgl_nodes(GridKind.UNODES, n)
     fS = (sg.nodes + 0.4 * cheb_eval(Basis.FIRST_T, 3, sg.nodes)) / sg.weights
@@ -366,7 +365,8 @@ def _km_equivalence() -> float:
 
 
 def check_kernel_equivalence() -> CheckResult:
-    err = max(_kd_equivalence(), _km_equivalence())
+    err = max(equivalence(p) for equivalence in (_kd_equivalence, _km_equivalence)
+              for p in (WeightParam.cosh_real(1.0), WeightParam.cos_imaginary(0.5)))
     return _result("kernel_form_equivalence_n32", err, 1e-3)
 
 
@@ -392,6 +392,45 @@ def check_mean_constrained(n: int = 128) -> CheckResult:
         passed=ok,
         detail=f"measured={rel:.3e} tol=1.0e-06 iters={rep.iterations}",
     )
+
+
+# Both flavors, each at a small and a large parameter.
+_ORACLE_WEIGHTS = (WeightParam.cosh_real(0.5), WeightParam.cosh_real(3.0),
+                  WeightParam.cos_imaginary(0.3), WeightParam.cos_imaginary(0.7))
+
+
+def _oracle_gaps(p: WeightParam, n: int = 64) -> dict[str, float]:
+    """Max gap of each weighted operator to PV-oracle data, on the nodes |x| < 0.9.
+
+    The data are cosh_pv_forward of f = w(1 + 0.3 t) (8192 points), whose
+    midpoint rule loses digits near +-1. f has a nonzero mean fbar, so the
+    mean-constrained solver's correction term counts too.
+    """
+    def f(t):
+        return weight_w(t) * (1.0 + 0.3 * np.asarray(t))
+
+    def oracle(grid) -> GridFn:
+        return GridFn(grid, np.array([cosh_pv_forward(f, float(x), p, 8192) for x in grid.nodes]))
+
+    def gap(got: GridFn, want: np.ndarray) -> float:
+        return float(np.max(np.abs(got.values - want)[np.abs(got.grid.nodes) < 0.9]))
+
+    tg, sg, ug = (cgl_nodes(k, n) for k in (GridKind.TNODES, GridKind.SNODES, GridKind.UNODES))
+    F = oracle(sg)
+    th = (np.arange(64) + 0.5) * (np.pi / 64)  # fbar = (1/2) int cosh(mu t) f(t) dt at t = cos th
+    fbar = np.pi / 128 * float(np.sum(p.scale(np.cos(th)) * np.sin(th) * f(np.cos(th))))
+    return {
+        "forward": gap(cosh_forward(GridFn(tg, f(tg.nodes)), p), F.values),
+        "direct": gap(cosh_invert_direct(F, p)[0], f(tg.nodes)),
+        "neumann": gap(cosh_invert_neumann(F, p, tol=1e-13)[0], f(tg.nodes)),
+        "mean_constrained": gap(cosh_invert_mean_constrained(oracle(ug), p, fbar, tol=1e-13)[0],
+                                f(sg.nodes)),
+    }
+
+
+def check_weighted_oracle() -> CheckResult:
+    worst = max(max(_oracle_gaps(p).values()) for p in _ORACLE_WEIGHTS)
+    return _result("weighted_operators_oracle_n64", worst, 1e-4)
 
 
 def check_cos_flavor_roundtrip(n: int = 128) -> CheckResult:
@@ -445,6 +484,7 @@ _ONCE_CHECKS = (
     check_kernel_equivalence,
     check_mean_constrained,
     check_cos_flavor_roundtrip,
+    check_weighted_oracle,
     check_null_experiment,
 )
 

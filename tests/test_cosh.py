@@ -1,6 +1,8 @@
+import functools
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -35,6 +37,7 @@ from fhtcheb import (
     weight_w,
 )
 import fhtcheb.cosh
+from fhtcheb import verify
 from fhtcheb.cosh import (
     _BLOCK_STEPS,
     _block_powers,
@@ -621,16 +624,87 @@ def test_stopping_arguments_rejected(tol, max_iter, mean_fbar):
             cosh_invert_neumann(F_u, p, tol=tol, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("n", [8, 9, 64, 255])
-@pytest.mark.parametrize("p", [WeightParam.cosh_real(0.5), WeightParam.cosh_real(3.0),
-                               WeightParam.cosh_real(14.0), WeightParam.cos_imaginary(0.5)])
-def test_system_matrix_is_built_in_place_to_the_same_bits(n, p):
+_SYSTEM_WEIGHTS = [WeightParam.cosh_real(0.5), WeightParam.cosh_real(3.0),
+                   WeightParam.cosh_real(14.0), WeightParam.cos_imaginary(0.5)]
+
+
+def _dense_system_matrix(p, n):
+    """I - HD^T D_s HD D_t from the dense HD, the slope product's sign on D_s."""
     hd = build(TransformKind.HD, n)
     d_s, d_t = (p.slope(cgl_nodes(k, n).nodes) for k in (GridKind.SNODES, GridKind.TNODES))
-    want = np.eye(n) - hd.T @ (d_s[:, None] * hd * d_t[None, :])
+    return np.eye(n) - hd.T @ (p.product_sign * d_s[:, None] * hd * d_t[None, :])
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 255])
+@pytest.mark.parametrize("p", _SYSTEM_WEIGHTS)
+def test_system_matrix_is_built_in_place_to_the_same_bits(n, p):
+    want = _dense_system_matrix(p, n)
     got = fhtcheb.cosh.system_matrix(p, n)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n", [257, 1025])
+@pytest.mark.parametrize("p", _SYSTEM_WEIGHTS)
+def test_system_matrix_in_panels_matches_the_dense_formula(n, p):
+    # Past one panel the block products may round differently from one
+    # dense product (1.1e-16 at most measured), never by more.
+    got = fhtcheb.cosh.system_matrix(p, n)
+    assert np.max(np.abs(got - _dense_system_matrix(p, n))) <= 1e-15
+
+
+def test_cold_direct_solve_peaks_under_two_system_matrices():
+    # The first solve at a key builds its halves with no dense HD and no
+    # folded copy of the system matrix; with both it peaked at 3.02 N^2 float64.
+    n = 1024
+    p = WeightParam.cosh_real(3.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes)), p)
+    _plan.cache_clear()
+    build.cache_clear()
+    tracemalloc.start()
+    try:
+        cosh_invert_direct(F, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * n * n * 8, peak / (8 * n * n)
+
+
+@pytest.mark.parametrize("n, p", [(300, WeightParam.cosh_real(3.0)),
+                                  (600, WeightParam.cos_imaginary(0.5))])
+def test_cold_direct_solve_reads_no_dense_hd(monkeypatch, n, p):
+    # The first solve at a key builds its halves from HD's generator alone,
+    # as close to f as LU on the full system matrix (the bound of
+    # test_direct_solve_independent_of_history).
+    tg, sg = cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.SNODES, n)
+    f = tg.weights * (1.0 + 0.3 * tg.nodes)
+    F = cosh_forward(GridFn(tg, f), p)
+    b = fht_inverse_d(GridFn(sg, F.values / p.scale(sg.nodes))).values
+    lu = np.linalg.solve(fhtcheb.cosh.system_matrix(p, n), b) / p.scale(tg.nodes)
+    lu_err = np.max(np.abs(lu[1:] - f[1:]))
+
+    def refuse(kind, n):
+        raise AssertionError(f"{kind} built at n = {n}")
+
+    monkeypatch.setattr("fhtcheb.cosh.build", refuse)
+    _plan.cache_clear()
+    got, rep = cosh_invert_direct(F, p)
+    assert rep.form == "inverse"
+    assert np.max(np.abs(got.values[1:] - f[1:])) <= max(2.0 * lu_err, 1e-12)
+
+
+# One set of oracle data and solves per weight, shared by its four cells.
+_oracle_gaps = functools.lru_cache(maxsize=None)(verify._oracle_gaps)
+
+
+@pytest.mark.parametrize("op", ["forward", "direct", "neumann", "mean_constrained"])
+@pytest.mark.parametrize("p", verify._ORACLE_WEIGHTS, ids=lambda p: f"{p.flavor.value}{p.value:g}")
+def test_operators_match_the_oracle(p, op):
+    # Both flavors compute the paper's transform; the cos flavor's kernel is
+    # cos(eta(s - t)) / (s - t). With the slope product's sign lost, the cos
+    # cells missed the oracle by 2.1e-2 (forward, eta = 0.3) to 1.3.
+    assert _oracle_gaps(p)[op] <= 1e-4
 
 
 def test_warm_d_flavor_ops_read_no_dense_hd(monkeypatch):
@@ -781,7 +855,7 @@ def test_mean_correction_matches_uncached_quadrature(n):
             + [WeightParam.cos_imaginary(0.7)]:
         gx = p.slope(x)
         reg = ((p.slope(t) - gx[:, None]) / (x[:, None] - t)) @ w
-        want = gx * (reg / np.pi + gx * log) - log
+        want = p.product_sign * gx * (reg / np.pi + gx * log) - log
         got = mean_correction(p, x)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 

@@ -173,10 +173,11 @@ def test_parity_split_step_matches_unsplit(n, seed, p):
 
 
 @pytest.mark.parametrize("mu", [0.5, 3.0, 14.0])
-@pytest.mark.parametrize("n", [8, 9, 64, 255])
+@pytest.mark.parametrize("n", [8, 9, 64, 255, 600, 1025])
 def test_halves_are_the_diagonal_blocks(n, mu):
     # The direct solver's halves are the same-parity blocks of the system
-    # matrix, bit for bit, with a unit pad closing the odd block for even N.
+    # matrix, bit for bit, with a unit pad closing the odd block for even N;
+    # 600 and 1025 span more than one panel and more than one band of rows.
     p = WeightParam.cosh_real(mu)
     blocks = fold2(system_matrix(p, n)[1:, 1:])
     want = np.stack((blocks[0, 0], blocks[1, 1]))
