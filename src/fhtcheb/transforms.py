@@ -6,7 +6,9 @@ whose zero row and column 0 encode f(t_0) = 0. HD = C3 S1^T is the d-flavor
 FHT and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T the m-flavor one.
 
 Per operation C3^T, S1 and HD are applied in O(N log N), with no table, by
-real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. Only the
+real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. An HD
+product is one circular correlation with HD's generator, of period 2N: of
+length 2N when 2N is 5-smooth, else the least 5-smooth length >= 3N-1. Only the
 iterations read dense tables: HD (closed form, O(N^2)) for the Neumann chain
 blocks and HM (one O(N^3) product of _c3 and _s1, 0.4 s at N = 2048, one
 core) for the m-flavor transforms and chain blocks, the few most recently
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
+from itertools import chain, count
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -62,7 +65,9 @@ def _hd_generator(n: int) -> np.ndarray:
 
     HD[m, j] = (S(j+m+1/2) + S(j-m-1/2)) / N = s[N+m+j] + s[N-1-m+j]: a Hankel
     plus a Toeplitz matrix. S(q) = sin((N-1) q pi/2N) sin(q pi/2) / sin(q pi/2N)
-    in closed form, where 2q is odd, so the denominator never vanishes.
+    in closed form, where 2q is odd, so the denominator never vanishes. S is odd
+    with period 2N in q, so s[i + 2N] = s[i] and s[2N-1-i] = -s[i], bit for bit,
+    as _sinpi reduces every angle exactly.
     """
     r = np.arange(1 - 2 * n, 4 * n - 2, 2)  # r = 2q
     return _sinpi((n - 1) * r, 4 * n) * _sinpi(n * r, 4 * n) / (n * _sinpi(r, 4 * n))
@@ -70,25 +75,30 @@ def _hd_generator(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
-    """(L, rfft of the HD generator at length L), read-only. Any L >= 3N-1 keeps the
-    correlations of _hd_apply from wrapping; L is the least fast 2^k or 3 * 2^k."""
-    size = min(p << (-(-(3 * n - 1) // p) - 1).bit_length() for p in (1, 3))
-    spectrum = np.fft.rfft(_hd_generator(n), size)
+    """(L, rfft of the HD generator's first L values, zero-padded), read-only.
+
+    The correlations of _hd_apply read s[k + j] for k + j <= 3N-2. L = 2N when
+    2N is 5-smooth: s[:2N] is one period of s, so the circular correlation is
+    exact. Otherwise L is the least 5-smooth length >= 3N-1, where nothing wraps.
+    """
+    # x divides 30^(bit length of x) iff x is 5-smooth, a length numpy's FFT does fast.
+    lengths = chain((2 * n,), count(3 * n - 1))
+    size = next(x for x in lengths if pow(30, x.bit_length(), x) == 0)
+    spectrum = np.fft.rfft(_hd_generator(n), size)  # cropped or zero-padded to L
     spectrum.flags.writeable = False
     return size, spectrum
 
 
 def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """HD v (or HD^T v) along the last axis of v, by one FFT correlation with the generator s:
-    with c[k] = sum_j s[k+j] v[j], HD v = c[N:2N] + c[N-1::-1] and HD^T u =
-    corr(s, [u[::-1], u])[:N], by convolutions with v and [u[::-1], u] reversed."""
+    """HD v (or HD^T v) along the last axis of v, by one circular FFT correlation of
+    length L (see _hd_spectrum) with the generator s: with c[k] = sum_j s[(k+j) mod L] v[j],
+    HD v = c[N:2N] + c[N-1::-1] and HD^T u = corr(s, [u[::-1], u])[:N]."""
     n = v.shape[-1]
     size, spectrum = _hd_spectrum(n)
     if transposed:
-        both = np.concatenate((v[..., ::-1], v), axis=-1)
-        return np.fft.irfft(spectrum * np.fft.rfft(both, size), size)[..., 2 * n - 1:3 * n - 1]
-    c = np.fft.irfft(spectrum * np.fft.rfft(v[..., ::-1], size), size)[..., n - 1:3 * n - 1]
-    return c[..., n:] + c[..., n - 1::-1]
+        v = np.concatenate((v[..., ::-1], v), axis=-1)
+    c = np.fft.irfft(spectrum * np.fft.rfft(v, size).conj(), size)
+    return c[..., :n] if transposed else c[..., n:2 * n] + c[..., n - 1::-1]
 
 
 def _c3t_apply(v: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from fhtcheb.transforms import (
     _c3,
     _c3t_apply,
     _hd_apply,
+    _hd_generator,
     _hd_spectrum,
     _s1,
     _s1_apply,
@@ -140,7 +141,20 @@ class TestApply:
         with pytest.raises(GridMismatchError):
             apply(m, np.ones(9))
 
-    @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 512, 1024, 2049])
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 255, 256, 257, 1000, 2048, 2049])
+    def test_hd_generator_has_period_2n(self, n):
+        # _hd_apply's circular correlation of length 2N is exact only by this identity.
+        s, i = _hd_generator(n), np.arange(2 * n)
+        np.testing.assert_array_equal(s[2 * n:], s[:n - 1])
+        np.testing.assert_array_equal(s[2 * n - 1 - i], -s[:2 * n])
+        # The FFT length: 2N when 2N is 5-smooth, else the least 5-smooth length >= 3N-1.
+        smooth = {2 ** a * 3 ** b * 5 ** c for a in range(14) for b in range(9) for c in range(6)}
+        want = 2 * n if 2 * n in smooth else min(x for x in smooth if x >= 3 * n - 1)
+        assert _hd_spectrum(n)[0] == want
+        assert want == {64: 128, 257: 800, 1000: 2000, 2049: 6250}.get(n, want)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 255, 256, 512, 600, 1000, 1024, 1025,
+                                   2048, 2049])
     def test_hd_by_fft_matches_dense(self, n):
         hd = build(TransformKind.HD, n)
         v = np.random.default_rng(n).standard_normal((2, n))
@@ -171,6 +185,14 @@ class TestApply:
             batched = fast(v)
             for row in range(3):
                 np.testing.assert_array_equal(batched[row], fast(v[row]))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 255, 256, 257, 1024, 2048, 2049])
+    def test_hd_batched_matches_rows_bit_for_bit(self, n):
+        v = np.random.default_rng(n).standard_normal((3, n))
+        for transposed in (False, True):
+            batched = _hd_apply(v, transposed)
+            for row in range(3):
+                np.testing.assert_array_equal(batched[row], _hd_apply(v[row], transposed))
 
 
 @pytest.mark.parametrize("check, fast", [(check_c3_orthogonality, _c3t_apply),
