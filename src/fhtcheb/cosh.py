@@ -10,15 +10,15 @@ tanh -> tan with contraction tan^2(eta), and flips the sign of the product
 term: cos(eta(s-t)) = cos(eta s)cos(eta t) + sin(eta s)sin(eta t)
 (WeightParam.product_sign).
 
-Every solver works on parity halves: tanh and the Hilbert kernel are odd,
-so each operator maps even functions to even ones and odd to odd. The
-iterations (_iterate) run an even and an odd chain of about N/2 x N/2
-blocks; when many steps are predicted, sixteen steps per product (K^16, both
-chains' powers from one chain's squarings) and one stop test per pass of
-many products. The direct solver keeps the two halves of the system matrix
-per (weight, N), inverted or, where (1+c)/(1-c) is too large, as they are
-for LU. Each solver checks its residual once through the unsplit operator:
-final_defect.
+The iterations (_iterate) work on parity halves: tanh and the Hilbert kernel
+are odd, so each operator maps even functions to even ones and odd to odd.
+They run an even and an odd chain of about N/2 x N/2 blocks; when many steps
+are predicted, sixteen steps per product (K^16, both chains' powers from one
+chain's squarings) and one stop test per pass of many products. The direct
+solver keeps per (weight, N) a Woodbury factor of its system matrix, a
+diagonal plus a term of rank independent of N, or where (1+c)/(1-c) is too
+large the matrix's two parity halves for LU. Each solver checks its residual
+once through the unsplit operator: final_defect.
 
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
@@ -128,7 +128,7 @@ class SolveReport:
     coercive_const: float | None = None
     final_defect: float | None = None
     converged: bool = True
-    form: str | None = None  # how the solver ran: "one-step", "powered", "inverse" or "lu"
+    form: str | None = None  # how the solver ran: "one-step", "powered", "woodbury" or "lu"
 
 
 @dataclass(frozen=True)
@@ -333,15 +333,18 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
 # forward operator and division-flavor inverters
 
 # One plan per (weight, N), shared by every operator, for the few most recently
-# used keys. Only a direct solve adds the parity halves, about N^2/2 values, to
-# one, so the bound caps the memory they keep.
+# used keys. Only a direct solve adds its state to one: about 2 _RANK N values,
+# or the parity halves, about N^2/2 values, above _INVERSE_LIMIT.
 _PLAN_CACHE_SIZE = 4
 
-# The direct solver stores the inverse of its halves while sqrt(N) kappa eps
-# is below this (to mu = 11.6 at N = 64, 10.7 at N = 2048): there a product
-# and one refinement step are as accurate as LU. Above it, it solves by LU,
-# which a refinement step with the unsplit operator's residual only worsens.
+# The direct solver uses the Woodbury factor of its system matrix while
+# sqrt(N) kappa eps is below this (to mu = 11.6 at N = 64, 10.7 at N = 2048):
+# there a Woodbury solve and one refinement step are as accurate as LU. Above
+# it, it solves by LU on the parity halves, which a refinement step with the
+# unsplit operator's residual only worsens. (One Woodbury refinement stays
+# within 1.3x of LU's error to mu = 16 at N = 64..2048, but not from mu = 17.)
 _INVERSE_LIMIT = 1e-5
+_RANK = 24  # probes of the range finder: the columns of Q in _woodbury
 
 _PANEL = 256  # columns of HD per panel of system_matrix
 _FOLD_ROWS = 32  # row pairs per band of _halves
@@ -352,7 +355,8 @@ class _Plan:
     """Read-only tanh(mu .) and cosh(mu .) on the S-, T- and U-nodes, and the direct state.
 
     d_s carries the weight's product_sign, so d_s d_t and d_s d_u are the
-    products tanh(mu s) tanh(mu t) of every operator in both flavors."""
+    products tanh(mu s) tanh(mu t) of every operator in both flavors. The first
+    direct solve sets direct, under lock: _woodbury's factor or (_halves,) for LU."""
 
     d_s: np.ndarray
     d_t: np.ndarray
@@ -360,7 +364,7 @@ class _Plan:
     cosh_s: np.ndarray
     cosh_t: np.ndarray
     cosh_u: np.ndarray
-    halves: np.ndarray | None = None  # _halves, inverted below _INVERSE_LIMIT
+    direct: tuple[np.ndarray, ...] | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -433,6 +437,45 @@ def _halves(p: WeightParam, n: int) -> np.ndarray:
     return halves
 
 
+def _probes(n: int) -> np.ndarray:
+    """A fixed n x _RANK block of values in [-1, 1): a splitmix64 hash of each entry's index."""
+    z = np.arange(1, n * _RANK + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).reshape(n, _RANK) * 2.0 ** -52 - 1.0
+
+
+def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(g^-1, g^-1 Q, M) with A^-1 = diag(g^-1) - (g^-1 Q) M, A = system_matrix(p, n), or None.
+
+    A = diag(g) + E, g = 1/cosh_t^2 (1 at node 0), where E's rank does not
+    depend on N (12 at mu = 8, 1e-12 cut). Q is an orthonormal basis of E times
+    the _probes (a randomized range finder), B = Q^T E and M = (I + B g^-1 Q)^-1
+    B g^-1 (Sherman-Morrison-Woodbury). None where ||E - Q B||_F > 1e-12 ||A||_F;
+    the scale is A's, as A's rounding leaves 1e-16 ||A||_F in E (more than
+    1e-12 ||E||_F at small mu or eta). E, then E - Q B, overwrite A in place.
+    """
+    e = system_matrix(p, n)
+    size = np.linalg.norm(e)
+    g = _plan(p, n).cosh_t ** -2.0
+    g[0] = 1.0
+    e.flat[::n + 1] -= g
+    q = e @ _probes(n)[:, :n - 1]  # row 0 of E is 0: at most n - 1 independent columns
+    for j in range(q.shape[1]):  # Gram-Schmidt, twice (LAPACK's QR adds 0.3 MB to peak RSS)
+        for _ in range(2):
+            q[:, j] -= q[:, :j] @ (q[:, :j].T @ q[:, j])
+        q[:, j] /= np.linalg.norm(q[:, j]) or 1.0
+    b = q.T @ e
+    for i in range(0, n, _PANEL):
+        e[i:i + _PANEL] -= q[i:i + _PANEL] @ b
+    if not np.linalg.norm(e) <= 1e-12 * size:
+        return None
+    del e  # the factor's arrays reuse its memory
+    b /= g
+    return 1.0 / g, q / g[:, None], np.linalg.solve(np.eye(q.shape[1]) + b @ q, b)
+
+
 def _contract(plan: _Plan, v: np.ndarray) -> np.ndarray:
     """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free.
 
@@ -460,31 +503,27 @@ def _invert_d(F_mu: GridFn, p: WeightParam, solve, tol: float = 0.0):
 def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveReport]:
     """Solve [I - HD^T D_s HD D_t] fhat = HD^T (F_mu / cosh_s), HD = C3 S1^T.
 
-    The first solve at a (weight, N) stores the parity halves of the system
-    matrix in the key's plan, inverted while sqrt(N) kappa eps is below
-    _INVERSE_LIMIT. Every solve folds the right-hand side, then either
-    multiplies by the inverse and takes one refinement step with a
-    matrix-free residual, O(N^2), or solves by LU on the halves,
-    O(N^3 / 4). The choice depends on (weight, N) only.
+    The first solve at a (weight, N) stores the key's direct state in its plan:
+    the _woodbury factor while sqrt(N) kappa eps is below _INVERSE_LIMIT, else
+    (or where the factor fails its check) the parity halves. A Woodbury solve is
+    O(rN) on the unsplit vector plus one refinement step with a matrix-free
+    residual; an LU solve on the folded halves is O(N^3 / 4).
     """
     def solve(plan: _Plan, b: np.ndarray) -> tuple[np.ndarray, list[float], str]:
         n, c = b.shape[0], p.contraction
-        inverse = math.sqrt(n) * (1 + c) / (1 - c) * np.finfo(float).eps < _INVERSE_LIMIT
         with plan.lock:
-            if plan.halves is None:
-                halves = _halves(p, n)
-                plan.halves = np.linalg.inv(halves) if inverse else halves
-                plan.halves.flags.writeable = False
-
-        def half_solve(r: np.ndarray) -> np.ndarray:  # r[0] = 0, and row 0 is e_0
-            y = _fold(r[1:])[..., None]
-            y = plan.halves @ y if inverse else np.linalg.solve(plan.halves, y)
-            return np.concatenate(([0.0], _unfold(y[..., 0], n - 1)))
-
-        fhat = half_solve(b)
-        if inverse:
-            fhat += half_solve(b - fhat + _contract(plan, fhat))
-        return fhat, [], "inverse" if inverse else "lu"
+            if plan.direct is None:
+                low_rank = math.sqrt(n) * (1 + c) / (1 - c) * np.finfo(float).eps < _INVERSE_LIMIT
+                plan.direct = (_woodbury(p, n) if low_rank else None) or (_halves(p, n),)
+                for a in plan.direct:
+                    a.flags.writeable = False
+        if len(plan.direct) == 1:  # b[0] = 0, and row 0 is e_0
+            y = np.linalg.solve(plan.direct[0], _fold(b[1:])[..., None])
+            return np.concatenate(([0.0], _unfold(y[..., 0], n - 1))), [], "lu"
+        gi, giq, m = plan.direct
+        fhat = gi * b - giq @ (m @ b)
+        r = b - fhat + _contract(plan, fhat)
+        return fhat + gi * r - giq @ (m @ r), [], "woodbury"
 
     return _invert_d(F_mu, p, solve)
 

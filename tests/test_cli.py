@@ -320,7 +320,7 @@ def test_solver_form_reported(tmp_path):
     _write_tgrid_csv(tmp_path / "f.csv", n, weight_w)
     for argv, form in ((["forward"], None),
                        (["cosh-forward", "--mu", "3"], None),
-                       (["cosh-invert", "--method", "direct", "--mu", "3"], "inverse"),
+                       (["cosh-invert", "--method", "direct", "--mu", "3"], "woodbury"),
                        (["cosh-invert", "--method", "neumann", "--mu", "3"], "powered")):
         fin, fout = ("f.csv", "F.csv") if form is None else ("F.csv", "g.csv")
         rep = tmp_path / "r.json"

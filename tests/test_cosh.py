@@ -40,6 +40,7 @@ import fhtcheb.cosh
 from fhtcheb import verify
 from fhtcheb.cosh import (
     _BLOCK_STEPS,
+    _RANK,
     _block_powers,
     _fold,
     _iterate,
@@ -115,7 +116,7 @@ class TestCoshForward:
 
 def _fresh_solves(F, p, count=3):
     """count direct solves of F at a key with no plan yet: the first builds
-    the key's parity halves, the later ones reuse them."""
+    the key's direct state, the later ones reuse it."""
     _plan.cache_clear()
     return [cosh_invert_direct(F, p) for _ in range(count)]
 
@@ -169,7 +170,7 @@ class TestDirect:
 
     def test_reuse_as_accurate_as_lu_at_large_mu(self):
         # cond <= (1+c)/(1-c) ~ 4.4e6 at mu = 8: a solve that reuses the
-        # stored halves must recover f no worse than the first solve does.
+        # stored direct state must recover f no worse than the first solve does.
         n = 256
         p = WeightParam.cosh_real(8.0)
         tg = cgl_nodes(GridKind.TNODES, n)
@@ -203,7 +204,7 @@ class TestDirect:
 
     def test_concurrent_solves_share_plan(self):
         # Threads racing through the first solve of one key, which builds
-        # and stores its parity halves, must all see one complete stack.
+        # and stores its direct state, must all see one complete state.
         n = 64
         p = WeightParam.cosh_real(2.0)
         tg = cgl_nodes(GridKind.TNODES, n)
@@ -555,7 +556,7 @@ def test_iterate_runs_to_max_iter_where_the_bound_is_one():
 @pytest.mark.parametrize("solver, mu, n, form", [
     (cosh_invert_neumann, 0.5, 256, "one-step"),
     (cosh_invert_neumann, 3.0, 256, "powered"),
-    (cosh_invert_direct, 3.0, 64, "inverse"),
+    (cosh_invert_direct, 3.0, 64, "woodbury"),
     (cosh_invert_direct, 14.0, 64, "lu"),
 ])
 def test_report_names_the_solver_form(solver, mu, n, form):
@@ -654,7 +655,7 @@ def test_system_matrix_in_panels_matches_the_dense_formula(n, p):
 
 
 def test_cold_direct_solve_peaks_under_two_system_matrices():
-    # The first solve at a key builds its halves with no dense HD and no
+    # The first solve at a key builds its state with no dense HD and no
     # folded copy of the system matrix; with both it peaked at 3.02 N^2 float64.
     n = 1024
     p = WeightParam.cosh_real(3.0)
@@ -674,8 +675,8 @@ def test_cold_direct_solve_peaks_under_two_system_matrices():
 @pytest.mark.parametrize("n, p", [(300, WeightParam.cosh_real(3.0)),
                                   (600, WeightParam.cos_imaginary(0.5))])
 def test_cold_direct_solve_reads_no_dense_hd(monkeypatch, n, p):
-    # The first solve at a key builds its halves from HD's generator alone,
-    # as close to f as LU on the full system matrix (the bound of
+    # The first solve at a key builds its Woodbury factor from HD's generator
+    # alone, as close to f as LU on the full system matrix (the bound of
     # test_direct_solve_independent_of_history).
     tg, sg = cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.SNODES, n)
     f = tg.weights * (1.0 + 0.3 * tg.nodes)
@@ -690,8 +691,59 @@ def test_cold_direct_solve_reads_no_dense_hd(monkeypatch, n, p):
     monkeypatch.setattr("fhtcheb.cosh.build", refuse)
     _plan.cache_clear()
     got, rep = cosh_invert_direct(F, p)
-    assert rep.form == "inverse"
+    assert rep.form == "woodbury"
     assert np.max(np.abs(got.values[1:] - f[1:])) <= max(2.0 * lu_err, 1e-12)
+
+
+def _direct_and_lu_errors(p, n):
+    """Max errors on nodes 1..N-1 of a cold direct solve and of LU on the full
+    system matrix, for f = w(1 + 0.3t), and the solve's report."""
+    tg, sg = cgl_nodes(GridKind.TNODES, n), cgl_nodes(GridKind.SNODES, n)
+    f = tg.weights * (1.0 + 0.3 * tg.nodes)
+    F = cosh_forward(GridFn(tg, f), p)
+    b = fht_inverse_d(GridFn(sg, F.values / p.scale(sg.nodes))).values
+    lu = np.linalg.solve(fhtcheb.cosh.system_matrix(p, n), b) / p.scale(tg.nodes)
+    _plan.cache_clear()
+    got, rep = cosh_invert_direct(F, p)
+    return np.max(np.abs(got.values[1:] - f[1:])), np.max(np.abs(lu[1:] - f[1:])), rep
+
+
+@pytest.mark.parametrize("n", [64, 257, 1024, 2048])
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(mu) for mu in (0.0, 1.0, 8.0, 10.5)]
+                         + [WeightParam.cos_imaginary(eta) for eta in (0.3, 0.78)],
+                         ids=lambda p: f"{p.flavor.value}{p.value:g}")
+def test_woodbury_solve_as_accurate_as_lu(p, n):
+    # Below _INVERSE_LIMIT the direct solve is a Woodbury solve of diag(g) + Q B
+    # and one refinement step; the worst ratio to LU's error here is 1.33
+    # (mu = 10.5, N = 257).
+    err, lu_err, rep = _direct_and_lu_errors(p, n)
+    assert rep.form == "woodbury"
+    assert err <= max(2.0 * lu_err, 1e-12), (err, lu_err)
+
+
+def test_direct_state_is_diagonal_plus_low_rank():
+    # Below _INVERSE_LIMIT a key keeps g^-1, g^-1 Q and M, 49 N values (the
+    # inverse halves were N^2 / 2); above it, the parity halves for LU.
+    n, p = 2048, WeightParam.cosh_real(3.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    _plan.cache_clear()
+    _, rep = cosh_invert_direct(cosh_forward(GridFn(tg, tg.weights), p), p)
+    assert rep.form == "woodbury"
+    assert sum(a.size for a in _plan(p, n).direct) <= 64 * n
+    n, p = 64, WeightParam.cosh_real(14.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    _, rep = cosh_invert_direct(cosh_forward(GridFn(tg, tg.weights), p), p)
+    assert rep.form == "lu"
+    assert [a.shape for a in _plan(p, n).direct] == [(2, n // 2, n // 2)]
+
+
+def test_woodbury_falls_back_to_lu_where_the_probes_miss(monkeypatch):
+    # Probes that see nothing of E leave ||E - Q B|| far above 1e-12 ||A||:
+    # the key takes the LU halves, and the solve is as accurate as LU.
+    monkeypatch.setattr("fhtcheb.cosh._probes", lambda n: np.zeros((n, _RANK)))
+    err, lu_err, rep = _direct_and_lu_errors(WeightParam.cosh_real(3.0), 256)
+    assert rep.form == "lu"
+    assert err <= max(2.0 * lu_err, 1e-12), (err, lu_err)
 
 
 # One set of oracle data and solves per weight, shared by its four cells.
@@ -708,8 +760,8 @@ def test_operators_match_the_oracle(p, op):
 
 
 def test_warm_d_flavor_ops_read_no_dense_hd(monkeypatch):
-    # Warm, every d-flavor op applies HD by FFT; only the cold direct halves
-    # and Neumann chain blocks are built from the dense table.
+    # Warm, every d-flavor op applies HD by FFT; only the Neumann chain
+    # blocks are built from the dense table.
     n = 256
     p = WeightParam.cosh_real(3.0)
     tg = cgl_nodes(GridKind.TNODES, n)
@@ -740,12 +792,12 @@ def test_one_plan_serves_every_operator():
     for kind in ("Kd", "Km"):
         kernel(kind, p, n, tg.nodes)
     plan = _plan(p, n)
-    assert plan.halves is None  # no direct state before the first direct solve
+    assert plan.direct is None  # no direct state before the first direct solve
+    shapes = [(n,), (n, _RANK), (_RANK, n)]  # g^-1, g^-1 Q and M of the Woodbury factor
     cosh_invert_direct(F, p)
-    h = n // 2  # ceil((N - 1) / 2)
-    assert plan.halves.shape == (2, h, h)
+    assert [a.shape for a in plan.direct] == shapes
     cosh_invert_direct(F, p)
-    assert plan.halves.shape == (2, h, h)
+    assert [a.shape for a in plan.direct] == shapes
     assert _plan.cache_info().currsize == 1
     diagonals = {"d_s": p.slope(sg.nodes), "d_t": p.slope(tg.nodes), "d_u": p.slope(ug.nodes),
                  "cosh_s": p.scale(sg.nodes), "cosh_t": p.scale(tg.nodes),
