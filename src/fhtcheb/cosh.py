@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import DomainError, ParameterError
 from .fht import _require, _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
 from .grids import (
     GridFn,
@@ -48,7 +48,7 @@ from .grids import (
     cgl_nodes,
     norm,
 )
-from .transforms import TransformKind, _hd_apply, _hd_generator, build
+from .transforms import TransformKind, _hd_apply, _hd_correlate, _hd_generator, build
 
 
 class WeightFlavor(enum.Enum):
@@ -155,11 +155,13 @@ def _check_stopping(tol: float, max_iter: int, mean_fbar: float = 0.0) -> None:
 
 def _report(p: WeightParam, history: list[float], tol: float, defect: float,
             form: str) -> SolveReport:
-    steps = np.asarray(history)
-    before, after = steps[:-1], steps[1:]
-    # a step that overflowed to inf did not contract (and inf / inf is no ratio)
-    ratio = (float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0))
-             if np.all(np.isfinite(steps)) else math.inf)
+    ratio = 0.0  # a direct solve takes no steps
+    if history:
+        steps = np.asarray(history)
+        before, after = steps[:-1], steps[1:]
+        # a step that overflowed to inf did not contract (and inf / inf is no ratio)
+        ratio = (float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0))
+                 if np.all(np.isfinite(steps)) else math.inf)
     return SolveReport(
         iterations=len(history),
         residual_history=history,
@@ -167,7 +169,7 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float,
         bound_ratio=p.contraction,
         coercive_const=p.coercive_const,
         final_defect=defect,
-        converged=not history or history[-1] < tol,  # a direct solve takes no steps
+        converged=not history or history[-1] < tol,
         form=form,
     )
 
@@ -298,6 +300,8 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     scale = 1.0 / math.sqrt(n)
     step = left @ (dg2 * (right @ (dg1 * b)))
     x, history = b + step, [math.sqrt(np.vdot(step, step)) * scale]
+    if not math.isfinite(history[0]):  # ||K|| <= c < 1: every later step is shorter
+        raise DomainError("the solve's first step overflows float64: the data are too large")
     c = float(np.abs(d1).max() * np.abs(d2).max())  # 0 for mu = 0, where K = 0
     def steps_after(length: float) -> float:  # a bound on the steps until one is below tol
         # Two logs: tol / length can underflow. c = 1 (np.tanh(19) rounds to 1) predicts no count.
@@ -355,9 +359,11 @@ class _Plan:
     """Read-only tanh(mu .) and cosh(mu .) on the S-, T- and U-nodes, and the direct state.
 
     d_s carries the weight's product_sign, so d_s d_t and d_s d_u are the
-    products tanh(mu s) tanh(mu t) of every operator in both flavors. The first
-    direct solve sets direct, under lock: _woodbury's factor or (_halves,) for LU."""
+    products tanh(mu s) tanh(mu t) of every operator in both flavors; d_s views the
+    second half of _contract's row d_s_sym = [d_s[::-1], d_s]. The first direct
+    solve sets direct, under lock: _woodbury's factor or (_halves,) for LU."""
 
+    d_s_sym: np.ndarray
     d_s: np.ndarray
     d_t: np.ndarray
     d_u: np.ndarray
@@ -371,10 +377,12 @@ class _Plan:
 @lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _plan(p: WeightParam, n: int) -> _Plan:
     nodes = [cgl_nodes(k, n).nodes for k in (GridKind.SNODES, GridKind.TNODES, GridKind.UNODES)]
-    rows = np.array([p.slope(x) for x in nodes] + [p.scale(x) for x in nodes])
-    rows[0] *= p.product_sign
+    rows = np.empty((7, n))
+    rows[1:] = [p.slope(x) for x in nodes] + [p.scale(x) for x in nodes]
+    rows[1] *= p.product_sign
+    rows[0] = rows[1, ::-1]
     rows.flags.writeable = False  # each diagonal is a view of one row
-    return _Plan(*rows)
+    return _Plan(rows[:2].ravel(), *rows[1:])
 
 
 def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
@@ -384,8 +392,10 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
     _require(f, GridKind.TNODES)
     n = f.grid.n
     plan = _plan(p, n)
-    fhat = plan.cosh_t * f.values
-    hd_fhat, hd_dt_fhat = _hd_apply(np.stack((fhat, plan.d_t * fhat)))
+    fhat = np.empty((2, n))
+    np.multiply(plan.cosh_t, f.values, out=fhat[0])
+    np.multiply(plan.d_t, fhat[0], out=fhat[1])
+    hd_fhat, hd_dt_fhat = _hd_apply(fhat)
     return GridFn(cgl_nodes(GridKind.SNODES, n), plan.cosh_s * (hd_fhat - plan.d_s * hd_dt_fhat))
 
 
@@ -479,8 +489,12 @@ def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 def _contract(plan: _Plan, v: np.ndarray) -> np.ndarray:
     """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free.
 
-    Both products are FFT correlations (_hd_apply) with the whole, unsplit HD."""
-    return _hd_apply(plan.d_s * _hd_apply(plan.d_t * v), transposed=True)
+    Two correlations with the whole, unsplit HD: with c the first 2N values of the one
+    of D_t v, [u[::-1], u] = c + c[::-1] for u = HD D_t v, so HD^T D_s u correlates
+    (c + c[::-1]) d_s_sym, bit for bit the input _hd_apply would form."""
+    n = v.shape[-1]
+    c = _hd_correlate(plan.d_t * v, n)[..., :2 * n]
+    return _hd_correlate((c + c[..., ::-1]) * plan.d_s_sym, n)[..., :n]
 
 
 def _invert_d(F_mu: GridFn, p: WeightParam, solve, tol: float = 0.0):
@@ -494,7 +508,8 @@ def _invert_d(F_mu: GridFn, p: WeightParam, solve, tol: float = 0.0):
     plan = _plan(p, n)
     f0 = _hd_apply(F_mu.values / plan.cosh_s, transposed=True)
     fhat, history, form = solve(plan, f0)
-    defect = float(np.linalg.norm((fhat - f0 - _contract(plan, fhat))[1:])) / math.sqrt(n)
+    d = (fhat - f0 - _contract(plan, fhat))[1:]
+    defect = math.sqrt(d.dot(d)) / math.sqrt(n)  # np.linalg.norm's arithmetic on 1-D input
     fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
     return GridFn(cgl_nodes(GridKind.TNODES, n), fvals), _report(p, history, tol, defect, form)

@@ -175,7 +175,9 @@ def cheb_eval(basis: Basis, n: int, x):
     """T_n(x) or U_n(x), vectorized over x, summed as a T-series by `resample`.
 
     U_n is first rewritten as a T-series by `_u_to_t`. Degrees above ``MAX_DEGREE``
-    are refused before the series is formed.
+    are refused before the series is formed. Within about 1e-4 of +-1, U_n is accurate
+    only to about 24.6 (n+1) eps (measured over every n <= 2048): the powers z^r carry
+    an angle error near r eps, and the T-series of U_n sums about n/2 of them.
     """
     if not 0 <= n <= MAX_DEGREE:
         raise DomainError(f"degree must be in [0, {MAX_DEGREE}], got {n}")

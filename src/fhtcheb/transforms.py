@@ -8,7 +8,10 @@ FHT and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T the m-flavor one.
 Per operation C3^T, S1 and HD are applied in O(N log N), with no table, by
 real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. An HD
 product is one circular correlation with HD's generator, of period 2N: of
-length 2N when 2N is 5-smooth, else the least 5-smooth length >= 3N-1. Only the
+length 2N when 2N is 5-smooth, else the least 5-smooth length >= 3N-1. That
+correlation, _hd_correlate, is the one kernel of _hd_apply and of cosh's
+contraction HD^T D_s HD D_t, which feeds one correlation's output to the next
+with one sum and one product by a symmetric 2N row of D_s in between. Only the
 iterations read dense tables: HD (closed form, O(N^2)) for the Neumann chain
 blocks and HM (one O(N^3) product of _c3 and _s1, 0.4 s at N = 2048, one
 core) for the m-flavor transforms and chain blocks, the few most recently
@@ -89,15 +92,21 @@ def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
     return size, spectrum
 
 
-def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """HD v (or HD^T v) along the last axis of v, by one circular FFT correlation of
-    length L (see _hd_spectrum) with the generator s: with c[k] = sum_j s[(k+j) mod L] v[j],
-    HD v = c[N:2N] + c[N-1::-1] and HD^T u = corr(s, [u[::-1], u])[:N]."""
-    n = v.shape[-1]
+def _hd_correlate(v: np.ndarray, n: int) -> np.ndarray:
+    """c[k] = sum_j s[(k+j) mod L] v[j], k < L, along the last axis of v, for HD of size n
+    (_hd_spectrum). The spectrum stays the first factor: swapped, FMA rounds differently."""
     size, spectrum = _hd_spectrum(n)
+    f = np.fft.rfft(v, size)
+    return np.fft.irfft(np.multiply(spectrum, np.conjugate(f, out=f), out=f), size)
+
+
+def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """HD v (or HD^T v) along the last axis of v, by one correlation c = _hd_correlate(v):
+    HD v = c[N:2N] + c[N-1::-1] and HD^T u = _hd_correlate([u[::-1], u])[:N]."""
+    n = v.shape[-1]
     if transposed:
         v = np.concatenate((v[..., ::-1], v), axis=-1)
-    c = np.fft.irfft(spectrum * np.fft.rfft(v, size).conj(), size)
+    c = _hd_correlate(v, n)
     return c[..., :n] if transposed else c[..., n:2 * n] + c[..., n - 1::-1]
 
 

@@ -160,20 +160,20 @@ def test_overflowing_transform_exits_3_and_writes_nothing(tmp_path, capsys, argv
 
 
 @pytest.mark.filterwarnings("error")
-def test_overflowing_neumann_solve_writes_strict_json(tmp_path):
-    # steps of 1e155 data overflow to inf: the solve fails (exit 2) and says so in valid JSON
-    sg = cgl_nodes(GridKind.SNODES, 64)
-    write_csv(tmp_path / "big.csv", sg.nodes, np.full(64, 1e155))
-    rep = tmp_path / "r.json"
-    assert main(["cosh-invert", "--method", "neumann", "--mu", "3",
-                 "--input", str(tmp_path / "big.csv"), "--json", str(rep)]) == 2
-
-    def refuse(constant):
-        raise ValueError(f"non-standard JSON constant {constant}")
-
-    r = json.loads(rep.read_text(), parse_constant=refuse)
-    assert r["measured_ratio"] is None and r["iterations"] == 10000
-    assert None in r["residual_history"]
+@pytest.mark.parametrize("kind, argv", [
+    (GridKind.SNODES, ["--method", "neumann", "--mu", "3"]),
+    (GridKind.UNODES, ["--method", "mean_constrained", "--mu", "2", "--mean-fbar", "0"]),
+])
+def test_overflowing_iterative_solve_exits_3_and_writes_nothing(tmp_path, capsys, kind, argv):
+    # the first step of 1e155 data has a squared length beyond float64: refused, not iterated
+    g = cgl_nodes(kind, 64)
+    write_csv(tmp_path / "big.csv", g.nodes, np.full(64, 1e155))
+    out, rep = tmp_path / "f.csv", tmp_path / "r.json"
+    assert main(["cosh-invert", *argv, "--input", str(tmp_path / "big.csv"),
+                 "--output", str(out), "--json", str(rep)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "overflows" in err[0], err
+    assert not any(tmp_path.glob("f*")) and not rep.exists()
 
 
 def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):

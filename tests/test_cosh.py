@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import itertools
 import math
@@ -41,7 +42,9 @@ from fhtcheb import verify
 from fhtcheb.cosh import (
     _BLOCK_STEPS,
     _RANK,
+    SolveReport,
     _block_powers,
+    _contract,
     _fold,
     _iterate,
     _plan,
@@ -50,7 +53,7 @@ from fhtcheb.cosh import (
     mean_correction,
 )
 from fhtcheb.fht import _u_analysis, evaluate
-from fhtcheb.transforms import TransformKind, build
+from fhtcheb.transforms import TransformKind, _hd_apply, build
 
 
 class TestWeightParam:
@@ -608,6 +611,28 @@ def test_iterative_solvers_at_odd_n(n):
     assert np.linalg.norm(fm.values - want) / np.linalg.norm(want) < 1e-6
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(3.0), WeightParam.cos_imaginary(0.7)],
+                         ids=lambda p: f"{p.flavor.value}{p.value:g}")
+@pytest.mark.parametrize("max_iter", [1, 10000])  # the one-step and the powered form
+def test_overflowing_first_step_raises(p, max_iter):
+    # |K f0|^2 overflows for 1e155 data, and with ||K|| < 1 no later step is longer; at
+    # 1e153 the first step is finite and both solves run (the CLI's exit 3 and exit 0/2).
+    n = 64
+    sg, ug = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.UNODES, n)
+    for value, fails in ((1e155, True), (1e153, False)):
+        solves = [lambda: cosh_invert_neumann(GridFn(sg, np.full(n, value)), p, max_iter=max_iter),
+                  lambda: cosh_invert_mean_constrained(GridFn(ug, np.full(n, value)), p, 0.0,
+                                                       max_iter=max_iter)]
+        for solve in solves:
+            if fails:
+                with pytest.raises(DomainError, match="overflows"):
+                    solve()
+            else:
+                got, rep = solve()
+                assert np.all(np.isfinite(got.values)) and math.isfinite(rep.residual_history[0])
+
+
 @pytest.mark.parametrize("tol, max_iter, mean_fbar", [
     (math.nan, 10, 0.0), (math.inf, 10, 0.0), (0.0, 10, 0.0), (-1e-10, 10, 0.0),
     (1e-10, 0, 0.0), (1e-10, -3, 0.0), (1e-10, 10, math.nan), (1e-10, 10, -math.inf),
@@ -781,6 +806,45 @@ def test_warm_d_flavor_ops_read_no_dense_hd(monkeypatch):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 64, 255, 256, 257, 300, 1000, 1025, 2048, 2049])
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(0.0), WeightParam.cosh_real(3.0),
+                               WeightParam.cos_imaginary(0.7)],
+                         ids=lambda p: f"{p.flavor.value}{p.value:g}")
+def test_contraction_kernel_is_two_hd_products_bit_for_bit(n, p):
+    # FFT lengths 2N where 2N is 5-smooth and >= 3N-1 elsewhere (255, 257, 1025, 2049)
+    plan = _plan(p, n)
+    v = np.random.default_rng(n).standard_normal((3, n))
+    for x in (v[0], v):
+        got = _contract(plan, x)
+        want = _hd_apply(plan.d_s * _hd_apply(plan.d_t * x), transposed=True)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _general_report(p, history, tol, defect, form):
+    """_report's arithmetic for any history, array work included."""
+    steps = np.asarray(history)
+    before, after = steps[:-1], steps[1:]
+    ratio = (float(np.max(after[before > 0.0] / before[before > 0.0], initial=0.0))
+             if np.all(np.isfinite(steps)) else math.inf)
+    return SolveReport(len(history), history, ratio, p.contraction, p.coercive_const, defect,
+                       not history or history[-1] < tol, form)
+
+
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(3.0), WeightParam.cosh_real(14.0),
+                               WeightParam.cos_imaginary(0.7)],
+                         ids=lambda p: f"{p.flavor.value}{p.value:g}")
+def test_solve_reports_match_the_general_report(p):
+    # a direct solve ("woodbury" or "lu") takes no steps; its report skips the array work
+    n = 64
+    tg = cgl_nodes(GridKind.TNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes)), p)
+    for solver, tol in ((cosh_invert_direct, 0.0), (cosh_invert_neumann, 1e-10)):
+        _, rep = solver(F, p)
+        want = _general_report(p, rep.residual_history, tol, rep.final_defect, rep.form)
+        assert dataclasses.asdict(rep) == dataclasses.asdict(want)
+        assert type(rep.measured_ratio) is float
+
+
 def test_one_plan_serves_every_operator():
     n = 64
     p = WeightParam.cosh_real(1.0)
@@ -802,6 +866,8 @@ def test_one_plan_serves_every_operator():
     diagonals = {"d_s": p.slope(sg.nodes), "d_t": p.slope(tg.nodes), "d_u": p.slope(ug.nodes),
                  "cosh_s": p.scale(sg.nodes), "cosh_t": p.scale(tg.nodes),
                  "cosh_u": p.scale(ug.nodes)}
+    diagonals["d_s_sym"] = np.concatenate((diagonals["d_s"][::-1], diagonals["d_s"]))
+    assert plan.d_s_sym[n:].ctypes.data == plan.d_s.ctypes.data  # d_s is a view, not a copy
     for name, want in diagonals.items():
         got = getattr(plan, name)
         np.testing.assert_array_equal(got, want)
