@@ -16,9 +16,10 @@ They run an even and an odd chain of about N/2 x N/2 blocks; when many steps
 are predicted, sixteen steps per product (K^16, both chains' powers from one
 chain's squarings) and one stop test per pass of many products. The direct
 solver keeps per (weight, N) a Woodbury factor of its system matrix, a
-diagonal plus a term of rank independent of N, or where (1+c)/(1-c) is too
-large the matrix's two parity halves for LU. Each solver checks its residual
-once through the unsplit operator: final_defect.
+diagonal plus a term of rank independent of N, from FFT products with the
+operator and one pass over column ranges of the matrix, with no N x N array;
+or where (1+c)/(1-c) is too large the matrix's two parity halves for LU. Each
+solver checks its residual once through the unsplit operator: final_defect.
 
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
@@ -399,29 +400,42 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
     return GridFn(cgl_nodes(GridKind.SNODES, n), plan.cosh_s * (hd_fhat - plan.d_s * hd_dt_fhat))
 
 
-def system_matrix(p: WeightParam, n: int) -> np.ndarray:
-    """I - HD^T D_s HD D_t (HD = C3 S1^T), the matrix inverted by the direct solver.
-
-    From HD's generator, _PANEL columns of HD times half of D_s HD D_t at a time: no dense
-    HD, and up to N = _PANEL the dense formula's bits. 0 - x keeps eye - x's zero signs."""
+def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarray:
+    """I - HD^T D_s HD D_t (HD = C3 S1^T), the direct solver's matrix, or its columns cols (a
+    non-empty range of step 1), to the same bits. From HD's generator, no dense HD: _PANEL
+    columns of HD times a block of D_s HD D_t (half the columns, whole panels) at a time, one
+    product per _PANEL-column range of the block (the last takes a rest under _PANEL / 2) that
+    meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps eye - x's zero signs."""
+    start, stop, step = cols.indices(n)
+    if step != 1 or stop <= start:
+        raise ParameterError(f"need a non-empty column range of step 1, got {cols}")
     plan = _plan(p, n)
     w = np.lib.stride_tricks.sliding_window_view(_hd_generator(n), n)
     def panel(j: int, width: int) -> np.ndarray:  # HD[:, j:j + width], added in place: no ufunc buffer
-        cols = w[n:, j:j + width].copy()
-        return np.add(cols, w[n - 1::-1, j:j + width], out=cols)
+        hd = w[n:, j:j + width].copy()
+        return np.add(hd, w[n - 1::-1, j:j + width], out=hd)
 
-    out = np.empty((n, n))
-    width = _PANEL * -(-n // (2 * _PANEL))
-    for j in range(0, n, width):
-        scaled = panel(j, width)
+    width, blocks = _PANEL * -(-n // (2 * _PANEL)), []
+    for j in range(0, n, width):  # a block, and the ranges of its products that meet cols
+        edges = [*range(j, max(min(n, j + width) - _PANEL // 2, j + 1), _PANEL), min(n, j + width)]
+        blocks += [[(a, b) for a, b in zip(edges, edges[1:]) if a < stop and start < b]]
+    blocks = [block for block in blocks if block]
+    lo, hi = blocks[0][0][0], blocks[-1][-1][1]
+    out = np.empty((n, hi - lo))
+    for block in blocks:
+        j = block[0][0]
+        scaled = panel(j, block[-1][1] - j)
         scaled *= plan.d_s[:, None]
-        scaled *= plan.d_t[j:j + width]
+        scaled *= plan.d_t[j:j + scaled.shape[1]]
         for i in range(0, n, _PANEL):
-            np.matmul(panel(i, _PANEL).T, scaled, out=out[i:i + _PANEL, j:j + width])
-        del scaled  # before the next panel is built
+            rows = panel(i, _PANEL).T
+            for a, b in block:
+                np.matmul(rows, scaled[:, a - j:b - j], out=out[i:i + _PANEL, a - lo:b - lo])
+            del rows  # before the next panel is built
+        del scaled
     np.subtract(0.0, out, out=out)
-    out.flat[::n + 1] += 1.0
-    return out
+    out[lo:hi].flat[::hi - lo + 1] += 1.0
+    return out[:, start - lo:stop - lo]
 
 
 def _halves(p: WeightParam, n: int) -> np.ndarray:
@@ -459,29 +473,30 @@ def _probes(n: int) -> np.ndarray:
 def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(g^-1, g^-1 Q, M) with A^-1 = diag(g^-1) - (g^-1 Q) M, A = system_matrix(p, n), or None.
 
-    A = diag(g) + E, g = 1/cosh_t^2 (1 at node 0), where E's rank does not
-    depend on N (12 at mu = 8, 1e-12 cut). Q is an orthonormal basis of E times
-    the _probes (a randomized range finder), B = Q^T E and M = (I + B g^-1 Q)^-1
-    B g^-1 (Sherman-Morrison-Woodbury). None where ||E - Q B||_F > 1e-12 ||A||_F;
-    the scale is A's, as A's rounding leaves 1e-16 ||A||_F in E (more than
-    1e-12 ||E||_F at small mu or eta). E, then E - Q B, overwrite A in place.
-    """
-    e = system_matrix(p, n)
-    size = np.linalg.norm(e)
-    g = _plan(p, n).cosh_t ** -2.0
-    g[0] = 1.0
-    e.flat[::n + 1] -= g
-    q = e @ _probes(n)[:, :n - 1]  # row 0 of E is 0: at most n - 1 independent columns
-    for j in range(q.shape[1]):  # Gram-Schmidt, twice (LAPACK's QR adds 0.3 MB to peak RSS)
-        for _ in range(2):
-            q[:, j] -= q[:, :j] @ (q[:, :j].T @ q[:, j])
-        q[:, j] /= np.linalg.norm(q[:, j]) or 1.0
-    b = q.T @ e
-    for i in range(0, n, _PANEL):
-        e[i:i + _PANEL] -= q[i:i + _PANEL] @ b
-    if not np.linalg.norm(e) <= 1e-12 * size:
+    A = diag(g) + E, g = 1/cosh_t^2 (1 at node 0), where E's rank does not depend on N (12
+    at mu = 8, 1e-12 cut). Q is an orthonormal basis of E Omega = Omega - g Omega - K Omega
+    (K = I - A by FFT, _contract; Omega the _probes, row 0 at 0): a randomized range finder.
+    B = Q^T E and M = (I + B g^-1 Q)^-1 B g^-1 (Sherman-Morrison-Woodbury). One pass over
+    column ranges of A sums ||A||_F and ||E - Q B||_F exactly, with no N x N array. None
+    where ||E - Q B||_F > 1e-12 ||A||_F: the scale is A's, as A's rounding leaves 1e-16
+    ||A||_F in E (more than 1e-12 ||E||_F at small mu or eta)."""
+    plan = _plan(p, n)
+    g = np.append(1.0, plan.cosh_t[1:] ** -2.0)
+    omega = _probes(n)[:, :n - 1].T  # row 0 of E is 0: at most n - 1 independent columns
+    omega[:, 0] = 0.0
+    q = np.linalg.qr((omega * (1.0 - g) - _contract(plan, omega)).T)[0]
+    b, size, rest = np.empty((q.shape[1], n)), 0.0, 0.0
+    edges = [*range(0, max(n - _PANEL // 2, 1), _PANEL), n]  # whole products of system_matrix
+    for j, k in zip(edges, edges[1:]):
+        e = system_matrix(p, n, slice(j, k))
+        size += np.vdot(e, e)
+        e[j:k].flat[::k - j + 1] -= g[j:k]
+        np.matmul(q.T, e, out=b[:, j:k])
+        e -= q @ b[:, j:k]
+        rest += np.vdot(e, e)
+        del e  # before the next range is built
+    if not math.sqrt(rest) <= 1e-12 * math.sqrt(size):
         return None
-    del e  # the factor's arrays reuse its memory
     b /= g
     return 1.0 / g, q / g[:, None], np.linalg.solve(np.eye(q.shape[1]) + b @ q, b)
 

@@ -15,9 +15,9 @@ with one sum and one product by a symmetric 2N row of D_s in between. Only the
 iterations read dense tables: HD (closed form, O(N^2)) for the Neumann chain
 blocks and HM (one O(N^3) product of _c3 and _s1, 0.4 s at N = 2048, one
 core) for the m-flavor transforms and chain blocks, the few most recently
-used cached, 8 N^2 bytes each; the direct solver forms its system matrix
-from HD's generator panel by panel. Every angle is reduced exactly, so every
-table is correct to rounding.
+used cached, 8 N^2 bytes each; the direct solver forms its system matrix, or
+column ranges of it, from HD's generator panel by panel. Every angle is
+reduced exactly, so every table is correct to rounding.
 """
 
 from __future__ import annotations

@@ -679,6 +679,67 @@ def test_system_matrix_in_panels_matches_the_dense_formula(n, p):
     assert np.max(np.abs(got - _dense_system_matrix(p, n))) <= 1e-15
 
 
+@pytest.mark.parametrize("n", [8, 9, 255, 257, 1025])
+@pytest.mark.parametrize("p", _SYSTEM_WEIGHTS)
+def test_system_matrix_columns_have_the_full_matrix_bits(n, p):
+    # A column range runs the full matrix's own products (whole panels of its
+    # columns, each one matrix product), so any range, aligned to the panels
+    # or not, down to one column, has the full matrix's bits.
+    full = fhtcheb.cosh.system_matrix(p, n)
+    ranges = [slice(0, 256), slice(256, 512), slice(1, n - 1), slice(n // 3, n // 3 + 300),
+              slice(0, 1), slice(n // 2, n // 2 + 1), slice(n - 1, n), slice(-3, None)]
+    for cols in (c for c in ranges if len(range(n)[c])):
+        got = fhtcheb.cosh.system_matrix(p, n, cols)
+        assert np.array_equal(got, full[:, cols]), cols
+        assert np.array_equal(np.signbit(got), np.signbit(full[:, cols])), cols
+
+
+@pytest.mark.parametrize("cols", [slice(0, 8, 2), slice(5, 5), slice(9, 3), slice(None, None, -1)])
+def test_system_matrix_refuses_a_column_set_that_is_not_a_range(cols):
+    with pytest.raises(ParameterError, match="column range"):
+        fhtcheb.cosh.system_matrix(WeightParam.cosh_real(1.0), 8, cols)
+
+
+@pytest.mark.parametrize("n", [8, 64, 257, 1025, 2048])
+@pytest.mark.parametrize("p", [WeightParam.cosh_real(mu) for mu in (0.3, 3.0, 10.5)]
+                         + [WeightParam.cos_imaginary(0.7)], ids=lambda p: f"{p.flavor.value}{p.value:g}")
+def test_woodbury_sketch_matches_the_dense_product(monkeypatch, n, p):
+    # The range finder's sketch E Omega, E = A - diag(g), comes from FFT products
+    # with K = I - A, not from A; it matches the dense product to rounding (at
+    # most 0.84 eps sqrt(N) measured, for entries of Omega in [-1, 1)).
+    sketches = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: sketches.append(a.copy()) or qr(a))
+    fhtcheb.cosh._woodbury(p, n)
+    g = np.append(1.0, p.scale(cgl_nodes(GridKind.TNODES, n).nodes[1:]) ** -2.0)
+    omega = fhtcheb.cosh._probes(n)[:, :n - 1].copy()
+    omega[0] = 0.0
+    want = (fhtcheb.cosh.system_matrix(p, n) - np.diag(g)) @ omega
+    assert len(sketches) == 1
+    assert np.max(np.abs(sketches[0] - want)) <= 4 * np.finfo(float).eps * math.sqrt(n)
+
+
+def test_cold_direct_solve_peaks_under_half_a_system_matrix():
+    # The first Woodbury solve at a key sketches the range by FFT and checks the
+    # factor against one column range of system_matrix at a time, so it forms
+    # no N x N array: 0.42 N^2 float64 at N = 2048, where the whole system
+    # matrix peaked at 1.63 N^2.
+    n = 2048
+    p = WeightParam.cosh_real(3.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes)), p)
+    _plan.cache_clear()
+    build.cache_clear()
+    tracemalloc.start()
+    try:
+        _, rep = cosh_invert_direct(F, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.form == "woodbury"
+    assert peak <= 0.5 * n * n * 8, peak / (8 * n * n)
+
+
 def test_cold_direct_solve_peaks_under_two_system_matrices():
     # The first solve at a key builds its state with no dense HD and no
     # folded copy of the system matrix; with both it peaked at 3.02 N^2 float64.
