@@ -40,16 +40,9 @@ import numpy as np
 
 from .errors import DomainError, ParameterError
 from .fht import _require, _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
-from .grids import (
-    GridFn,
-    GridKind,
-    _points,
-    _power_series,
-    _u_to_t,
-    cgl_nodes,
-    norm,
-)
-from .transforms import TransformKind, _hd_apply, _hd_correlate, _hd_generator, build
+from .grids import Grid, GridFn, GridKind, _points, _power_series, _u_to_t, cgl_nodes, norm
+from .transforms import (TransformKind, _c3t_apply, _hd_apply, _hd_correlate, _hd_generator,
+                         _s1_apply, build)
 
 
 class WeightFlavor(enum.Enum):
@@ -578,48 +571,16 @@ def cosh_invert_neumann(
 # ---------------------------------------------------------------------------
 # mean-constrained multiplication-flavor inverter (requires fbar_mu)
 
-@lru_cache(maxsize=1)
-def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 256-point Gauss-Legendre rule, computed on first use."""
-    return np.polynomial.legendre.leggauss(256)
-
-
-# One matrix per node set, N x 256 values (4.2 MB at N = 2049), for the few most recently used.
-@lru_cache(maxsize=4)
-def _pv_quadrature(x: bytes) -> np.ndarray:
-    """W_GL / (x - t_GL) at the float64 points x, read-only: the weight-independent part
-    of slope_fht's rule."""
-    t, w = _gauss_legendre()
-    a = w / (np.frombuffer(x)[:, None] - t)
-    a.flags.writeable = False
-    return a
-
-
-def slope_fht(p: WeightParam, x: np.ndarray) -> np.ndarray:
-    """Plain FHT of tanh(mu .) (or tan(eta .)) at interior points x.
-
-    Singularity subtraction with a Gauss-Legendre rule on the regular part;
-    the slope function is analytic on [-1, 1], so 256 nodes reach machine
-    precision for |mu| <= 4. The difference g(t) - g(x) is formed before it
-    is weighted: a node x within 1e-7 of a rule node would lose digits if
-    the two terms were summed apart.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gx = p.slope(x)
-    gt = p.slope(_gauss_legendre()[0])
-    reg = np.einsum("ij,ij->i", gt - gx[:, None], _pv_quadrature(x.tobytes()))
-    return (reg + gx * np.log((1.0 + x) / (1.0 - x))) / np.pi
-
-
-def mean_correction(p: WeightParam, x: np.ndarray) -> np.ndarray:
-    """G(s) = tanh(mu s) H[tanh(mu .)](s) - (1/pi) ln((1+s)/(1-s)), the first term
-    times the weight's product_sign.
-
-    The log singularity at +-1 is integrable; G is only ever evaluated at
-    interior collocation nodes.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return p.product_sign * p.slope(x) * slope_fht(p, x) - np.log((1.0 + x) / (1.0 - x)) / np.pi
+def _kd_unodes(p: WeightParam, ug: Grid) -> np.ndarray:
+    """Kd = sum_{k>=1} c_k U_{k-1} on the U-nodes ug, c the slope's T-series at m = max(N, 512)
+    S-nodes (at N = 64 alone it misses by up to 2.4e-3 at mu = 19). w_j U_{k-1}(u_j) = sin(k j
+    pi/(N+1)) has period 2(N+1) in k and is odd about N+1: c folds to N+1 terms, one DST-I."""
+    n, m, period = ug.n, max(ug.n, 512), 2 * ug.n + 2
+    c = np.zeros(-(-m // period) * period)  # C3^T of the slope: sqrt(m/2) c_k for k >= 1
+    c[:m] = _c3t_apply(p.slope(cgl_nodes(GridKind.SNODES, m).nodes))
+    c = c.reshape(-1, period).sum(axis=0)
+    c[1:n + 1] -= c[:n + 1:-1]  # c_k - c_{2(N+1)-k}; c_0 and c_{N+1} meet sin 0
+    return math.sqrt((n + 1) / m) * _s1_apply(c[:n + 1])[1:] / ug.weights
 
 
 def cosh_invert_mean_constrained(
@@ -631,21 +592,24 @@ def cosh_invert_mean_constrained(
 ) -> tuple[GridFn, SolveReport]:
     """Invert in L_m^2 given fbar_mu = (1/2) integral cosh(mu t) f(t) dt.
 
-    F_mu is sampled on U-nodes; the recovered f is returned on S-nodes. The
-    iteration converges to cosh(mu t) f(t) - fbar_mu at rate tanh^2(mu).
-    With fbar_mu != 0 the answer is least accurate next to +-1, where the grid
-    resolves the log-singular correction fbar_mu G poorly: for exact data of
-    f = w(1 + 0.3t) at mu = 0, N = 64, fbar_mu = pi/4 it misses by 5.1e-2 at
-    the S-nodes next to +-1, 3.6e-5 on |x| < 0.9 and 1.7e-6 on |x| < 0.1.
+    F_mu is sampled on U-nodes; the recovered f is returned on S-nodes. With
+    phi = (2/pi)/w, the transform's null function (H[phi] = 0, mean 1), the
+    iteration converges to v = cosh(mu t) f(t) - fbar_mu phi at rate
+    tanh^2(mu), and f = (v + fbar_mu phi) / cosh(mu t). An error d in fbar_mu
+    moves f by d 2/(pi w_s cosh_s), most at the S-nodes next to +-1. For
+    exact data of f = w(1 + 0.3t) at mu = 0, fbar_mu = pi/4, the max error is
+    1.5e-14 at N = 64 and 6.7e-13 at N = 2048.
     """
     _check_stopping(tol, max_iter, mean_fbar)
     _require(F_mu, GridKind.UNODES)
-    n = F_mu.grid.n
-    ug = F_mu.grid
+    ug, n = F_mu.grid, F_mu.grid.n
     sg = cgl_nodes(GridKind.SNODES, n)
     plan = _plan(p, n)
 
-    fhat1 = F_mu.values / plan.cosh_u + mean_fbar * mean_correction(p, ug.nodes)
+    # The data term drops phi's share of F_mu / cosh_u: -slope(u) H[slope phi](u), which is
+    # (2/pi) slope(u) Kd(u) times the product_sign by the Tricomi pair H[T_k/w] = -U_{k-1}.
+    null_term = (mean_fbar * -2.0 / np.pi * p.product_sign) * plan.d_u * _kd_unodes(p, ug)
+    fhat1 = F_mu.values / plan.cosh_u + null_term
     # Data term: the plain-convention inverse is minus the Tricomi-oriented one.
     f0 = -fht_inverse_m(GridFn(ug, fhat1)).values
 
@@ -658,7 +622,8 @@ def cosh_invert_mean_constrained(
     inner = fht_forward_m(GridFn(sg, plan.d_s * f))
     step = fht_inverse_m(GridFn(ug, plan.d_u * inner.values)).values
     defect = float(np.linalg.norm(sg.weights * (f - f0 - step))) / math.sqrt(n)
-    return GridFn(sg, (f + mean_fbar) / plan.cosh_s), _report(p, history, tol, defect, form)
+    fvals = (f + mean_fbar * (2.0 / np.pi) / sg.weights) / plan.cosh_s
+    return GridFn(sg, fvals), _report(p, history, tol, defect, form)
 
 
 # ---------------------------------------------------------------------------

@@ -394,6 +394,15 @@ def check_mean_constrained(n: int = 128) -> CheckResult:
     )
 
 
+def check_mean_constrained_nonzero_mean(n: int = 64) -> CheckResult:
+    """f = w(1 + 0.3t) at mu = 0 from exact F = u + 0.3(u^2 - 1/2) and fbar = pi/4, at rounding."""
+    sg, ug = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.UNODES, n)
+    F = GridFn(ug, ug.nodes + 0.3 * (ug.nodes ** 2 - 0.5))
+    got = cosh_invert_mean_constrained(F, WeightParam.cosh_real(0.0), math.pi / 4)[0].values
+    return _result("mean_constrained_nonzero_mean",
+                   float(np.max(np.abs(got - sg.weights * (1.0 + 0.3 * sg.nodes)))), 1e-12)
+
+
 # Both flavors, each at a small and a large parameter.
 _ORACLE_WEIGHTS = (WeightParam.cosh_real(0.5), WeightParam.cosh_real(3.0),
                   WeightParam.cos_imaginary(0.3), WeightParam.cos_imaginary(0.7))
@@ -483,6 +492,7 @@ _ONCE_CHECKS = (
     check_kernel_oracle,
     check_kernel_equivalence,
     check_mean_constrained,
+    check_mean_constrained_nonzero_mean,
     check_cos_flavor_roundtrip,
     check_weighted_oracle,
     check_null_experiment,

@@ -48,9 +48,7 @@ from fhtcheb.cosh import (
     _fold,
     _iterate,
     _plan,
-    _pv_quadrature,
     _unfold,
-    mean_correction,
 )
 from fhtcheb.fht import _u_analysis, evaluate
 from fhtcheb.transforms import TransformKind, _hd_apply, build
@@ -845,6 +843,13 @@ def test_operators_match_the_oracle(p, op):
     assert _oracle_gaps(p)[op] <= 1e-4
 
 
+@pytest.mark.parametrize("p", verify._ORACLE_WEIGHTS, ids=lambda p: f"{p.flavor.value}{p.value:g}")
+def test_mean_constrained_meets_the_oracle_within_1e_5(p):
+    # The null function (2/pi)/w carries fbar_mu: 3.1e-7 to 2.1e-6 on |x| < 0.9, where a
+    # constant mean term with a log-singular correction missed by 1.3e-5 to 4.6e-5.
+    assert _oracle_gaps(p)["mean_constrained"] <= 1e-5
+
+
 def test_warm_d_flavor_ops_read_no_dense_hd(monkeypatch):
     # Warm, every d-flavor op applies HD by FFT; only the Neumann chain
     # blocks are built from the dense table.
@@ -952,9 +957,10 @@ class TestMeanConstrained:
         np.testing.assert_allclose(got.values, 2.0 * sg.nodes * sg.weights, atol=1e-8)
 
     def test_nonzero_mean_algebraic_accuracy(self):
-        # f = w has fbar != 0; the mean-correction term carries log / sqrt
-        # singular components whose grid analysis converges algebraically,
-        # so the tolerance here is looser than the spectral cases.
+        # f = w has fbar != 0. The bound dates from a mean correction with a
+        # log-singular term that converged algebraically (5.7e-5). Carried by the
+        # null function (2/pi)/w it measures 7.0e-9, all but 2e-13 of it from the
+        # 400-point rule's error in fbar.
         from fhtcheb.fht import sgrid_to_unodes
 
         n = 128
@@ -992,6 +998,18 @@ class TestMeanConstrained:
         rel = np.linalg.norm(got.values - fex(sg.nodes)) / np.linalg.norm(fex(sg.nodes))
         assert rel < 1e-6
 
+    @pytest.mark.parametrize("n", [64, 2048])
+    def test_nonzero_mean_exact_next_to_the_ends(self, n):
+        # mu = 0, f = w(1 + 0.3t): F = H[f] = u + 0.3(u^2 - 1/2) exactly, fbar = pi/4.
+        # A constant mean term missed by 5.1e-2 (N = 64) and 4.8e-2 (N = 2048) at the
+        # S-nodes next to +-1; the null function (2/pi)/w carries it to rounding.
+        p = WeightParam.cosh_real(0.0)
+        sg, ug = cgl_nodes(GridKind.SNODES, n), cgl_nodes(GridKind.UNODES, n)
+        F = GridFn(ug, ug.nodes + 0.3 * (ug.nodes ** 2 - 0.5))
+        got, rep = cosh_invert_mean_constrained(F, p, math.pi / 4)
+        assert rep.converged
+        assert np.max(np.abs(got.values - sg.weights * (1.0 + 0.3 * sg.nodes))) < 1e-12
+
     def test_wrong_grid(self):
         from fhtcheb import GridKind as GK
 
@@ -1010,33 +1028,45 @@ def _relative_gap(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def test_pv_quadrature_cache_bounded_and_read_only():
+def test_warm_mean_constrained_solve_retains_no_n_by_m_array():
+    # With HM, its chain blocks and the plan cached, a solve with fbar_mu != 0 keeps
+    # nothing of size N x m: the 256-point PV rule's matrix this replaced was 256 N.
+    n = MAX_DEGREE + 1
     p = WeightParam.cosh_real(2.0)
-    _pv_quadrature.cache_clear()
-    maxsize = _pv_quadrature.cache_info().maxsize
-    for n in range(8, 9 + 2 * maxsize):
-        mean_correction(p, cgl_nodes(GridKind.UNODES, n).nodes)
-        assert _pv_quadrature.cache_info().currsize <= maxsize
-    assert _pv_quadrature.cache_info().currsize == maxsize
-    a = _pv_quadrature(cgl_nodes(GridKind.UNODES, 8).nodes.tobytes())
-    assert a.shape == (8, 256)
-    with pytest.raises(ValueError):
-        a[0, 0] = 1.0
+    ug = cgl_nodes(GridKind.UNODES, n)
+    build(TransformKind.HM, n)
+    fhtcheb.cosh._chain_blocks(TransformKind.HM, n)
+    _plan(p, n)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cosh_invert_mean_constrained(GridFn(ug, ug.nodes), p, 0.5)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 8 * n * 8, f"retained {retained / (8 * n):.1f} N float64"
 
 
-# From N = 1024 on, U-nodes come within 1.7e-7 of a Gauss-Legendre node.
+# Kd on the U-nodes from the slope's T-series by the Tricomi pair H[T_k/w] = -U_{k-1}:
+# U_{k-1}(cos th) = sin(k th) / sin th, summed directly, every angle reduced exactly.
+# The reference's series, from the exact-angle DCT at max(N, 512) Chebyshev points of
+# the first kind, is cut at degree 160, beyond which the five slopes' coefficients are
+# below 1e-17; measured gap 1.7e-13 relative (N = 2049).
 @pytest.mark.parametrize("n", [8, 255, 256, 1024, 2049])
-def test_mean_correction_matches_uncached_quadrature(n):
-    t, w = np.polynomial.legendre.leggauss(256)
-    x = cgl_nodes(GridKind.UNODES, n).nodes
-    log = np.log((1.0 + x) / (1.0 - x)) / np.pi
+def test_null_correction_kernel_matches_tricomi_sum(n):
+    from numpy.polynomial import chebyshev
+
+    ug = cgl_nodes(GridKind.UNODES, n)
+    m, k = max(n, 512), np.arange(160)
+    x = chebyshev.chebpts1(m)[::-1]  # cos((j + 1/2) pi / m), j = 0..m-1
+    t = np.cos(np.pi / (2 * m) * (np.outer(k, 2 * np.arange(m) + 1) % (4 * m)))
+    u = np.sin(np.pi / (n + 1) * (np.outer(np.arange(1, n + 1), k[1:]) % (2 * n + 2)))
     for p in [WeightParam.cosh_real(mu) for mu in (0.5, 2.0, 4.0, -3.0)] \
             + [WeightParam.cos_imaginary(0.7)]:
-        gx = p.slope(x)
-        reg = ((p.slope(t) - gx[:, None]) / (x[:, None] - t)) @ w
-        want = p.product_sign * gx * (reg / np.pi + gx * log) - log
-        got = mean_correction(p, x)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        c = t @ p.slope(x) * (2.0 / m)
+        want = u @ c[1:] / ug.weights
+        got = fhtcheb.cosh._kd_unodes(p, ug)
+        assert np.max(np.abs(got - want)) <= 5e-13 * np.max(np.abs(want))
 
 
 class TestKernel:

@@ -16,6 +16,8 @@ from fhtcheb import (
     ResampleMode,
     WeightParam,
     cgl_nodes,
+    coeffs_from_sgrid,
+    cosh_forward,
     cosh_invert_mean_constrained,
     fht_forward_d,
     fht_forward_m,
@@ -129,6 +131,34 @@ def test_fused_m_flavor_matches_two_stage(n, seed, mu):
     _, rep = cosh_invert_mean_constrained(F, p, 0.0, max_iter=1)
     want = np.sqrt(c0 ** 2 + 0.5 * np.sum(d ** 2))
     assert abs(rep.residual_history[0] - want) <= 1e-10 * max(1.0, want)
+
+
+@PROPERTY
+@given(n=st.integers(64, 512), seed=SEEDS,
+       p=st.one_of(st.floats(-3.0, 3.0).map(WeightParam.cosh_real),
+                   st.floats(-0.7, 0.7, exclude_min=True, exclude_max=True)
+                   .map(WeightParam.cos_imaginary)))
+def test_mean_constrained_recovers_w_times_a_quadratic(n, seed, p):
+    # f = w q with q quadratic, so fbar_mu != 0 in general. F from cosh_forward on
+    # T-nodes, interpolated to the U-nodes; fbar_mu by the 64-point second-kind
+    # Gauss-Chebyshev rule, exact to degree 127 (cosh(3t)'s T-series is below 1e-70
+    # from degree 60 on).
+    # N >= 64 resolves tanh(mu t) for |mu| <= 3. Rounding in y = w_s v grows by up to
+    # N^2 near +-1 (the same for fbar_mu = 0), hence a bound per N^2 and a w-weighted
+    # one; measured 2.6e-14 N^2 and 6e-12.
+    q = np.random.default_rng(seed).uniform(-1.0, 1.0, 3)
+    tg, sg, ug = (cgl_nodes(k, n) for k in (GridKind.TNODES, GridKind.SNODES, GridKind.UNODES))
+    F = cosh_forward(GridFn(tg, tg.weights * np.polynomial.polynomial.polyval(tg.nodes, q)), p)
+    Fu = resample(coeffs_from_sgrid(F), ug.nodes, ResampleMode.T_SERIES)
+    th = np.arange(1, 65) * (np.pi / 65)
+    x = np.cos(th)
+    fbar = 0.5 * np.pi / 65 * float(np.sum(np.sin(th) ** 2 * p.scale(x)
+                                           * np.polynomial.polynomial.polyval(x, q)))
+    got, rep = cosh_invert_mean_constrained(GridFn(ug, Fu), p, fbar, tol=1e-13)
+    err = np.abs(got.values - sg.weights * np.polynomial.polynomial.polyval(sg.nodes, q))
+    assert rep.converged
+    assert np.max(err) <= 1e-12 * n ** 2
+    assert np.max(sg.weights * err) <= 1e-10
 
 
 # Every parameter the weight accepts: |mu| < 19.0615 (cosh), |eta| < pi/4 (cos).
