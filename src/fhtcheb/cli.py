@@ -38,7 +38,7 @@ from .cosh import (
 )
 from .errors import FhtChebError, InputError, InvalidSizeError, ParameterError
 from .fht import evaluate, fht_forward_d, fht_inverse_d
-from .grids import MAX_DEGREE, GridFn, GridKind, cgl_nodes, weight_w
+from .grids import GridFn, GridKind, cgl_nodes, weight_w
 from .report import read_csv, uniform_grid, write_csv, write_json_report, write_svg
 
 EXIT_OK = 0
@@ -206,10 +206,10 @@ def cmd_cond_sweep(args) -> int:
     mu_list = _parse_list(args.mu_list, float, "--mu-list")
     if not mu_list:
         raise ParameterError("--mu-list is required")
-    if not 8 <= args.n <= MAX_DEGREE + 1:  # the estimate is a dense N x N SVD
-        raise ParameterError(f"--n must lie in [8, {MAX_DEGREE + 1}], got {args.n}")
-    # every mu is checked before the first estimate
-    params = [WeightParam.cosh_real(mu) for mu in mu_list]
+    if args.n < 8:
+        raise ParameterError(f"--n must be at least 8, got {args.n}")
+    cgl_nodes(GridKind.TNODES, args.n)  # refuses N above MAX_DEGREE + 1 before any N x N SVD
+    params = [WeightParam.cosh_real(mu) for mu in mu_list]  # every mu, before any estimate
     ests = [condition_estimate(p, args.n) for p in params]
     write_csv(args.output_path, [p.value for p in params], [e.measured for e in ests],
               [e.bound for e in ests], header="mu,measured,bound")
@@ -307,7 +307,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ParameterError, InvalidSizeError) as exc:  # null_experiment's sizes
+    except (ParameterError, InvalidSizeError) as exc:  # cgl_nodes' sizes: --n, --sizes
         print(f"parameter error: {exc}", file=sys.stderr)
         return EXIT_PARAMETER
     except FhtChebError as exc:

@@ -180,12 +180,11 @@ def _report(p: WeightParam, history: list[float], tol: float, defect: float,
 # so K splits into two independent chains of half size, one per parity of x.
 
 # The chain blocks of one (operator, N) hold N^2/2 values, half as many as HD;
-# the few most recently used are kept. For _POWER_CROSSOVER, _BLOCK_STEPS (a power of
-# two) and _PASS_BYTES see _iterate.
+# the few most recently used are kept. For _POWER_CROSSOVER and _BLOCK_STEPS (a power
+# of two, also the most blocks in one pass) see _iterate.
 _BLOCK_CACHE_SIZE = 4
 _POWER_CROSSOVER = 0.5
 _BLOCK_STEPS = 16
-_PASS_BYTES = 1 << 22
 
 
 def _fold(a: np.ndarray) -> np.ndarray:
@@ -206,28 +205,25 @@ def _fold(a: np.ndarray) -> np.ndarray:
 
 
 def _unfold(x: np.ndarray, n: int) -> np.ndarray:
-    """The length-n vector whose _fold is x (the inverse of _fold on vectors)."""
+    """The inverse of _fold on vectors: _fold in the layout [even part, odd part reversed]."""
     h = n // 2
-    a = np.empty(n)
-    a[:h] = (x[0, :h] + x[1, :h]) * math.sqrt(0.5)
-    a[::-1][:h] = (x[0, :h] - x[1, :h]) * math.sqrt(0.5)
-    if n % 2:
-        a[h] = x[0, h]
-    return a
+    y = _fold(np.concatenate((x[0], x[1, :h][::-1])))
+    return np.concatenate((y[0], y[1, :h][::-1]))
 
 
 @lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _chain_blocks(kind: TransformKind, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(L, R) of both chains without their diagonals, stacked even then odd, read-only.
 
-    With B_eo = A[even rows, odd columns] and B_oe = A[odd rows, even
-    columns], the even chain is R = B_eo D1, L = B_oe^T D2 and the odd chain
-    R = B_oe D1, L = B_eo^T D2. The even rows lose their centre row, which
-    D2 maps to 0, and B_eo gains a zero centre column when A has one, so
-    both chains have the same shapes. The same-parity blocks of A are zero
-    to rounding and are dropped. Only R is stored; L is a view of it. The
-    chains share one matrix, M = R_even^T D2 R_odd: K_even = M^T D1 and
-    K_odd = M D1 (see _block_powers).
+    Folded by hand, not by _fold, to form only the cross blocks (HM at N = 2048,
+    one core: 17 ms, against 75 ms for _fold of the rows, then the columns). With
+    B_eo = A[even rows, odd columns] and B_oe = A[odd rows, even columns], the
+    even chain is R = B_eo D1, L = B_oe^T D2 and the odd chain R = B_oe D1,
+    L = B_eo^T D2. The even rows lose their centre row, which D2 maps to 0, and
+    B_eo gains a zero centre column when A has one, so both chains have the same
+    shapes. The same-parity blocks of A are zero to rounding and are dropped.
+    Only R is stored; L is a view of it. The chains share one matrix,
+    M = R_even^T D2 R_odd: K_even = M^T D1 and K_odd = M D1 (see _block_powers).
     """
     a = build(TransformKind.HD, n)[:, 1:] if kind is TransformKind.HD \
         else build(TransformKind.HM, n).T
@@ -279,11 +275,11 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
     and runs V <- P V from V = [K f0 ... K^B f0] (break-even about 0.2 m at
     N = 2048, 0.25 m at N = 1024 and 0.35 m at N = 256, one core) in passes: one
     buffer of the blocks the bound predicts from the last step, at most
-    max_iter steps and _PASS_BYTES, then one norm, stop test and sum for them
-    all. Else step k = L D2 (R D1 step k-1), two matrix-vector products with
-    the diagonals applied to the vectors and one stop test per step, with no
-    m x m product and no scaled copy of the blocks. Returns the last x, the
-    step lengths and "powered" or "one-step".
+    max_iter steps and _BLOCK_STEPS blocks (4.2 MB at N = 2049), then one norm,
+    stop test and sum for them all. Else step k = L D2 (R D1 step k-1), two
+    matrix-vector products with the diagonals applied to the vectors and one
+    stop test per step, with no m x m product and no scaled copy of the blocks.
+    Returns the last x, the step lengths and "powered" or "one-step".
     """
     # D1 and D2 on the node pairs are the odd parts (d_i - d_{n-1-i}) / 2 of
     # d1 and d2; an odd diagonal is 0 at a centre node.
@@ -305,8 +301,7 @@ def _iterate(kind: TransformKind, n: int, d1: np.ndarray, d2: np.ndarray, f0: np
         v, k = _block_powers(left, right, dg1, dg2, step)
         steps, x, history = min(max_iter, 1 + steps_after(history[0])), b, []
         while True:  # a pass; the first measures step 1 again, hence 1 + steps_after above
-            blocks = math.ceil(steps / _BLOCK_STEPS)
-            buf = np.empty((max(1, min(_PASS_BYTES // v.nbytes, blocks)),) + v.shape)
+            buf = np.empty((min(_BLOCK_STEPS, math.ceil(steps / _BLOCK_STEPS)),) + v.shape)
             buf[0] = v
             for j in range(1, buf.shape[0]):
                 np.matmul(k, buf[j - 1], out=buf[j])
@@ -393,12 +388,22 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
     return GridFn(cgl_nodes(GridKind.SNODES, n), plan.cosh_s * (hd_fhat - plan.d_s * hd_dt_fhat))
 
 
+def _column_blocks(n: int, start: int, stop: int) -> list[list[tuple[int, int]]]:
+    """system_matrix's blocks (half the columns, whole panels) that meet columns start..stop-1,
+    as their products' column ranges that do: _PANEL columns, the last with a rest < _PANEL / 2."""
+    width = _PANEL * -(-n // (2 * _PANEL))
+    edges = [[*range(j, max(min(n, j + width) - _PANEL // 2, j + 1), _PANEL), min(n, j + width)]
+             for j in range(0, n, width)]
+    blocks = [[(a, b) for a, b in zip(e, e[1:]) if a < stop and start < b] for e in edges]
+    return [block for block in blocks if block]
+
+
 def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarray:
     """I - HD^T D_s HD D_t (HD = C3 S1^T), the direct solver's matrix, or its columns cols (a
     non-empty range of step 1), to the same bits. From HD's generator, no dense HD: _PANEL
-    columns of HD times a block of D_s HD D_t (half the columns, whole panels) at a time, one
-    product per _PANEL-column range of the block (the last takes a rest under _PANEL / 2) that
-    meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps eye - x's zero signs."""
+    columns of HD times a block of D_s HD D_t at a time, one product per column range of the
+    block that meets cols (_column_blocks). Up to N = _PANEL the dense formula's bits; 0 - x
+    keeps eye - x's zero signs."""
     start, stop, step = cols.indices(n)
     if step != 1 or stop <= start:
         raise ParameterError(f"need a non-empty column range of step 1, got {cols}")
@@ -408,11 +413,7 @@ def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarr
         hd = w[n:, j:j + width].copy()
         return np.add(hd, w[n - 1::-1, j:j + width], out=hd)
 
-    width, blocks = _PANEL * -(-n // (2 * _PANEL)), []
-    for j in range(0, n, width):  # a block, and the ranges of its products that meet cols
-        edges = [*range(j, max(min(n, j + width) - _PANEL // 2, j + 1), _PANEL), min(n, j + width)]
-        blocks += [[(a, b) for a, b in zip(edges, edges[1:]) if a < stop and start < b]]
-    blocks = [block for block in blocks if block]
+    blocks = _column_blocks(n, start, stop)
     lo, hi = blocks[0][0][0], blocks[-1][-1][1]
     out = np.empty((n, hi - lo))
     for block in blocks:
@@ -479,8 +480,7 @@ def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     omega[:, 0] = 0.0
     q = np.linalg.qr((omega * (1.0 - g) - _contract(plan, omega)).T)[0]
     b, size, rest = np.empty((q.shape[1], n)), 0.0, 0.0
-    edges = [*range(0, max(n - _PANEL // 2, 1), _PANEL), n]  # whole products of system_matrix
-    for j, k in zip(edges, edges[1:]):
+    for j, k in (cols for block in _column_blocks(n, 0, n) for cols in block):  # whole products
         e = system_matrix(p, n, slice(j, k))
         size += np.vdot(e, e)
         e[j:k].flat[::k - j + 1] -= g[j:k]

@@ -349,6 +349,23 @@ def test_final_defect_is_unsplit_residual(monkeypatch):
         assert rep.final_defect > 1e6 * rep.residual_history[-1]
 
 
+def test_unfold_inverts_fold():
+    # _unfold is _fold in the layout [even part, odd part reversed]: bit for bit
+    # the pair formula a_i, a_{n-1-i} = (x0_i +- x1_i) / sqrt(2), centre a_h = x0_h.
+    # The round trip rounds twice, so it returns a to a few ulps, not to the bit.
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        a, h = rng.standard_normal(n), n // 2
+        x = _fold(a)
+        want = np.empty(n)
+        want[:h] = (x[0, :h] + x[1, :h]) * math.sqrt(0.5)
+        want[::-1][:h] = (x[0, :h] - x[1, :h]) * math.sqrt(0.5)
+        want[h:n - h] = x[0, h:]
+        got = _unfold(x, n)
+        assert np.array_equal(got, want), n
+        assert np.max(np.abs(got - a)) <= 2 * np.finfo(float).eps * np.max(np.abs(a))
+
+
 def _fixed_point(kind, n, d1, d2, f0, tol, max_iter):
     """The textbook loop x <- b + L (R x) on _chain_blocks, in _fold's coordinates."""
     left, right = fhtcheb.cosh._chain_blocks(kind, n)
@@ -502,29 +519,32 @@ def test_iterate_where_tanh_rounds_to_one():
 
 @pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
 def test_iterate_independent_of_pass_size(kind, monkeypatch):
-    # _PASS_BYTES = 1 makes every pass one block of _BLOCK_STEPS steps; the default
-    # fits the whole solve (about 290 steps at mu = 2, N = 256) in one pass.
+    # A pass holds at most B = _BLOCK_STEPS blocks of B steps: B^2 = 256 steps by
+    # default, so the solve (293 steps at mu = 2, N = 256) takes two passes; with
+    # B = 2 a pass is 4 steps and the solve takes 74.
     n, p = 256, WeightParam.cosh_real(2.0)
     d1, d2, f0 = _kernel_args(kind, n, p)
     x, history, form = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
-    monkeypatch.setattr(fhtcheb.cosh, "_PASS_BYTES", 1)
-    x_one, history_one, form_one = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
-    assert form == form_one == "powered"
-    assert len(history) == len(history_one) > 8
-    np.testing.assert_allclose(history, history_one, rtol=1e-12)
-    np.testing.assert_allclose(x, x_one, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
+    monkeypatch.setattr(fhtcheb.cosh, "_BLOCK_STEPS", 2)
+    x_small, history_small, form_small = _iterate(kind, n, d1, d2, f0, 1e-10, 10000)
+    assert form == form_small == "powered"
+    assert len(history) == len(history_small) > _BLOCK_STEPS ** 2
+    np.testing.assert_allclose(history, history_small, rtol=1e-12)
+    np.testing.assert_allclose(x, x_small, rtol=1e-12, atol=1e-12 * np.max(np.abs(x)))
 
 
-# With one-block passes, step B + 1 opens the second pass and step 2 B + 5
-# lies inside the third (B = _BLOCK_STEPS); with the default budget both lie
-# inside the first pass.
-@pytest.mark.parametrize("budget", [1, None])
-@pytest.mark.parametrize("stop, max_iter", [(_BLOCK_STEPS + 1, 1000),
-                                            (2 * _BLOCK_STEPS + 5, 1000),
-                                            (2 * _BLOCK_STEPS + 5, 2 * _BLOCK_STEPS + 5)],
+# A pass holds at most B = _BLOCK_STEPS blocks of B steps, B^2 steps: 256 by
+# default, 4 with B = 2. Step B^2 + 1 opens the second pass, and step
+# 2 B^2 + B + 2 lies inside the third, in its second block.
+@pytest.mark.parametrize("block_steps", [2, _BLOCK_STEPS])
+@pytest.mark.parametrize("where, at_max_iter", [((1, 0, 1), False), ((2, 1, 2), False),
+                                                ((2, 1, 2), True)],
                          ids=["tol-first-column", "tol-inside", "max-iter-inside"])
 @pytest.mark.parametrize("kind", [TransformKind.HD, TransformKind.HM])
-def test_iterate_stops_inside_a_pass(kind, stop, max_iter, budget, monkeypatch):
+def test_iterate_stops_inside_a_pass(kind, where, at_max_iter, block_steps, monkeypatch):
+    passes, blocks, column = where  # whole passes and blocks before the stop, then its column
+    stop = (passes * block_steps + blocks) * block_steps + column
+    max_iter = stop if at_max_iter else 1000
     n, p = 64, WeightParam.cosh_real(2.0)
     d1, d2, f0 = _kernel_args(kind, n, p)
     monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", math.inf)
@@ -534,8 +554,7 @@ def test_iterate_stops_inside_a_pass(kind, stop, max_iter, budget, monkeypatch):
     tol = math.sqrt(steps[-2] * steps[-1]) if max_iter > stop else 1e-300
     x_ref, history_ref, form_ref = _iterate(kind, n, d1, d2, f0, tol, max_iter)
     monkeypatch.setattr(fhtcheb.cosh, "_POWER_CROSSOVER", 0.0)
-    if budget is not None:
-        monkeypatch.setattr(fhtcheb.cosh, "_PASS_BYTES", budget)
+    monkeypatch.setattr(fhtcheb.cosh, "_BLOCK_STEPS", block_steps)
     x, history, form = _iterate(kind, n, d1, d2, f0, tol, max_iter)
     assert (form_ref, form) == ("one-step", "powered")
     assert len(history) == len(history_ref) == stop
@@ -545,7 +564,7 @@ def test_iterate_stops_inside_a_pass(kind, stop, max_iter, budget, monkeypatch):
 
 def test_iterate_runs_to_max_iter_where_the_bound_is_one():
     # At mu = 19, N = 64 the bound c is 1 (for HM it is 1 - 1.1e-16) and
-    # predicts no count: the pass buffer is sized by max_iter and the budget.
+    # predicts no count: the pass buffer is sized by max_iter and _BLOCK_STEPS.
     n, p = 64, WeightParam.cosh_real(19.0)
     for kind in (TransformKind.HD, TransformKind.HM):
         d1, d2, f0 = _kernel_args(kind, n, p)
@@ -715,6 +734,29 @@ def test_woodbury_sketch_matches_the_dense_product(monkeypatch, n, p):
     want = (fhtcheb.cosh.system_matrix(p, n) - np.diag(g)) @ omega
     assert len(sketches) == 1
     assert np.max(np.abs(sketches[0] - want)) <= 4 * np.finfo(float).eps * math.sqrt(n)
+
+
+# system_matrix's products: blocks of _PANEL ceil(N / (2 _PANEL)) columns, cut
+# into ranges of _PANEL columns, the last of a block taking a rest under _PANEL / 2.
+@pytest.mark.parametrize("n, products", [
+    (600, [(0, 256), (256, 512), (512, 600)]),
+    (640, [(0, 256), (256, 512), (512, 640)]),
+    (641, [(0, 256), (256, 512), (512, 641)]),
+    (2049, [(0, 256), (256, 512), (512, 768), (768, 1024), (1024, 1280),
+            (1280, 1536), (1536, 1792), (1792, 2049)]),
+])
+def test_woodbury_check_reads_whole_products_of_system_matrix(monkeypatch, n, products):
+    # At N = 513..640 a 256-column rule alone asks for (256, N), which spans
+    # two blocks; the factor's check reads system_matrix's own products.
+    seen, system_matrix = [], fhtcheb.cosh.system_matrix
+
+    def wrapped(p, size, cols=slice(None)):
+        seen.append(cols.indices(size)[:2])
+        return system_matrix(p, size, cols)
+
+    monkeypatch.setattr(fhtcheb.cosh, "system_matrix", wrapped)
+    assert fhtcheb.cosh._woodbury(WeightParam.cosh_real(3.0), n) is not None
+    assert seen == products
 
 
 def test_cold_direct_solve_peaks_under_half_a_system_matrix():
