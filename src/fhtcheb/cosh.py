@@ -389,21 +389,22 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
 
 
 def _column_blocks(n: int, start: int, stop: int) -> list[list[tuple[int, int]]]:
-    """system_matrix's blocks (half the columns, whole panels) that meet columns start..stop-1,
-    as their products' column ranges that do: _PANEL columns, the last with a rest < _PANEL / 2."""
-    width = _PANEL * -(-n // (2 * _PANEL))
-    edges = [[*range(j, max(min(n, j + width) - _PANEL // 2, j + 1), _PANEL), min(n, j + width)]
-             for j in range(0, n, width)]
-    blocks = [[(a, b) for a, b in zip(e, e[1:]) if a < stop and start < b] for e in edges]
+    """The column ranges of system_matrix's products that meet columns start..stop-1, by block:
+    _PANEL columns each, the last with a rest <= _PANEL / 2, halved at the edge nearest N / 2."""
+    edges = [*range(0, max(n - _PANEL // 2, 1), _PANEL), n]
+    half = min(range(len(edges)), key=lambda k: abs(2 * edges[k] - n))
+    products = [*zip(edges, edges[1:])]
+    blocks = [[(a, b) for a, b in part if a < stop and start < b]
+              for part in (products[:half], products[half:])]
     return [block for block in blocks if block]
 
 
 def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarray:
     """I - HD^T D_s HD D_t (HD = C3 S1^T), the direct solver's matrix, or its columns cols (a
     non-empty range of step 1), to the same bits. From HD's generator, no dense HD: _PANEL
-    columns of HD times a block of D_s HD D_t at a time, one product per column range of the
-    block that meets cols (_column_blocks). Up to N = _PANEL the dense formula's bits; 0 - x
-    keeps eye - x's zero signs."""
+    columns of HD times a block of D_s HD D_t (half of _column_blocks' products) at a time, one
+    product per range that meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps
+    eye - x's zero signs."""
     start, stop, step = cols.indices(n)
     if step != 1 or stop <= start:
         raise ParameterError(f"need a non-empty column range of step 1, got {cols}")
@@ -641,15 +642,14 @@ def kernel(kind: str, p: WeightParam, n: int, x) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _points(x, "kernel points")
-    if kind == "Kd":
-        sg = cgl_nodes(GridKind.SNODES, n)
-        series = coeffs_from_sgrid(GridFn(sg, p.slope(sg.nodes)))
-        t_series = _u_to_t(series[1:])
-    elif kind == "Km":
-        series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, n), _plan(p, n).d_u))
-        t_series = np.concatenate(([0.0], series))
-    else:
+    if kind not in ("Kd", "Km"):
         raise ParameterError(f"unknown kernel kind {kind!r}")
+    g = cgl_nodes(GridKind.SNODES if kind == "Kd" else GridKind.UNODES, n)
+    slope = GridFn(g, p.slope(g.nodes))  # no _plan: a kernel adds no key to the solver cache
+    if kind == "Kd":
+        t_series = _u_to_t(coeffs_from_sgrid(slope)[1:])
+    else:
+        t_series = np.concatenate(([0.0], _u_analysis(slope)))
     # contiguous, not a view of P
     return _power_series(t_series, x.ravel()).real.reshape(x.shape).copy()
 

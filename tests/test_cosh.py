@@ -51,6 +51,7 @@ from fhtcheb.cosh import (
     _unfold,
 )
 from fhtcheb.fht import _u_analysis, evaluate
+from fhtcheb.grids import _power_series
 from fhtcheb.transforms import TransformKind, _hd_apply, build
 
 
@@ -736,18 +737,21 @@ def test_woodbury_sketch_matches_the_dense_product(monkeypatch, n, p):
     assert np.max(np.abs(sketches[0] - want)) <= 4 * np.finfo(float).eps * math.sqrt(n)
 
 
-# system_matrix's products: blocks of _PANEL ceil(N / (2 _PANEL)) columns, cut
-# into ranges of _PANEL columns, the last of a block taking a rest under _PANEL / 2.
+# system_matrix's products: ranges of _PANEL columns, the last taking a rest of
+# at most _PANEL / 2, so no product is a sliver (N = 257, 513 and 1537 had a
+# one-column product when blocks of _PANEL ceil(N / (2 _PANEL)) columns were cut).
 @pytest.mark.parametrize("n, products", [
-    (600, [(0, 256), (256, 512), (512, 600)]),
-    (640, [(0, 256), (256, 512), (512, 640)]),
+    (600, [(0, 256), (256, 600)]),
+    (640, [(0, 256), (256, 640)]),
     (641, [(0, 256), (256, 512), (512, 641)]),
     (2049, [(0, 256), (256, 512), (512, 768), (768, 1024), (1024, 1280),
             (1280, 1536), (1536, 1792), (1792, 2049)]),
+    (257, [(0, 257)]),
+    (513, [(0, 256), (256, 513)]),
+    (1537, [(0, 256), (256, 512), (512, 768), (768, 1024), (1024, 1280), (1280, 1537)]),
 ])
 def test_woodbury_check_reads_whole_products_of_system_matrix(monkeypatch, n, products):
-    # At N = 513..640 a 256-column rule alone asks for (256, N), which spans
-    # two blocks; the factor's check reads system_matrix's own products.
+    # The factor's check reads system_matrix's own products, one range each.
     seen, system_matrix = [], fhtcheb.cosh.system_matrix
 
     def wrapped(p, size, cols=slice(None)):
@@ -757,6 +761,19 @@ def test_woodbury_check_reads_whole_products_of_system_matrix(monkeypatch, n, pr
     monkeypatch.setattr(fhtcheb.cosh, "system_matrix", wrapped)
     assert fhtcheb.cosh._woodbury(WeightParam.cosh_real(3.0), n) is not None
     assert seen == products
+
+
+def test_column_blocks_tile_the_columns_in_two_halves_of_whole_products():
+    for n in range(2, MAX_DEGREE + 2):
+        blocks = fhtcheb.cosh._column_blocks(n, 0, n)
+        products = [cols for block in blocks for cols in block]
+        assert len(blocks) in (1, 2), n
+        assert [a for a, _ in products] == [0] + [b for _, b in products[:-1]], n
+        assert products[-1][1] == n, n
+        if n > 128:
+            assert all(128 < b - a <= 384 for a, b in products), (n, products)
+        counts = [len(block) for block in blocks] + [0]
+        assert abs(counts[0] - counts[1]) <= 1, n
 
 
 def test_cold_direct_solve_peaks_under_half_a_system_matrix():
@@ -778,6 +795,26 @@ def test_cold_direct_solve_peaks_under_half_a_system_matrix():
         tracemalloc.stop()
     assert rep.form == "woodbury"
     assert peak <= 0.5 * n * n * 8, peak / (8 * n * n)
+
+
+def test_cold_lu_solve_peaks_under_two_system_matrices_less_a_tenth():
+    # The LU state forms all of A, one block (half the products) of D_s HD D_t
+    # at a time: 1.77 N^2 float64 at N = 1025, where blocks of 768 and 257
+    # columns peaked at 2.02 N^2.
+    n = 1025
+    p = WeightParam.cosh_real(14.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes)), p)
+    _plan.cache_clear()
+    build.cache_clear()
+    tracemalloc.start()
+    try:
+        _, rep = cosh_invert_direct(F, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.form == "lu"
+    assert peak <= 1.9 * n * n * 8, peak / (8 * n * n)
 
 
 def test_cold_direct_solve_peaks_under_two_system_matrices():
@@ -1174,6 +1211,23 @@ class TestKernel:
         x = np.linspace(-1.0, 1.0, 9)
         got = kernel(kind, p, MAX_DEGREE + 1, x)
         assert _relative_gap(got, kernel(kind, p, 255, x)) <= 1e-12
+
+    def test_km_adds_no_key_to_the_solver_cache(self):
+        # A kernel reads the slope on the U-nodes, the values of the plan's d_u
+        # (which carries no product_sign), without inserting a plan: calls at four
+        # other N leave a direct key's factor in the cache of four keys.
+        p, n, sizes = WeightParam.cosh_real(3.0), 64, (16, 32, 63, 255)
+        tg = cgl_nodes(GridKind.TNODES, n)
+        F = cosh_forward(GridFn(tg, tg.weights), p)
+        _plan.cache_clear()
+        cosh_invert_direct(F, p)
+        direct = _plan(p, n).direct
+        x = np.linspace(-1.0, 1.0, 9)
+        got = [kernel("Km", p, m, x) for m in sizes]
+        assert _plan(p, n).direct is direct
+        for m, k in zip(sizes, got):
+            series = _u_analysis(GridFn(cgl_nodes(GridKind.UNODES, m), _plan(p, m).d_u))
+            assert np.array_equal(k, _power_series(np.concatenate(([0.0], series)), x).real)
 
     @pytest.mark.parametrize("kind", ["Kd", "Km"])
     # NaN lies nowhere on [-1, 1]; +-1 itself is accepted (the two tests above)
