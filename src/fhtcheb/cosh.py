@@ -340,7 +340,6 @@ _INVERSE_LIMIT = 1e-5
 _RANK = 24  # probes of the range finder: the columns of Q in _woodbury
 
 _PANEL = 256  # columns of HD per panel of system_matrix
-_FOLD_ROWS = 32  # row pairs per band of _halves
 
 
 @dataclass
@@ -388,23 +387,18 @@ def cosh_forward(f: GridFn, p: WeightParam) -> GridFn:
     return GridFn(cgl_nodes(GridKind.SNODES, n), plan.cosh_s * (hd_fhat - plan.d_s * hd_dt_fhat))
 
 
-def _column_blocks(n: int, start: int, stop: int) -> list[list[tuple[int, int]]]:
-    """The column ranges of system_matrix's products that meet columns start..stop-1, by block:
-    _PANEL columns each, the last with a rest <= _PANEL / 2, halved at the edge nearest N / 2."""
+def _products(n: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """The column ranges of system_matrix's products that meet columns start..stop-1:
+    _PANEL columns each, the last with a rest <= _PANEL / 2."""
     edges = [*range(0, max(n - _PANEL // 2, 1), _PANEL), n]
-    half = min(range(len(edges)), key=lambda k: abs(2 * edges[k] - n))
-    products = [*zip(edges, edges[1:])]
-    blocks = [[(a, b) for a, b in part if a < stop and start < b]
-              for part in (products[:half], products[half:])]
-    return [block for block in blocks if block]
+    return [(a, b) for a, b in zip(edges, edges[1:]) if a < stop and start < b]
 
 
 def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarray:
     """I - HD^T D_s HD D_t (HD = C3 S1^T), the direct solver's matrix, or its columns cols (a
-    non-empty range of step 1), to the same bits. From HD's generator, no dense HD: _PANEL
-    columns of HD times a block of D_s HD D_t (half of _column_blocks' products) at a time, one
-    product per range that meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps
-    eye - x's zero signs."""
+    non-empty range of step 1), to the same bits. From HD's generator, no dense HD: _PANEL rows
+    of HD^T at a time times one panel of D_s HD D_t, one matrix product per range of _products
+    that meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps eye - x's zero signs."""
     start, stop, step = cols.indices(n)
     if step != 1 or stop <= start:
         raise ParameterError(f"need a non-empty column range of step 1, got {cols}")
@@ -414,20 +408,18 @@ def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarr
         hd = w[n:, j:j + width].copy()
         return np.add(hd, w[n - 1::-1, j:j + width], out=hd)
 
-    blocks = _column_blocks(n, start, stop)
-    lo, hi = blocks[0][0][0], blocks[-1][-1][1]
+    products = _products(n, start, stop)
+    lo, hi = products[0][0], products[-1][1]
+    scaled = panel(lo, hi - lo)
+    scaled *= plan.d_s[:, None]
+    scaled *= plan.d_t[lo:hi]
     out = np.empty((n, hi - lo))
-    for block in blocks:
-        j = block[0][0]
-        scaled = panel(j, block[-1][1] - j)
-        scaled *= plan.d_s[:, None]
-        scaled *= plan.d_t[j:j + scaled.shape[1]]
-        for i in range(0, n, _PANEL):
-            rows = panel(i, _PANEL).T
-            for a, b in block:
-                np.matmul(rows, scaled[:, a - j:b - j], out=out[i:i + _PANEL, a - lo:b - lo])
-            del rows  # before the next panel is built
-        del scaled
+    for i in range(0, n, _PANEL):
+        rows = panel(i, _PANEL).T
+        for a, b in products:
+            np.matmul(rows, scaled[:, a - lo:b - lo], out=out[i:i + _PANEL, a - lo:b - lo])
+        del rows  # before the next panel is built
+    del scaled
     np.subtract(0.0, out, out=out)
     out[lo:hi].flat[::hi - lo + 1] += 1.0
     return out[:, start - lo:stop - lo]
@@ -436,22 +428,19 @@ def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarr
 def _halves(p: WeightParam, n: int) -> np.ndarray:
     """The even and the odd block of system_matrix(p, n)[1:, 1:] in _fold's coordinates.
 
-    Row and column 0 of the system matrix are e_0, and on T-nodes 1..N-1 it
-    commutes with the reflection i <-> N-2-i. The cross blocks are below
-    5e-15 (N <= 2048, |mu| <= 19) and are dropped; for even N the odd block
-    is padded with a unit diagonal entry. _FOLD_ROWS row pairs at a time are
-    folded, then their columns, straight into the halves.
+    Row and column 0 of the system matrix are e_0, and A' = A[1:, 1:] commutes with
+    the reflection i <-> m-1-i, m = N-1. So column j of a block is column m-1-j of A',
+    folded, times sqrt(2) (even block) or -sqrt(2) (odd block) off the centre: the
+    halves fold the right half of A''s columns, reversed. The cross blocks are below
+    5e-15 (N <= 2048, |mu| <= 19) and are dropped; for even N the odd block is padded
+    with a unit diagonal entry.
     """
-    a = system_matrix(p, n)[1:, 1:]
     m, h = n - 1, (n - 1) // 2
-    halves = np.zeros((2, m - h, m - h))
-    for i in range(0, h, _FOLD_ROWS):
-        j = min(i + _FOLD_ROWS, h)
-        pairs = np.concatenate((a[i:j], a[m - j:m - i]))  # rows r and m-1-r, r in i..j-1
-        blocks = _fold(_fold(pairs).transpose(2, 0, 1))  # [column parity, column, row parity, row]
-        halves[0, i:j], halves[1, i:j] = blocks[0, :, 0].T, blocks[1, :, 1].T
-    if m % 2:  # the centre row: even, and 0 in the odd block but for the pad
-        halves[0, h] = _fold(a[h])[0]
+    halves = _fold(system_matrix(p, n, slice(h + 1, n))[1:, ::-1])
+    halves[0, :, :h] *= math.sqrt(2.0)
+    halves[1, :, :h] *= -math.sqrt(2.0)
+    if m % 2:  # the centre column: 0 in the odd block but for the pad
+        halves[1, :, h] = 0.0
         halves[1, h, h] = 1.0
     return halves
 
@@ -481,7 +470,7 @@ def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     omega[:, 0] = 0.0
     q = np.linalg.qr((omega * (1.0 - g) - _contract(plan, omega)).T)[0]
     b, size, rest = np.empty((q.shape[1], n)), 0.0, 0.0
-    for j, k in (cols for block in _column_blocks(n, 0, n) for cols in block):  # whole products
+    for j, k in _products(n, 0, n):  # whole products
         e = system_matrix(p, n, slice(j, k))
         size += np.vdot(e, e)
         e[j:k].flat[::k - j + 1] -= g[j:k]

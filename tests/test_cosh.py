@@ -691,7 +691,7 @@ def test_system_matrix_is_built_in_place_to_the_same_bits(n, p):
 @pytest.mark.parametrize("n", [257, 1025])
 @pytest.mark.parametrize("p", _SYSTEM_WEIGHTS)
 def test_system_matrix_in_panels_matches_the_dense_formula(n, p):
-    # Past one panel the block products may round differently from one
+    # Past one panel the 256-column products may round differently from one
     # dense product (1.1e-16 at most measured), never by more.
     got = fhtcheb.cosh.system_matrix(p, n)
     assert np.max(np.abs(got - _dense_system_matrix(p, n))) <= 1e-15
@@ -763,17 +763,28 @@ def test_woodbury_check_reads_whole_products_of_system_matrix(monkeypatch, n, pr
     assert seen == products
 
 
-def test_column_blocks_tile_the_columns_in_two_halves_of_whole_products():
+def test_products_tile_the_columns():
     for n in range(2, MAX_DEGREE + 2):
-        blocks = fhtcheb.cosh._column_blocks(n, 0, n)
-        products = [cols for block in blocks for cols in block]
-        assert len(blocks) in (1, 2), n
+        products = fhtcheb.cosh._products(n, 0, n)
         assert [a for a, _ in products] == [0] + [b for _, b in products[:-1]], n
         assert products[-1][1] == n, n
         if n > 128:
             assert all(128 < b - a <= 384 for a, b in products), (n, products)
-        counts = [len(block) for block in blocks] + [0]
-        assert abs(counts[0] - counts[1]) <= 1, n
+
+
+@pytest.mark.parametrize("n", [8, 9, 1024, 1025, 2048])
+def test_halves_read_the_right_half_of_the_columns(monkeypatch, n):
+    # The LU halves fold columns h + 1..N - 1 of the system matrix, h = (N - 1) // 2,
+    # in one call: the other half is their reflection.
+    seen, system_matrix = [], fhtcheb.cosh.system_matrix
+
+    def wrapped(p, size, cols=slice(None)):
+        seen.append(cols.indices(size)[:2])
+        return system_matrix(p, size, cols)
+
+    monkeypatch.setattr(fhtcheb.cosh, "system_matrix", wrapped)
+    fhtcheb.cosh._halves(WeightParam.cosh_real(14.0), n)
+    assert seen == [((n - 1) // 2 + 1, n)]
 
 
 def test_cold_direct_solve_peaks_under_half_a_system_matrix():
@@ -797,11 +808,13 @@ def test_cold_direct_solve_peaks_under_half_a_system_matrix():
     assert peak <= 0.5 * n * n * 8, peak / (8 * n * n)
 
 
-def test_cold_lu_solve_peaks_under_two_system_matrices_less_a_tenth():
-    # The LU state forms all of A, one block (half the products) of D_s HD D_t
-    # at a time: 1.77 N^2 float64 at N = 1025, where blocks of 768 and 257
-    # columns peaked at 2.02 N^2.
-    n = 1025
+@pytest.mark.parametrize("n, call", [(1025, "lu_solve"), (1024, "condition_estimate")],
+                         ids=["lu_solve", "condition_estimate"])
+def test_cold_lu_halves_peak_under_1_4_system_matrices(n, call):
+    # The LU halves fold the right half of A's columns alone, one panel of
+    # D_s HD D_t over its products: 1.27 N^2 float64 for the solve at N = 1025
+    # and for the SVD at N = 1024, where all of A and its fold in bands of 32
+    # row pairs peaked at 1.78 N^2.
     p = WeightParam.cosh_real(14.0)
     tg = cgl_nodes(GridKind.TNODES, n)
     F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes)), p)
@@ -809,12 +822,14 @@ def test_cold_lu_solve_peaks_under_two_system_matrices_less_a_tenth():
     build.cache_clear()
     tracemalloc.start()
     try:
-        _, rep = cosh_invert_direct(F, p)
+        if call == "lu_solve":
+            assert cosh_invert_direct(F, p)[1].form == "lu"
+        else:
+            condition_estimate(p, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.form == "lu"
-    assert peak <= 1.9 * n * n * 8, peak / (8 * n * n)
+    assert peak <= 1.4 * n * n * 8, peak / (8 * n * n)
 
 
 def test_cold_direct_solve_peaks_under_two_system_matrices():

@@ -205,12 +205,25 @@ def test_parity_split_step_matches_unsplit(n, seed, p):
 @pytest.mark.parametrize("mu", [0.5, 3.0, 14.0])
 @pytest.mark.parametrize("n", [8, 9, 64, 255, 600, 1025])
 def test_halves_are_the_diagonal_blocks(n, mu):
-    # The direct solver's halves are the same-parity blocks of the system
-    # matrix, bit for bit, with a unit pad closing the odd block for even N;
-    # 600 and 1025 span more than one panel and more than one band of rows.
+    # The system matrix commutes with the reflection of T-nodes 1..N-1, so the
+    # direct solver's halves fold the right half of its columns alone: bit for
+    # bit that fold of the whole matrix's columns, scaled by +-sqrt(2) off the
+    # centre column, with a unit pad closing the odd block for even N. They
+    # match the same-parity blocks of the fold of all of A within the bound of
+    # the dropped cross blocks; 600 and 1025 span more than one panel.
     p = WeightParam.cosh_real(mu)
-    blocks = fold2(system_matrix(p, n)[1:, 1:])
-    want = np.stack((blocks[0, 0], blocks[1, 1]))
+    a = system_matrix(p, n)[1:, 1:]
+    h = (n - 1) // 2
+    want = _fold(a[:, h:][:, ::-1])
+    want[0, :, :h] *= np.sqrt(2.0)
+    want[1, :, :h] *= -np.sqrt(2.0)
     if n % 2 == 0:
+        want[1, :, -1] = 0.0
         want[1, -1, -1] = 1.0
-    assert np.array_equal(_halves(p, n), want)
+    got = _halves(p, n)
+    assert np.array_equal(got, want)
+    blocks = fold2(a)
+    same = np.stack((blocks[0, 0], blocks[1, 1]))
+    if n % 2 == 0:
+        same[1, -1, -1] = 1.0
+    assert np.max(np.abs(got - same)) <= 5e-15
