@@ -43,6 +43,12 @@ from .cosh import (
     null_experiment,
     system_matrix,
 )
-from .oracle import cosh_pv_forward, pair, pv_fht, pv_reciprocal_weight
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):  # PEP 562: the PV oracle, which no solver uses, loads on first use
+    if name in ("cosh_pv_forward", "pair", "pv_fht", "pv_reciprocal_weight"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

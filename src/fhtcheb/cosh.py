@@ -16,10 +16,10 @@ They run an even and an odd chain of about N/2 x N/2 blocks; when many steps
 are predicted, sixteen steps per product (K^16, both chains' powers from one
 chain's squarings) and one stop test per pass of many products. The direct
 solver keeps per (weight, N) a Woodbury factor of its system matrix, a
-diagonal plus a term of rank independent of N, from FFT products with the
-operator and one pass over column ranges of the matrix, with no N x N array;
-or where (1+c)/(1-c) is too large the matrix's two parity halves for LU. Each
-solver checks its residual once through the unsplit operator: final_defect.
+diagonal plus a parity-split term of rank independent of N, from FFT products
+and one pass over the right half of the matrix's columns, with no N x N array;
+or where (1+c)/(1-c) is too large, two parity halves for LU from those columns.
+Each solver checks its residual once through the unsplit operator: final_defect.
 
 Sign conventions. The plain transform maps w U_n -> T_{n+1} (so F = s for
 f = w); the multiplication-flavor operators in fht.py carry the opposite
@@ -205,7 +205,7 @@ def _fold(a: np.ndarray) -> np.ndarray:
 
 
 def _unfold(x: np.ndarray, n: int) -> np.ndarray:
-    """The inverse of _fold on vectors: _fold in the layout [even part, odd part reversed]."""
+    """The inverse of _fold along axis 0: _fold in the layout [even part, odd part reversed]."""
     h = n // 2
     y = _fold(np.concatenate((x[0], x[1, :h][::-1])))
     return np.concatenate((y[0], y[1, :h][::-1]))
@@ -454,34 +454,49 @@ def _probes(n: int) -> np.ndarray:
     return (z >> np.uint64(11)).reshape(n, _RANK) * 2.0 ** -52 - 1.0
 
 
-def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(g^-1, g^-1 Q, M) with A^-1 = diag(g^-1) - (g^-1 Q) M, A = system_matrix(p, n), or None.
-
-    A = diag(g) + E, g = 1/cosh_t^2 (1 at node 0), where E's rank does not depend on N (12
-    at mu = 8, 1e-12 cut). Q is an orthonormal basis of E Omega = Omega - g Omega - K Omega
-    (K = I - A by FFT, _contract; Omega the _probes, row 0 at 0): a randomized range finder.
-    B = Q^T E and M = (I + B g^-1 Q)^-1 B g^-1 (Sherman-Morrison-Woodbury). One pass over
-    column ranges of A sums ||A||_F and ||E - Q B||_F exactly, with no N x N array. None
-    where ||E - Q B||_F > 1e-12 ||A||_F: the scale is A's, as A's rounding leaves 1e-16
-    ||A||_F in E (more than 1e-12 ||E||_F at small mu or eta)."""
-    plan = _plan(p, n)
-    g = np.append(1.0, plan.cosh_t[1:] ** -2.0)
-    omega = _probes(n)[:, :n - 1].T  # row 0 of E is 0: at most n - 1 independent columns
-    omega[:, 0] = 0.0
-    q = np.linalg.qr((omega * (1.0 - g) - _contract(plan, omega)).T)[0]
-    b, size, rest = np.empty((q.shape[1], n)), 0.0, 0.0
-    for j, k in _products(n, 0, n):  # whole products
-        e = system_matrix(p, n, slice(j, k))
-        size += np.vdot(e, e)
+def _half_pass(p: WeightParam, g: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """_woodbury's B = Q^T E, ||A||_F^2, ||E - Q B||_F^2 from A's columns h+1..N-1, h = (N-1)//2,
+    one system_matrix call per product: (I - Q Q^T) E commutes with J, so each column counts twice
+    (even N's centre once; A's column 0 is e_0), and B[:, N-j] = S B[:, j], S = diag(1_e, -1_o)."""
+    n, h = g.shape[0], (g.shape[0] - 1) // 2
+    b, size, rest = np.zeros((q.shape[1], n)), 1.0, 0.0
+    for j, k in _products(n, h + 1, n):
+        j = max(j, h + 1)
+        e = np.ascontiguousarray(system_matrix(p, n, slice(j, k)))  # a cut product: a copy
+        size += 2.0 * np.vdot(e, e) - (2 * j == n) * np.vdot(e[:, 0], e[:, 0])
         e[j:k].flat[::k - j + 1] -= g[j:k]
         np.matmul(q.T, e, out=b[:, j:k])
         e -= q @ b[:, j:k]
-        rest += np.vdot(e, e)
-        del e  # before the next range is built
+        rest += 2.0 * np.vdot(e, e) - (2 * j == n) * np.vdot(e[:, 0], e[:, 0])
+        del e  # before the next product is built
+    b[:, 1:h + 1] = np.repeat((1.0, -1.0), q.shape[1] // 2)[:, None] * b[:, n - h:][:, ::-1]
+    return b, size, rest
+
+
+def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(g^-1, g^-1 Q, M) with A^-1 = diag(g^-1) - (g^-1 Q) M, A = system_matrix(p, n), or None.
+
+    A = diag(g) + E, g = 1/cosh_t^2 even (1 at node 0), E of a rank independent of N (12 at mu = 8,
+    1e-12 cut), 0 in row and column 0, commuting with J: i <-> N-i. Q = [Q_e, Q_o] is a range
+    finder's basis of E Omega = Omega - g Omega - K Omega (K = I - A by FFT, _contract) for even
+    and odd parts of _probes, by one QR per parity in _fold's coordinates: exactly even and odd
+    however rank-deficient the sketch (4 + 4 at mu = 3). B = Q^T E, M = (I + B g^-1 Q)^-1 B g^-1
+    (Sherman-Morrison-Woodbury). None where ||E - Q B||_F > 1e-12 ||A||_F (_half_pass), as A's
+    rounding leaves 1e-16 ||A||_F in E (over 1e-12 ||E||_F at small mu or eta)."""
+    plan = _plan(p, n)
+    g, r = np.append(1.0, plan.cosh_t[1:] ** -2.0), min(_RANK // 2, n // 2)  # r: probes per parity
+    x = _fold(_probes(n)[1:, :2 * r])
+    x[0, :, r:] = x[1, :, :r] = 0.0
+    omega = np.concatenate((np.zeros((1, 2 * r)), _unfold(x, n - 1))).T
+    y = _fold((omega * (1.0 - g) - _contract(plan, omega)).T[1:])
+    x[0, :, :r], x[1, :, r:] = np.linalg.qr(np.stack((y[0, :, :r], y[1, :, r:])))[0]
+    q = np.concatenate((np.zeros((1, 2 * r)), _unfold(x, n - 1)))
+    del omega, y, x  # before the column pass
+    b, size, rest = _half_pass(p, g, q)
     if not math.sqrt(rest) <= 1e-12 * math.sqrt(size):
         return None
     b /= g
-    return 1.0 / g, q / g[:, None], np.linalg.solve(np.eye(q.shape[1]) + b @ q, b)
+    return 1.0 / g, q / g[:, None], np.linalg.solve(np.eye(2 * r) + b @ q, b)
 
 
 def _contract(plan: _Plan, v: np.ndarray) -> np.ndarray:

@@ -718,40 +718,120 @@ def test_system_matrix_refuses_a_column_set_that_is_not_a_range(cols):
         fhtcheb.cosh.system_matrix(WeightParam.cosh_real(1.0), 8, cols)
 
 
+_SKETCH_WEIGHTS = ([WeightParam.cosh_real(mu) for mu in (0.3, 3.0, 10.5)]
+                   + [WeightParam.cos_imaginary(0.7)])
+
+
+def _weight_id(p):
+    return f"{p.flavor.value}{p.value:g}"
+
+
 @pytest.mark.parametrize("n", [8, 64, 257, 1025, 2048])
-@pytest.mark.parametrize("p", [WeightParam.cosh_real(mu) for mu in (0.3, 3.0, 10.5)]
-                         + [WeightParam.cos_imaginary(0.7)], ids=lambda p: f"{p.flavor.value}{p.value:g}")
+@pytest.mark.parametrize("p", _SKETCH_WEIGHTS, ids=_weight_id)
 def test_woodbury_sketch_matches_the_dense_product(monkeypatch, n, p):
     # The range finder's sketch E Omega, E = A - diag(g), comes from FFT products
     # with K = I - A, not from A; it matches the dense product to rounding (at
-    # most 0.84 eps sqrt(N) measured, for entries of Omega in [-1, 1)).
+    # most 0.84 eps sqrt(N) measured, for entries of Omega in [-1, 1)). Omega
+    # holds reflected probes on nodes 1..N-1: (P + JP) / 2 of r columns of
+    # _probes and (P - JP) / 2 of r more. One QR call takes both parities'
+    # sketches, stacked in _fold's coordinates: the even part of E Omega_e, the
+    # odd part of E Omega_o.
     sketches = []
     qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a: sketches.append(a.copy()) or qr(a))
     fhtcheb.cosh._woodbury(p, n)
     g = np.append(1.0, p.scale(cgl_nodes(GridKind.TNODES, n).nodes[1:]) ** -2.0)
-    omega = fhtcheb.cosh._probes(n)[:, :n - 1].copy()
-    omega[0] = 0.0
-    want = (fhtcheb.cosh.system_matrix(p, n) - np.diag(g)) @ omega
-    assert len(sketches) == 1
-    assert np.max(np.abs(sketches[0] - want)) <= 4 * np.finfo(float).eps * math.sqrt(n)
+    r = min(_RANK // 2, n // 2)
+    probes = fhtcheb.cosh._probes(n)[:, :2 * r]
+    omega = np.zeros((n, 2 * r))
+    omega[1:, :r] = (probes[1:, :r] + probes[:0:-1, :r]) / 2.0
+    omega[1:, r:] = (probes[1:, r:] - probes[:0:-1, r:]) / 2.0
+    want = _fold(((fhtcheb.cosh.system_matrix(p, n) - np.diag(g)) @ omega)[1:])
+    assert len(sketches) == 1 and sketches[0].shape == (2, n // 2, r)
+    got = sketches[0]
+    assert np.max(np.abs(got[0] - want[0, :, :r])) <= 4 * np.finfo(float).eps * math.sqrt(n)
+    assert np.max(np.abs(got[1] - want[1, :, r:])) <= 4 * np.finfo(float).eps * math.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 257, 2048, 2049])
+@pytest.mark.parametrize("p", _SKETCH_WEIGHTS, ids=_weight_id)
+def test_woodbury_basis_is_exactly_even_then_exactly_odd(n, p):
+    # Q = [Q_e, Q_o] is orthonormalised per parity in _fold's coordinates, so
+    # each column keeps its parity under the reflection i <-> N - i of nodes
+    # 1..N-1, which B's mirrored half needs. One QR of the unfolded sketch of
+    # the same probes gives columns that miss their parity by 0.2 to 0.54
+    # (N = 64 and 512, mu = 3).
+    tg = cgl_nodes(GridKind.TNODES, n)
+    _plan.cache_clear()
+    _, rep = cosh_invert_direct(cosh_forward(GridFn(tg, tg.weights), p), p)
+    assert rep.form == "woodbury"
+    gi, giq, _ = _plan(p, n).direct
+    q = giq / gi[:, None]
+    r = q.shape[1] // 2
+    assert q.shape[1] == 2 * min(_RANK // 2, n // 2) and not np.any(q[0])
+    assert np.max(np.abs(q[1:, :r] - q[:0:-1, :r])) <= 1e-14
+    assert np.max(np.abs(q[1:, r:] + q[:0:-1, r:])) <= 1e-14
+    np.testing.assert_allclose(q.T @ q, np.eye(2 * r) * np.any(q, axis=0), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [8, 9, 64, 257, 512, 641, 2049])
+@pytest.mark.parametrize("p", _SKETCH_WEIGHTS, ids=_weight_id)
+def test_half_pass_sums_match_the_full_matrix(monkeypatch, n, p):
+    # (I - Q Q^T) E commutes with the reflection, so the right half of A's
+    # columns, each counted twice and even N's centre once, gives ||A||_F and
+    # ||E - Q B||_F of the whole matrix, and B's left half is its mirror. The
+    # residual's half sum is within 1e-15 ||A||_F of the full one (at most
+    # 1.7e-16 measured), 1e-3 of the check's 1e-12 ||A||_F.
+    seen, half_pass = [], fhtcheb.cosh._half_pass
+
+    def wrapped(p, g, q):
+        out = half_pass(p, g, q)
+        seen.append((g, q, out[0].copy()) + out[1:])  # _woodbury scales B in place
+        return out
+
+    monkeypatch.setattr(fhtcheb.cosh, "_half_pass", wrapped)
+    fhtcheb.cosh._woodbury(p, n)
+    [(g, q, b, size, rest)] = seen
+    a = fhtcheb.cosh.system_matrix(p, n)
+    e = a - np.diag(g)
+    full_b = q.T @ e
+    norm_a = np.linalg.norm(a)
+    assert abs(math.sqrt(size) - norm_a) <= n * np.finfo(float).eps * norm_a
+    assert abs(math.sqrt(rest) - np.linalg.norm(e - q @ full_b)) <= 1e-15 * norm_a
+    assert np.max(np.abs(b - full_b)) <= 1e-14 * norm_a
+
+
+@pytest.mark.parametrize("n, mu", [(64, 3.0), (64, 0.3), (1024, 0.3)])
+def test_rank_deficient_sketch_keeps_the_woodbury_factor(n, mu):
+    # The sketch has rank 4 + 4 of 12 + 12 at mu = 3 and 2 + 2 at mu = 0.3, so QR
+    # fills most of Q with directions of rounding. Orthonormalised per parity,
+    # they keep Q's parity, and the factor passes its exact check and solves as
+    # accurately as LU.
+    p = WeightParam.cosh_real(mu)
+    err, lu_err, rep = _direct_and_lu_errors(p, n)
+    assert rep.form == "woodbury"
+    assert err <= max(2.0 * lu_err, 1e-12), (err, lu_err)
+    gi, giq, _ = _plan(p, n).direct
+    q, r = giq / gi[:, None], giq.shape[1] // 2
+    assert np.max(np.abs(q[1:, r:] + q[:0:-1, r:])) <= 1e-14
 
 
 # system_matrix's products: ranges of _PANEL columns, the last taking a rest of
 # at most _PANEL / 2, so no product is a sliver (N = 257, 513 and 1537 had a
 # one-column product when blocks of _PANEL ceil(N / (2 _PANEL)) columns were cut).
 @pytest.mark.parametrize("n, products", [
-    (600, [(0, 256), (256, 600)]),
-    (640, [(0, 256), (256, 640)]),
-    (641, [(0, 256), (256, 512), (512, 641)]),
-    (2049, [(0, 256), (256, 512), (512, 768), (768, 1024), (1024, 1280),
-            (1280, 1536), (1536, 1792), (1792, 2049)]),
-    (257, [(0, 257)]),
-    (513, [(0, 256), (256, 513)]),
-    (1537, [(0, 256), (256, 512), (512, 768), (768, 1024), (1024, 1280), (1280, 1537)]),
+    (600, [(300, 600)]),
+    (640, [(320, 640)]),
+    (641, [(321, 512), (512, 641)]),
+    (2049, [(1025, 1280), (1280, 1536), (1536, 1792), (1792, 2049)]),
+    (257, [(129, 257)]),
+    (513, [(257, 513)]),
+    (1537, [(769, 1024), (1024, 1280), (1280, 1537)]),
 ])
 def test_woodbury_check_reads_whole_products_of_system_matrix(monkeypatch, n, products):
-    # The factor's check reads system_matrix's own products, one range each.
+    # The factor's check reads the right half of A's columns, h + 1..N - 1 with
+    # h = (N - 1) // 2, one call per product of system_matrix that meets it:
+    # the products past the middle, the first cut at column h + 1.
     seen, system_matrix = [], fhtcheb.cosh.system_matrix
 
     def wrapped(p, size, cols=slice(None)):
@@ -761,6 +841,26 @@ def test_woodbury_check_reads_whole_products_of_system_matrix(monkeypatch, n, pr
     monkeypatch.setattr(fhtcheb.cosh, "system_matrix", wrapped)
     assert fhtcheb.cosh._woodbury(WeightParam.cosh_real(3.0), n) is not None
     assert seen == products
+
+
+@pytest.mark.parametrize("n", [2048, 2049])
+def test_cold_direct_solve_reads_half_the_columns(monkeypatch, n):
+    # A cold Woodbury solve reads N - h - 1 columns of system_matrix, h = (N - 1) // 2:
+    # 1024 of 2048 (it read all N before the factor was split by parity).
+    cols, system_matrix = [], fhtcheb.cosh.system_matrix
+
+    def wrapped(p, size, c=slice(None)):
+        cols.append(len(range(size)[c]))
+        return system_matrix(p, size, c)
+
+    p = WeightParam.cosh_real(3.0)
+    tg = cgl_nodes(GridKind.TNODES, n)
+    F = cosh_forward(GridFn(tg, tg.weights * (1.0 + 0.3 * tg.nodes)), p)
+    monkeypatch.setattr(fhtcheb.cosh, "system_matrix", wrapped)
+    _plan.cache_clear()
+    _, rep = cosh_invert_direct(F, p)
+    assert rep.form == "woodbury"
+    assert sum(cols) == n - (n - 1) // 2 - 1 == 1024
 
 
 def test_products_tile_the_columns():
@@ -892,8 +992,8 @@ def _direct_and_lu_errors(p, n):
                          ids=lambda p: f"{p.flavor.value}{p.value:g}")
 def test_woodbury_solve_as_accurate_as_lu(p, n):
     # Below _INVERSE_LIMIT the direct solve is a Woodbury solve of diag(g) + Q B
-    # and one refinement step; the worst ratio to LU's error here is 1.33
-    # (mu = 10.5, N = 257).
+    # and one refinement step; the worst ratio to LU's error here is 1.26
+    # (mu = 8, N = 64).
     err, lu_err, rep = _direct_and_lu_errors(p, n)
     assert rep.form == "woodbury"
     assert err <= max(2.0 * lu_err, 1e-12), (err, lu_err)

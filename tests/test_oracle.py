@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fhtcheb
 from fhtcheb import (
     DomainError,
     ParameterError,
@@ -134,3 +138,21 @@ class TestPairs:
     def test_unknown(self):
         with pytest.raises(ParameterError):
             pair("nope")
+
+
+def test_import_leaves_the_oracle_unloaded():
+    # No solver uses the PV oracle, so a fresh process that imports fhtcheb (or its
+    # CLI) does not load it; its four names still resolve, on first use.
+    code = (
+        "import sys, fhtcheb, fhtcheb.cli\n"
+        "assert 'fhtcheb.oracle' not in sys.modules\n"
+        "from fhtcheb import pv_fht\n"
+        "import fhtcheb.oracle as o\n"
+        "names = ('pv_fht', 'pair', 'cosh_pv_forward', 'pv_reciprocal_weight')\n"
+        "assert pv_fht is o.pv_fht and all(getattr(fhtcheb, k) is getattr(o, k) for k in names)\n"
+        "assert not hasattr(fhtcheb, 'no_such_name')\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fhtcheb.__file__)))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
