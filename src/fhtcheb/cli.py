@@ -68,11 +68,9 @@ def _load_grid_fn(args, kind: GridKind):
         raise InputError(f"{args.input_path}: need at least 8 rows, got {n}")
     grid = cgl_nodes(kind, n)
     if np.max(np.abs(data.x - grid.nodes)) > 1e-8:
-        raise InputError(
-            f"{args.input_path}: x column does not match the "
-            f"{kind.value}-node grid of size {n}"
-        )
-    return GridFn(grid, data.value), data.reference
+        raise InputError(f"{args.input_path}: x column does not match the "
+                         f"{kind.value}-node grid of size {n}")
+    return GridFn(grid, data.value), data
 
 
 def _uniform(out: GridFn, weighted: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -96,15 +94,17 @@ class _Clock:
         return out
 
 
-def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solve_report):
+def _emit(args, clock, in_fn: GridFn, out: GridFn, data, uniform_pair, solve_report):
     # The reference column gives the expected *output* on the output grid, which
     # has the input's N.
+    reference = data.reference
     max_error = None if reference is None else float(np.max(np.abs(out.values - reference)))
     report = {
         "command": args.command,
         "n": out.grid.n,
         "mu_or_eta": args.mu if args.mu is not None else args.eta,
         "max_error": max_error,
+        "input_from_cache": data.from_cache,
         "wall_time_ms": (time.monotonic() - clock.t0) * 1000.0,
     }
     for f in dataclasses.fields(solve_report):  # a shallow copy; the exit code says converged
@@ -132,14 +132,14 @@ def _emit(args, clock, in_fn: GridFn, out: GridFn, reference, uniform_pair, solv
 def _transform(args, kind: GridKind, compute, weighted: bool = False) -> int:
     """Read on kind-nodes, compute(input) -> (output, SolveReport), resample, report."""
     clock = _Clock()
-    in_fn, ref = clock.run("read", _load_grid_fn, args, kind)
+    in_fn, data = clock.run("read", _load_grid_fn, args, kind)
     try:
         with np.errstate(over="raise"):
             out, rep = clock.run("compute", compute, in_fn)
     except FloatingPointError as exc:
         raise InputError(f"{args.input_path}: the transform overflows float64 ({exc})") from None
     uniform = clock.run("resample", _uniform, out, weighted)
-    _emit(args, clock, in_fn, out, ref, uniform, rep)
+    _emit(args, clock, in_fn, out, data, uniform, rep)
     return EXIT_OK if rep.converged else EXIT_NOT_CONVERGED
 
 

@@ -61,15 +61,12 @@ class WeightParam:
         if not math.isfinite(self.value):
             raise ParameterError("weight parameter must be finite")
         if self.flavor is WeightFlavor.COS_IMAGINARY and abs(self.value) >= math.pi / 4:
-            raise ParameterError(
-                f"|eta| must be < pi/4 for the cos flavor, got {self.value}"
-            )
+            raise ParameterError(f"|eta| must be < pi/4 for the cos flavor, got {self.value}")
         # tanh^2(|mu|) rounds to 1 from |mu| = 19.0615 on, where the system is
         # singular in float64; this also keeps cosh(mu t) far from overflow.
         if not self.contraction < 1.0:
-            raise ParameterError(
-                f"contraction tanh^2(|mu|) rounds to 1 in float64 for mu = {self.value}"
-            )
+            raise ParameterError("contraction tanh^2(|mu|) rounds to 1 in float64 for "
+                                 f"mu = {self.value}")
 
     @staticmethod
     def cosh_real(mu: float) -> "WeightParam":
@@ -556,12 +553,8 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
     return _invert_d(F_mu, p, solve)
 
 
-def cosh_invert_neumann(
-    F_mu: GridFn,
-    p: WeightParam,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> tuple[GridFn, SolveReport]:
+def cosh_invert_neumann(F_mu: GridFn, p: WeightParam, tol: float = 1e-10,
+                        max_iter: int = 10000) -> tuple[GridFn, SolveReport]:
     """Fixed-point iteration fhat_{k+1} = fhat_0 + M fhat_k, contraction tanh^2(mu)."""
     _check_stopping(tol, max_iter)
 
@@ -588,13 +581,8 @@ def _kd_unodes(p: WeightParam, ug: Grid) -> np.ndarray:
     return math.sqrt((n + 1) / m) * _s1_apply(c[:n + 1])[1:] / ug.weights
 
 
-def cosh_invert_mean_constrained(
-    F_mu: GridFn,
-    p: WeightParam,
-    mean_fbar: float,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-) -> tuple[GridFn, SolveReport]:
+def cosh_invert_mean_constrained(F_mu: GridFn, p: WeightParam, mean_fbar: float, tol: float = 1e-10,
+                                 max_iter: int = 10000) -> tuple[GridFn, SolveReport]:
     """Invert in L_m^2 given fbar_mu = (1/2) integral cosh(mu t) f(t) dt.
 
     F_mu is sampled on U-nodes; the recovered f is returned on S-nodes. With

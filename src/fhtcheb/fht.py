@@ -38,9 +38,7 @@ from .transforms import TransformKind, _c3t_apply, _hd_apply, _s1_apply, apply, 
 
 def _require(f: GridFn, kind: GridKind) -> None:
     if f.grid.kind is not kind:
-        raise GridMismatchError(
-            f"expected {kind.value}-nodes, got {f.grid.kind.value}-nodes"
-        )
+        raise GridMismatchError(f"expected {kind.value}-nodes, got {f.grid.kind.value}-nodes")
 
 
 # ---------------------------------------------------------------------------

@@ -75,9 +75,8 @@ class GridFn:
     def __post_init__(self):
         v = np.asarray(self.values)
         if v.ndim != 1 or v.shape[0] != self.grid.n:
-            raise GridMismatchError(
-                f"values length {v.shape} does not match grid size {self.grid.n}"
-            )
+            raise GridMismatchError(f"values length {v.shape} does not match grid size "
+                                    f"{self.grid.n}")
         if not np.all(np.isfinite(v)):
             raise DomainError("grid values must be finite")
         object.__setattr__(self, "values", v)

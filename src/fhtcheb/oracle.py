@@ -40,11 +40,8 @@ def _check_eval_point(s: float, m_points: int, kinks=()) -> None:
         raise DomainError(f"m_points must be >= 64, got {m_points}")
     for k in kinks:
         if abs(s - k) < 1e-9:
-            warnings.warn(
-                f"evaluating at kink location {k}: reduced accuracy",
-                ReducedAccuracyWarning,
-                stacklevel=3,
-            )
+            warnings.warn(f"evaluating at kink location {k}: reduced accuracy",
+                          ReducedAccuracyWarning, stacklevel=3)
 
 
 def pv_fht(f, s: float, m_points: int = 4096, kinks=()) -> float:
@@ -103,11 +100,7 @@ def _unit_circle_f(t):
 
 def _unit_circle_F(s):
     s = np.asarray(s, dtype=float)
-    return np.where(
-        np.abs(s) <= 1.0,
-        s,
-        s - np.sign(s) * np.sqrt(np.maximum(0.0, s * s - 1.0)),
-    )
+    return np.where(np.abs(s) <= 1.0, s, s - np.sign(s) * np.sqrt(np.maximum(0.0, s * s - 1.0)))
 
 
 def _shifted_f(t):

@@ -1,17 +1,19 @@
 """CSV, JSON and SVG output for the CLI.
 
-CSV files carry a `x,value` (or `x,value,reference`) header, the CLI's
-tables their own, and 17 significant digits per float so 64-bit values
-round-trip losslessly. Input CSVs must be ASCII, without a byte-order mark, with
-at most MAX_DEGREE + 1 = 2049 data rows. SVG
-plots are self-contained 800x500 documents built from inline polylines.
+CSV files carry a `x,value` (or `x,value,reference`) header, the CLI's tables their
+own, and 17 significant digits per float so 64-bit values round-trip losslessly.
+Input CSVs must be ASCII, without a byte-order mark, with at most MAX_DEGREE + 1 =
+2049 data rows. SVG plots are self-contained 800x500 documents of inline polylines.
 The x columns (grid nodes, display grid, pixel x) repeat from command to
 command, so each is converted once per process. `_csv_body` (per x and column
 count; 16 entries, at most 95 kB each at N = 2049) and `_svg_points` (per pixel
 x; 16, 44 kB) keep it formatted in a template that one `%` call over the other
 columns fills, giving the bytes of formatting each value on its own; `_parse_x`
 keeps it parsed and read-only per tuple of x fields (8, 185 kB for fields of up
-to 24 characters). That is 3.7 MB at most. Rows are walked only to name a bad line.
+to 24 characters). A command's input is often a file that an earlier one wrote, so
+`_TEXTS` keeps the columns of the last 8 texts parsed or written in a form read_csv
+accepts (at most 203 kB each at N = 2049), keyed by the whole text, so none of them
+is parsed again. That is 5.3 MB at most. Rows are walked only to name a bad line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,6 +32,7 @@ from .errors import InputError
 from .grids import MAX_DEGREE
 
 _FMT = "%.17g"
+_HEADERS = ("x,value", "x,value,reference")  # the headers read_csv accepts, spaces stripped
 
 
 @dataclass(frozen=True)
@@ -36,6 +40,21 @@ class CsvData:
     x: np.ndarray
     value: np.ndarray
     reference: np.ndarray | None
+    from_cache: bool = False  # read_csv found the file's text in its cache and parsed nothing
+
+
+_TEXTS: dict[str, CsvData] = {}  # CSV text -> its columns, least recently used first
+_TEXTS_LOCK = threading.Lock()
+_TEXT_ENTRIES = 8
+
+
+def _remember(text: str, data: CsvData) -> None:
+    """Keep data, whose arrays but x no caller holds, for text; the least recent goes first."""
+    with _TEXTS_LOCK:
+        _TEXTS.pop(text, None)
+        if len(_TEXTS) == _TEXT_ENTRIES:
+            del _TEXTS[next(iter(_TEXTS))]
+        _TEXTS[text] = data
 
 
 def _write_text(path, text: str) -> None:
@@ -53,13 +72,20 @@ def _write_text(path, text: str) -> None:
 
 def write_csv(path, *columns, header=None) -> None:
     """The columns that are not None, to path (stdout if None), under header;
-    by default the header is x,value[,reference]."""
+    by default the header is x,value[,reference]. A file that read_csv accepts is
+    remembered with its columns, which `%.17g` gives back bit for bit."""
     cols = [np.asarray(c, dtype=float) for c in columns if c is not None]
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
     header = header or ",".join(["x", "value", "reference"][:len(cols)])
     body = _csv_body(cols[0].tobytes(), len(cols))
-    _write_text(path, header + "\n" + body % tuple(np.array(cols[1:]).T.ravel().tolist()))
+    text = header + "\n" + body % tuple(np.array(cols[1:]).T.ravel().tolist())
+    _write_text(path, text)
+    if path is not None and header in _HEADERS and header.count(",") + 1 == len(cols) \
+            and 0 < len(cols[0]) <= MAX_DEGREE + 1 and np.isfinite(cols).all():
+        x, value, *reference = (np.array(c) for c in cols)
+        x.flags.writeable = False
+        _remember(text, CsvData(x, value, reference[0] if reference else None))
 
 
 @lru_cache(maxsize=16)
@@ -71,23 +97,33 @@ def _csv_body(x: bytes, ncol: int) -> str:
 
 def read_csv(path) -> CsvData:
     """The columns of the CSV at path. More than MAX_DEGREE + 1 data rows are refused
-    before any field is split: the CLI resamples a degree N - 1 series for display."""
+    before any field is split: the CLI resamples a degree N - 1 series for display.
+    A text this process read or wrote before is looked up, not parsed (from_cache)."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:  # a UTF-8 byte-order mark too
         byte = exc.object[exc.start]
         raise InputError(f"{path}: not an ASCII file (byte 0x{byte:02x})") from exc
+    with _TEXTS_LOCK:
+        cached = _TEXTS.get(text)
+    data = cached or _parse_csv(path, text)
+    _remember(text, data)
+    reference = None if data.reference is None else data.reference.copy()
+    return CsvData(data.x, data.value.copy(), reference, cached is not None)
+
+
+def _parse_csv(path, text: str) -> CsvData:
+    """The columns of the text read from path, or the InputError that read_csv raises."""
+    lines = text.splitlines()
     if not lines:
         raise InputError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
-    if header[:2] != ["x", "value"] or len(header) > 3 or (
-        len(header) == 3 and header[2] != "reference"
-    ):
+    header = ",".join(c.strip() for c in lines[0].split(","))
+    if header not in _HEADERS:
         raise InputError(f"{path}:1: expected header 'x,value[,reference]'")
-    ncol = len(header)
+    ncol = header.count(",") + 1
     rows = [line for line in lines[1:] if line.strip()]
     if not rows:
         raise InputError(f"{path}: no data rows")

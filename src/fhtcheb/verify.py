@@ -61,20 +61,14 @@ class CheckResult:
 
 
 def _result(name: str, measured: float, tol: float) -> CheckResult:
-    return CheckResult(
-        name=name,
-        passed=bool(measured <= tol),
-        detail=f"measured={measured:.3e} tol={tol:.1e}",
-    )
+    return CheckResult(name, bool(measured <= tol), f"measured={measured:.3e} tol={tol:.1e}")
 
 
 # ---------------------------------------------------------------------------
 # cheb_core checks
 
 def check_grid_formulas(n: int) -> CheckResult:
-    sg = cgl_nodes(GridKind.SNODES, n)
-    tg = cgl_nodes(GridKind.TNODES, n)
-    ug = cgl_nodes(GridKind.UNODES, n)
+    sg, tg, ug = (cgl_nodes(k, n) for k in (GridKind.SNODES, GridKind.TNODES, GridKind.UNODES))
     err = max(
         float(np.max(np.abs(sg.nodes - np.cos((np.arange(n) + 0.5) * np.pi / n)))),
         float(np.max(np.abs(tg.nodes - np.cos(np.arange(n) * np.pi / n)))),
@@ -372,9 +366,7 @@ def check_kernel_equivalence() -> CheckResult:
 
 def check_mean_constrained(n: int = 128) -> CheckResult:
     p = WeightParam.cosh_real(0.5)
-    tg = cgl_nodes(GridKind.TNODES, n)
-    ug = cgl_nodes(GridKind.UNODES, n)
-    sg = cgl_nodes(GridKind.SNODES, n)
+    tg, ug, sg = (cgl_nodes(k, n) for k in (GridKind.TNODES, GridKind.UNODES, GridKind.SNODES))
 
     def fex(t):
         return 2.0 * t * weight_w(t)
@@ -386,12 +378,8 @@ def check_mean_constrained(n: int = 128) -> CheckResult:
     got, rep = cosh_invert_mean_constrained(GridFn(ug, Fu), p, fbar, tol=1e-12)
     want = fex(sg.nodes)
     rel = float(np.linalg.norm(got.values - want) / np.linalg.norm(want))
-    ok = rep.converged and rel <= 1e-6
-    return CheckResult(
-        name="mean_constrained_roundtrip",
-        passed=ok,
-        detail=f"measured={rel:.3e} tol=1.0e-06 iters={rep.iterations}",
-    )
+    return CheckResult("mean_constrained_roundtrip", rep.converged and rel <= 1e-6,
+                       f"measured={rel:.3e} tol=1.0e-06 iters={rep.iterations}")
 
 
 def check_mean_constrained_nonzero_mean(n: int = 64) -> CheckResult:
@@ -454,11 +442,8 @@ def check_cos_flavor_roundtrip(n: int = 128) -> CheckResult:
 
 def check_null_experiment() -> CheckResult:
     rows = null_experiment(WeightParam.cosh_real(3.0), [64, 128])
-    ok = (
-        len(rows) == 2
-        and rows[0].n < rows[1].n
-        and all(math.isfinite(r.norm_d) and math.isfinite(r.norm_m) for r in rows)
-    )
+    ok = len(rows) == 2 and rows[0].n < rows[1].n and all(
+        math.isfinite(r.norm_d) and math.isfinite(r.norm_m) for r in rows)
     return CheckResult("null_experiment_runs", ok, f"rows={len(rows)}")
 
 

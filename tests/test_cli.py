@@ -19,7 +19,7 @@ from fhtcheb import (
 )
 from fhtcheb.cli import main
 from fhtcheb.cosh import SolveReport, cosh_invert_neumann
-from fhtcheb.report import _parse_x, read_csv, uniform_grid, write_csv
+from fhtcheb.report import _TEXTS, _parse_x, read_csv, uniform_grid, write_csv
 from fhtcheb.transforms import TransformKind, build
 
 
@@ -183,9 +183,32 @@ def test_oversized_grid_rejected_before_compute(tmp_path, monkeypatch):
     monkeypatch.setattr("fhtcheb.cli.fht_forward_d", refuse)
     fin = tmp_path / "big.csv"
     _write_oversized_csv(fin)
-    cached = _parse_x.cache_info().currsize
+    cached, texts = _parse_x.cache_info().currsize, len(_TEXTS)
     assert main(["forward", "--input", str(fin), "--json", str(tmp_path / "r.json")]) == 3
     assert _parse_x.cache_info().currsize == cached  # refused before its x column was parsed
+    assert len(_TEXTS) == texts and fin.read_text() not in _TEXTS  # and not remembered
+
+
+def test_chain_reads_the_file_it_wrote_from_the_text_cache(tmp_path):
+    # forward's output F.csv is invert's input: found in the cache, to the bytes of a parse
+    _write_tgrid_csv(tmp_path / "f.csv", 64, lambda x: weight_w(x) * (1.0 + 0.3 * x))
+
+    def run(*argv):
+        argv = [str(tmp_path / a) if a.endswith((".csv", ".svg")) else a for a in argv]
+        assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
+        return json.loads((tmp_path / "r.json").read_text())["input_from_cache"]
+
+    outputs = {}
+    for tag in ("cached", "parsed"):
+        _TEXTS.clear()
+        assert run("forward", "--input", "f.csv", "--output", "F.csv") is False
+        if tag == "parsed":
+            _TEXTS.clear()
+        assert run("invert", "--input", "F.csv", "--output", f"{tag}.csv",
+                   "--plot", f"{tag}.svg") is (tag == "cached")
+        outputs[tag] = [(tmp_path / f"{tag}{ext}").read_bytes()
+                        for ext in (".csv", "_uniform.csv", ".svg")]
+    assert outputs["cached"] == outputs["parsed"]
 
 
 def test_oversized_cond_sweep_rejected_before_compute(monkeypatch):
@@ -343,7 +366,8 @@ def test_report_solve_keys_are_the_solve_report_fields(tmp_path):
                   "--input", str(tmp_path / "F.csv")]):
         assert main([*argv, "--json", str(tmp_path / "r.json")]) == 0
         reports[argv[0]] = json.loads((tmp_path / "r.json").read_text())
-    other = {"command", "n", "mu_or_eta", "max_error", "wall_time_ms", "stage_ms"}
+    other = {"command", "n", "mu_or_eta", "max_error", "input_from_cache", "wall_time_ms",
+             "stage_ms"}
     solve = reports["cosh-invert"]
     assert set(solve) - other == keys
     want = dataclasses.asdict(cosh_invert_neumann(GridFn(sg, sg.nodes), p)[1])

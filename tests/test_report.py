@@ -3,6 +3,8 @@
 import json
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fhtcheb.errors import InputError
+from fhtcheb.grids import MAX_DEGREE
 from fhtcheb.report import (
-    _H, _MB, _ML, _MR, _MT, _W, _csv_body, _parse_x, _svg_points, read_csv, write_csv,
-    write_json_report, write_svg,
+    _H, _MB, _ML, _MR, _MT, _TEXT_ENTRIES, _TEXTS, _W, _csv_body, _parse_x, _svg_points,
+    read_csv, write_csv, write_json_report, write_svg,
 )
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
@@ -170,11 +173,158 @@ def test_csv_round_trip_is_lossless_on_every_read(tmp_path_factory, rows, with_r
     p = tmp_path_factory.mktemp("rt") / "t.csv"
     write_csv(p, *cols)
     for _ in range(2):  # a parse of x, then its cached copy
+        _TEXTS.clear()  # so the text is parsed, not found in the text cache
         data = read_csv(p)
         got = [data.x, data.value] + ([data.reference] if with_reference else [])
         for g, want in zip(got, cols):
             assert g.tobytes() == want.tobytes()
     assert _parse_x.cache_info().hits > 0
+
+
+# The floats whose text is least like the others': signed zero, subnormals, extremes.
+_EDGES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308,
+                          1.7976931348623157e308])
+_COLUMN_VALUE = st.one_of(_EDGES, _FINITE)
+
+
+def _columns(data):
+    return [data.x, data.value] + ([] if data.reference is None else [data.reference])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.tuples(_COLUMN_VALUE, _COLUMN_VALUE, _COLUMN_VALUE), min_size=1,
+                max_size=40), st.booleans())
+def test_cached_read_gives_the_bytes_of_a_fresh_parse(tmp_path_factory, rows, with_reference):
+    cols = [np.array(c) for c in zip(*rows)][:3 if with_reference else 2]
+    p = tmp_path_factory.mktemp("cache") / "t.csv"
+    write_csv(p, *cols)
+    cached = read_csv(p)  # the text write_csv remembered
+    _TEXTS.clear()
+    fresh = read_csv(p)
+    assert cached.from_cache and not fresh.from_cache
+    assert len(_columns(cached)) == len(_columns(fresh)) == len(cols)
+    for c, f, want in zip(_columns(cached), _columns(fresh), cols):
+        assert c.tobytes() == f.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("seed_by", ["write_csv", "read_csv"])
+def test_cached_value_and_reference_are_each_reads_own(tmp_path, seed_by):
+    p = tmp_path / "t.csv"
+    x, v, r = np.array([0.1, 0.5, 0.9]), np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
+    write_csv(p, x, v, r)
+    if seed_by == "read_csv":
+        _TEXTS.clear()
+        assert not read_csv(p).from_cache  # a parse, remembered
+    first, second = read_csv(p), read_csv(p)
+    assert first.from_cache and second.from_cache
+    for a, b in ((first.value, second.value), (first.reference, second.reference)):
+        assert a.flags.writeable and b.flags.writeable and not np.shares_memory(a, b)
+    first.value[:] = first.reference[:] = -7.0
+    v[:] = r[:] = -8.0  # the columns written are the writer's own too
+    for data in (second, read_csv(p)):
+        assert data.value.tolist() == [1.0, 2.0, 3.0]
+        assert data.reference.tolist() == [4.0, 5.0, 6.0]
+
+
+def test_file_edited_after_write_is_parsed_again(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, [0.1, 0.5], [1.25, 2.5])
+    text = p.read_text()
+    p.write_text(text.replace("1.25", "1.35"))
+    data = read_csv(p)
+    assert not data.from_cache and data.value.tolist() == [1.35, 2.5]
+    p.write_text(text)  # back to the bytes written: its columns are still the written ones
+    data = read_csv(p)
+    assert data.from_cache and data.value.tolist() == [1.25, 2.5]
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b"x,val\n0.1,1.0\n", "expected header"),
+    (b"x,value\n0.1,1.0\n0.5,oops\n", "could not convert string to float"),
+    (b"x,value\n0.1,1.0\n0.5,inf\n", "non-finite value"),
+    (b"x,value\n" + b"0.5,1.0\n" * (MAX_DEGREE + 2), f"at most {MAX_DEGREE + 1} rows"),
+    (b"x,value\n0.1,1.0\xe9\n", "not an ASCII file"),
+])
+def test_refused_text_is_not_cached(tmp_path, raw, message):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(raw)
+    errors = []
+    for _ in range(2):
+        before = dict(_TEXTS)
+        with pytest.raises(InputError, match=re.escape(message)) as exc:
+            read_csv(p)
+        errors.append(str(exc.value))
+        assert _TEXTS == before
+    assert errors[0] == errors[1]
+
+
+@pytest.mark.parametrize("columns, header", [
+    (([0.1, 0.5], [1.0, math.inf]), None),               # a non-finite value
+    (([0.1, 0.5], [1.0, math.nan], [1.0, 2.0]), None),
+    ((np.linspace(-1, 1, MAX_DEGREE + 2),) * 2, None),    # over the row cap
+    (([], []), None),                                    # no data rows
+    (([0.1, 0.5], [1.0, 2.0], [3.0, 4.0]), "mu,measured,bound"),
+    (([0.1, 0.5], [1.0, 2.0]), "x, value"),              # read_csv accepts it, but parses it
+    (([0.1, 0.5], [1.0, 2.0], [3.0, 4.0], [5.0, 6.0]), None),
+    (([0.1, 0.5],), None),
+])
+def test_write_csv_remembers_only_texts_read_csv_accepts(tmp_path, columns, header):
+    p = tmp_path / "t.csv"
+    before = dict(_TEXTS)
+    write_csv(p, *columns, header=header)
+    assert _TEXTS == before
+    if header == "x, value":
+        assert not read_csv(p).from_cache
+
+
+def test_write_csv_to_stdout_is_not_remembered(capsys):
+    before = dict(_TEXTS)
+    write_csv(None, [0.1, 0.5], [1.0, 2.0])
+    assert capsys.readouterr().out and _TEXTS == before
+
+
+def test_text_cache_is_bounded_and_keeps_the_most_recently_used(tmp_path):
+    paths = [tmp_path / f"t{k}.csv" for k in range(3 * _TEXT_ENTRIES)]
+    for k, p in enumerate(paths):
+        write_csv(p, [0.25, 0.75], [float(k), 1.0])
+        assert len(_TEXTS) <= _TEXT_ENTRIES
+        assert read_csv(paths[0]).from_cache  # a read keeps it the most recent
+    assert len(_TEXTS) == _TEXT_ENTRIES
+    assert not read_csv(paths[1]).from_cache  # dropped first, as the least recently used
+    assert [read_csv(p).from_cache for p in paths[-_TEXT_ENTRIES + 2:]] == \
+        [True] * (_TEXT_ENTRIES - 2)
+
+
+def test_text_cache_under_threads(tmp_path):
+    # Writers and readers of shared and own files, more threads than cores: every read
+    # gives its file's columns, and the cache keeps its bound.
+    def columns(k):
+        return np.array([0.25, 0.75]), np.array([float(k), -float(k)])
+
+    shared = [tmp_path / f"shared{k}.csv" for k in range(4)]
+    for k, p in enumerate(shared):
+        write_csv(p, *columns(k))
+
+    def work(t):
+        for i in range(40):
+            own = tmp_path / f"own{t}_{i % 3}.csv"
+            write_csv(own, *columns(100 * t + i))
+            for p, k in ((own, 100 * t + i), (shared[i % 4], i % 4)):
+                data = read_csv(p)
+                assert data.value.tolist() == columns(k)[1].tolist(), (p, data.value)
+                data.value[:] = math.nan  # a reader's own copy
+            assert len(_TEXTS) <= _TEXT_ENTRIES
+        return True
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(work, t) for t in range(8)]
+            assert [f.result(timeout=60) for f in futures] == [True] * 8
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(_TEXTS) <= _TEXT_ENTRIES
 
 
 def test_read_csv_reports_the_first_faulty_line(tmp_path):
