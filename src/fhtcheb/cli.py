@@ -26,6 +26,8 @@ from functools import lru_cache
 import numpy as np
 
 from .cosh import (
+    DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     SolveReport,
     WeightParam,
     _check_stopping,
@@ -280,8 +282,8 @@ def build_parser() -> argparse.ArgumentParser:
     ci.add_argument("--method", choices=("direct", "neumann", "mean_constrained"),
                     default="direct")
     ci.add_argument("--mean-fbar", type=float)
-    ci.add_argument("--tol", type=float, default=1e-10)
-    ci.add_argument("--max-iter", type=int, default=10000)
+    ci.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    ci.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     _add_common(sub.add_parser("verify"), weighted=True)
     cs = sub.add_parser("cond-sweep")
     cs.add_argument("--n", type=int, default=256)

@@ -41,7 +41,7 @@ import numpy as np
 from .errors import DomainError, ParameterError
 from .fht import _require, _u_analysis, coeffs_from_sgrid, evaluate, fht_forward_m, fht_inverse_m
 from .grids import Grid, GridFn, GridKind, _points, _power_series, _u_to_t, cgl_nodes, norm
-from .transforms import (TransformKind, _c3t_apply, _hd_apply, _hd_correlate, _hd_generator,
+from .transforms import (TransformKind, _c3t_apply, _hd_apply, _hd_columns, _hd_contract,
                          _s1_apply, build)
 
 
@@ -137,6 +137,11 @@ class NullExperimentRow:
 
 # ---------------------------------------------------------------------------
 # argument checks and solve reports
+
+# The iterative solvers' stopping defaults, also those of the CLI's --tol and --max-iter.
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 10000
+
 
 def _check_stopping(tol: float, max_iter: int, mean_fbar: float = 0.0) -> None:
     if not (math.isfinite(tol) and tol > 0.0 and max_iter >= 1 and math.isfinite(mean_fbar)):
@@ -345,7 +350,7 @@ class _Plan:
 
     d_s carries the weight's product_sign, so d_s d_t and d_s d_u are the
     products tanh(mu s) tanh(mu t) of every operator in both flavors; d_s views the
-    second half of _contract's row d_s_sym = [d_s[::-1], d_s]. The first direct
+    second half of d_s_sym, the row of transforms._hd_contract. The first direct
     solve sets direct, under lock: _woodbury's factor or (_halves,) for LU."""
 
     d_s_sym: np.ndarray
@@ -393,26 +398,21 @@ def _products(n: int, start: int, stop: int) -> list[tuple[int, int]]:
 
 def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarray:
     """I - HD^T D_s HD D_t (HD = C3 S1^T), the direct solver's matrix, or its columns cols (a
-    non-empty range of step 1), to the same bits. From HD's generator, no dense HD: _PANEL rows
+    non-empty range of step 1), to the same bits. From _hd_columns, no dense HD: _PANEL rows
     of HD^T at a time times one panel of D_s HD D_t, one matrix product per range of _products
     that meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps eye - x's zero signs."""
     start, stop, step = cols.indices(n)
     if step != 1 or stop <= start:
         raise ParameterError(f"need a non-empty column range of step 1, got {cols}")
     plan = _plan(p, n)
-    w = np.lib.stride_tricks.sliding_window_view(_hd_generator(n), n)
-    def panel(j: int, width: int) -> np.ndarray:  # HD[:, j:j + width], added in place: no ufunc buffer
-        hd = w[n:, j:j + width].copy()
-        return np.add(hd, w[n - 1::-1, j:j + width], out=hd)
-
     products = _products(n, start, stop)
     lo, hi = products[0][0], products[-1][1]
-    scaled = panel(lo, hi - lo)
+    scaled = _hd_columns(n, lo, hi)
     scaled *= plan.d_s[:, None]
     scaled *= plan.d_t[lo:hi]
     out = np.empty((n, hi - lo))
     for i in range(0, n, _PANEL):
-        rows = panel(i, _PANEL).T
+        rows = _hd_columns(n, i, i + _PANEL).T
         for a, b in products:
             np.matmul(rows, scaled[:, a - lo:b - lo], out=out[i:i + _PANEL, a - lo:b - lo])
         del rows  # before the next panel is built
@@ -475,7 +475,7 @@ def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
     A = diag(g) + E, g = 1/cosh_t^2 even (1 at node 0), E of a rank independent of N (12 at mu = 8,
     1e-12 cut), 0 in row and column 0, commuting with J: i <-> N-i. Q = [Q_e, Q_o] is a range
-    finder's basis of E Omega = Omega - g Omega - K Omega (K = I - A by FFT, _contract) for even
+    finder's basis of E Omega = Omega - g Omega - K Omega (K = I - A by FFT, _hd_contract) for even
     and odd parts of _probes, by one QR per parity in _fold's coordinates: exactly even and odd
     however rank-deficient the sketch (4 + 4 at mu = 3). B = Q^T E, M = (I + B g^-1 Q)^-1 B g^-1
     (Sherman-Morrison-Woodbury). None where ||E - Q B||_F > 1e-12 ||A||_F (_half_pass), as A's
@@ -485,7 +485,7 @@ def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     x = _fold(_probes(n)[1:, :2 * r])
     x[0, :, r:] = x[1, :, :r] = 0.0
     omega = np.concatenate((np.zeros((1, 2 * r)), _unfold(x, n - 1))).T
-    y = _fold((omega * (1.0 - g) - _contract(plan, omega)).T[1:])
+    y = _fold((omega * (1.0 - g) - _hd_contract(omega, plan.d_t, plan.d_s_sym)).T[1:])
     x[0, :, :r], x[1, :, r:] = np.linalg.qr(np.stack((y[0, :, :r], y[1, :, r:])))[0]
     q = np.concatenate((np.zeros((1, 2 * r)), _unfold(x, n - 1)))
     del omega, y, x  # before the column pass
@@ -494,17 +494,6 @@ def _woodbury(p: WeightParam, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
         return None
     b /= g
     return 1.0 / g, q / g[:, None], np.linalg.solve(np.eye(2 * r) + b @ q, b)
-
-
-def _contract(plan: _Plan, v: np.ndarray) -> np.ndarray:
-    """HD^T D_s HD D_t v: the Neumann operator, I - system_matrix applied matrix-free.
-
-    Two correlations with the whole, unsplit HD: with c the first 2N values of the one
-    of D_t v, [u[::-1], u] = c + c[::-1] for u = HD D_t v, so HD^T D_s u correlates
-    (c + c[::-1]) d_s_sym, bit for bit the input _hd_apply would form."""
-    n = v.shape[-1]
-    c = _hd_correlate(plan.d_t * v, n)[..., :2 * n]
-    return _hd_correlate((c + c[..., ::-1]) * plan.d_s_sym, n)[..., :n]
 
 
 def _invert_d(F_mu: GridFn, p: WeightParam, solve, tol: float = 0.0):
@@ -518,7 +507,7 @@ def _invert_d(F_mu: GridFn, p: WeightParam, solve, tol: float = 0.0):
     plan = _plan(p, n)
     f0 = _hd_apply(F_mu.values / plan.cosh_s, transposed=True)
     fhat, history, form = solve(plan, f0)
-    d = (fhat - f0 - _contract(plan, fhat))[1:]
+    d = (fhat - f0 - _hd_contract(fhat, plan.d_t, plan.d_s_sym))[1:]
     defect = math.sqrt(d.dot(d)) / math.sqrt(n)  # np.linalg.norm's arithmetic on 1-D input
     fvals = fhat / plan.cosh_t
     fvals[0] = 0.0
@@ -547,14 +536,14 @@ def cosh_invert_direct(F_mu: GridFn, p: WeightParam) -> tuple[GridFn, SolveRepor
             return np.concatenate(([0.0], _unfold(y[..., 0], n - 1))), [], "lu"
         gi, giq, m = plan.direct
         fhat = gi * b - giq @ (m @ b)
-        r = b - fhat + _contract(plan, fhat)
+        r = b - fhat + _hd_contract(fhat, plan.d_t, plan.d_s_sym)
         return fhat + gi * r - giq @ (m @ r), [], "woodbury"
 
     return _invert_d(F_mu, p, solve)
 
 
-def cosh_invert_neumann(F_mu: GridFn, p: WeightParam, tol: float = 1e-10,
-                        max_iter: int = 10000) -> tuple[GridFn, SolveReport]:
+def cosh_invert_neumann(F_mu: GridFn, p: WeightParam, tol: float = DEFAULT_TOL,
+                        max_iter: int = DEFAULT_MAX_ITER) -> tuple[GridFn, SolveReport]:
     """Fixed-point iteration fhat_{k+1} = fhat_0 + M fhat_k, contraction tanh^2(mu)."""
     _check_stopping(tol, max_iter)
 
@@ -581,8 +570,9 @@ def _kd_unodes(p: WeightParam, ug: Grid) -> np.ndarray:
     return math.sqrt((n + 1) / m) * _s1_apply(c[:n + 1])[1:] / ug.weights
 
 
-def cosh_invert_mean_constrained(F_mu: GridFn, p: WeightParam, mean_fbar: float, tol: float = 1e-10,
-                                 max_iter: int = 10000) -> tuple[GridFn, SolveReport]:
+def cosh_invert_mean_constrained(F_mu: GridFn, p: WeightParam, mean_fbar: float,
+                                 tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
+                                 ) -> tuple[GridFn, SolveReport]:
     """Invert in L_m^2 given fbar_mu = (1/2) integral cosh(mu t) f(t) dt.
 
     F_mu is sampled on U-nodes; the recovered f is returned on S-nodes. With

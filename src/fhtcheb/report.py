@@ -5,15 +5,16 @@ own, and 17 significant digits per float so 64-bit values round-trip losslessly.
 Input CSVs must be ASCII, without a byte-order mark, with at most MAX_DEGREE + 1 =
 2049 data rows. SVG plots are self-contained 800x500 documents of inline polylines.
 The x columns (grid nodes, display grid, pixel x) repeat from command to
-command, so each is converted once per process. `_csv_body` (per x and column
-count; 16 entries, at most 95 kB each at N = 2049) and `_svg_points` (per pixel
-x; 16, 44 kB) keep it formatted in a template that one `%` call over the other
-columns fills, giving the bytes of formatting each value on its own; `_parse_x`
-keeps it parsed and read-only per tuple of x fields (8, 185 kB for fields of up
-to 24 characters). A command's input is often a file that an earlier one wrote, so
-`_TEXTS` keeps the columns of the last 8 texts parsed or written in a form read_csv
-accepts (at most 203 kB each at N = 2049), keyed by the whole text, so none of them
-is parsed again. That is 5.3 MB at most. Rows are walked only to name a bad line.
+command, so each is converted once per process. `_template` (per x, field and
+separator, CSV rows and SVG points alike; 32 entries, at most 92 kB each at N = 2049,
+a three-column CSV of 24-character x fields) keeps it formatted in a template that
+one `%` call over the other columns fills, giving the bytes of formatting each value
+on its own; `_parse_x` keeps it parsed and read-only per tuple of x fields (8, 185 kB
+for fields of up to 24 characters). A command's input is often a file that an earlier
+one wrote, so `_TEXTS` keeps the columns of the last 8 texts parsed or written in a
+form read_csv accepts (at most 203 kB each at N = 2049), keyed by the whole text, so
+none of them is parsed again. That is 6.0 MB at most, beside the transforms' cache of
+HD's generator (3N-1 floats per N). Rows are walked only to name a bad line.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def write_csv(path, *columns, header=None) -> None:
     if len({len(c) for c in cols}) > 1:
         raise ValueError(f"columns differ in length: {[len(c) for c in cols]}")
     header = header or ",".join(["x", "value", "reference"][:len(cols)])
-    body = _csv_body(cols[0].tobytes(), len(cols))
+    body = _template(cols[0].tobytes(), _FMT + (",%" + _FMT) * (len(cols) - 1) + "\n", "")
     text = header + "\n" + body % tuple(np.array(cols[1:]).T.ravel().tolist())
     _write_text(path, text)
     if path is not None and header in _HEADERS and header.count(",") + 1 == len(cols) \
@@ -88,11 +89,11 @@ def write_csv(path, *columns, header=None) -> None:
         _remember(text, CsvData(x, value, reference[0] if reference else None))
 
 
-@lru_cache(maxsize=16)
-def _csv_body(x: bytes, ncol: int) -> str:
-    """CSV rows of the float64 column x, each followed by ncol - 1 `%.17g` fields."""
-    row = _FMT + (",%" + _FMT) * (ncol - 1) + "\n"  # "%%.17g" formats as "%.17g"
-    return row * (len(x) // 8) % tuple(np.frombuffer(x).tolist())
+@lru_cache(maxsize=32)
+def _template(x: bytes, field: str, sep: str) -> str:
+    """field once per value of the float64 column x, joined by sep, with the value in its
+    first `%` field; a "%%" field ("%%.17g" formats as "%.17g") is left for the other columns."""
+    return sep.join([field] * (len(x) // 8)) % tuple(np.frombuffer(x).tolist())
 
 
 def read_csv(path) -> CsvData:
@@ -233,7 +234,7 @@ def write_svg(path, series, title="") -> None:
     for i, (lbl, x, y) in enumerate(series):
         color = _COLORS[i % len(_COLORS)]
         good = np.isfinite(x) & np.isfinite(y)
-        pts = _svg_points(px(x[good]).tobytes()) % tuple(py(y[good]).tolist())
+        pts = _template(px(x[good]).tobytes(), "%.2f,%%.2f", " ") % tuple(py(y[good]).tolist())
         parts.append(
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
@@ -248,12 +249,6 @@ def write_svg(path, series, title="") -> None:
         )
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")
-
-
-@lru_cache(maxsize=16)
-def _svg_points(px: bytes) -> str:
-    """Polyline points at the float64 pixel x's px, each followed by a `%.2f` y field."""
-    return " ".join(["%.2f,%%.2f"] * (len(px) // 8)) % tuple(np.frombuffer(px).tolist())
 
 
 def uniform_grid(n: int) -> np.ndarray:

@@ -5,19 +5,28 @@ symmetric DST-I on integer angles (T-nodes at size N, U-nodes at size N+1),
 whose zero row and column 0 encode f(t_0) = 0. HD = C3 S1^T is the d-flavor
 FHT and HM = C3[:, 1:] S1_{N+1}[1:, 1:N]^T the m-flavor one.
 
+HD is formed here alone, from its generator (_hd_generator, cached per N: 3N-1
+floats) s[i] = S(i + 1/2 - N) / N, S(q) = sum_{k<N} sin(k q pi/N) =
+sin((N-1) q pi/2N) sin(q pi/2) / sin(q pi/2N) with 2q odd (never 0 / 0). S is
+odd with period 2N in q, so s[i + 2N] = s[i] and s[2N-1-i] = -s[i], bit for bit,
+as _sinpi reduces every angle exactly. Columns: HD[m, j] = s[N+m+j] + s[N-1-m+j],
+a Hankel plus a Toeplitz matrix; _hd_columns copies one window of s and adds the
+other in place, and build(HD) and cosh's system_matrix form HD only so.
+Correlations: _hd_correlate gives c[k] = sum_j s[(k+j) mod L] v[j], k < L, by
+real FFTs of length L = 2N when 2N is 5-smooth (exact by the period), else the
+least 5-smooth L >= 3N-1 (nothing wraps). Every product with the whole HD is
+one: HD v = c[N:2N] + c[N-1::-1], HD^T u = c[:N] for v = [u[::-1], u]
+(_hd_apply), and HD^T D_s HD D_t v (_hd_contract) correlates D_t v, whose c[:2N]
+give [u[::-1], u] = c + c[::-1] for u = HD D_t v, then that times the row
+d_s_sym = [d_s[::-1], d_s]: bit for bit two _hd_apply calls.
+
 Per operation C3^T, S1 and HD are applied in O(N log N), with no table, by
-real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. An HD
-product is one circular correlation with HD's generator, of period 2N: of
-length 2N when 2N is 5-smooth, else the least 5-smooth length >= 3N-1. That
-correlation, _hd_correlate, is the one kernel of _hd_apply and of cosh's
-contraction HD^T D_s HD D_t, which feeds one correlation's output to the next
-with one sum and one product by a symmetric 2N row of D_s in between. Only the
-iterations read dense tables: HD (closed form, O(N^2)) for the Neumann chain
-blocks and HM (one O(N^3) product of _c3 and _s1, 0.4 s at N = 2048, one
-core) for the m-flavor transforms and chain blocks, the few most recently
-used cached, 8 N^2 bytes each; the direct solver forms its system matrix, or
-column ranges of it, from HD's generator panel by panel. Every angle is
-reduced exactly, so every table is correct to rounding.
+real FFTs along the last axis: _c3t_apply, _s1_apply and _hd_apply. Only the
+iterations read dense tables: HD for the Neumann chain blocks and HM (one
+O(N^3) product of _c3 and _s1) for the m-flavor transforms and chain blocks,
+the few most recently used cached, 8 N^2 bytes each; the direct solver forms
+its system matrix, or column ranges of it, panel by panel from _hd_columns.
+Every angle is reduced exactly, so every table is correct to rounding.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import GridMismatchError, InvalidSizeError
 
 
-# Cache bound: one N has at most two matrices (HD, HM), so a few sizes in use
-# fit at once.
+# Cache bound per N of HD's generator and spectrum, and of the matrices: one N has
+# at most two (HD, HM), so a few sizes in use fit at once.
 _BUILD_CACHE_SIZE = 8
 
 
@@ -63,27 +72,25 @@ def _s1(n: int) -> np.ndarray:
     return _sinpi(np.outer(idx, idx), n, np.sqrt(2.0 / n))
 
 
+@lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def _hd_generator(n: int) -> np.ndarray:
-    """The 3N-1 values s[i] = S(i + 1/2 - N) / N with S(q) = sum_{k<N} sin(k q pi/N).
-
-    HD[m, j] = (S(j+m+1/2) + S(j-m-1/2)) / N = s[N+m+j] + s[N-1-m+j]: a Hankel
-    plus a Toeplitz matrix. S(q) = sin((N-1) q pi/2N) sin(q pi/2) / sin(q pi/2N)
-    in closed form, where 2q is odd, so the denominator never vanishes. S is odd
-    with period 2N in q, so s[i + 2N] = s[i] and s[2N-1-i] = -s[i], bit for bit,
-    as _sinpi reduces every angle exactly.
-    """
+    """The 3N-1 values s[i] = S(i + 1/2 - N) / N that HD is formed from, read-only."""
     r = np.arange(1 - 2 * n, 4 * n - 2, 2)  # r = 2q
-    return _sinpi((n - 1) * r, 4 * n) * _sinpi(n * r, 4 * n) / (n * _sinpi(r, 4 * n))
+    s = _sinpi((n - 1) * r, 4 * n) * _sinpi(n * r, 4 * n) / (n * _sinpi(r, 4 * n))
+    s.flags.writeable = False
+    return s
+
+
+def _hd_columns(n: int, start: int, stop: int) -> np.ndarray:
+    """HD[:, start:stop] of size n as a new array, added in place: no ufunc buffer."""
+    w = sliding_window_view(_hd_generator(n), n)  # w[i, j] = s[i + j]
+    hd = w[n:, start:stop].copy()
+    return np.add(hd, w[n - 1::-1, start:stop], out=hd)
 
 
 @lru_cache(maxsize=_BUILD_CACHE_SIZE)
 def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
-    """(L, rfft of the HD generator's first L values, zero-padded), read-only.
-
-    The correlations of _hd_apply read s[k + j] for k + j <= 3N-2. L = 2N when
-    2N is 5-smooth: s[:2N] is one period of s, so the circular correlation is
-    exact. Otherwise L is the least 5-smooth length >= 3N-1, where nothing wraps.
-    """
+    """(L, rfft of the HD generator's first L values, zero-padded), read-only."""
     # x divides 30^(bit length of x) iff x is 5-smooth, a length numpy's FFT does fast.
     lengths = chain((2 * n,), count(3 * n - 1))
     size = next(x for x in lengths if pow(30, x.bit_length(), x) == 0)
@@ -93,21 +100,28 @@ def _hd_spectrum(n: int) -> tuple[int, np.ndarray]:
 
 
 def _hd_correlate(v: np.ndarray, n: int) -> np.ndarray:
-    """c[k] = sum_j s[(k+j) mod L] v[j], k < L, along the last axis of v, for HD of size n
-    (_hd_spectrum). The spectrum stays the first factor: swapped, FMA rounds differently."""
+    """c[k] = sum_j s[(k+j) mod L] v[j], k < L, along the last axis of v, for HD of size n.
+    The spectrum stays the first factor: swapped, FMA rounds differently."""
     size, spectrum = _hd_spectrum(n)
     f = np.fft.rfft(v, size)
     return np.fft.irfft(np.multiply(spectrum, np.conjugate(f, out=f), out=f), size)
 
 
 def _hd_apply(v: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """HD v (or HD^T v) along the last axis of v, by one correlation c = _hd_correlate(v):
-    HD v = c[N:2N] + c[N-1::-1] and HD^T u = _hd_correlate([u[::-1], u])[:N]."""
+    """HD v (or HD^T v) along the last axis of v, by one correlation."""
     n = v.shape[-1]
     if transposed:
         v = np.concatenate((v[..., ::-1], v), axis=-1)
     c = _hd_correlate(v, n)
     return c[..., :n] if transposed else c[..., n:2 * n] + c[..., n - 1::-1]
+
+
+def _hd_contract(v: np.ndarray, d_t: np.ndarray, d_s_sym: np.ndarray) -> np.ndarray:
+    """HD^T D_s HD D_t v along the last axis of v, by two correlations with the whole,
+    unsplit HD; d_s_sym = [d_s[::-1], d_s]."""
+    n = v.shape[-1]
+    c = _hd_correlate(d_t * v, n)[..., :2 * n]
+    return _hd_correlate((c + c[..., ::-1]) * d_s_sym, n)[..., :n]
 
 
 def _c3t_apply(v: np.ndarray) -> np.ndarray:
@@ -134,11 +148,8 @@ def build(kind: TransformKind, n: int) -> np.ndarray:
     """Build (and cache) the read-only matrix of one kind and size n."""
     if n < 2:
         raise InvalidSizeError(f"transform size must be >= 2, got {n}")
-    if kind is TransformKind.HD:
-        w = sliding_window_view(_hd_generator(n), n)  # w[i, j] = s[i + j]
-        m = w[n:] + w[n - 1::-1]
-    else:
-        m = _c3(n)[:, 1:] @ _s1(n + 1)[1:, 1:n].T
+    m = _hd_columns(n, 0, n) if kind is TransformKind.HD \
+        else _c3(n)[:, 1:] @ _s1(n + 1)[1:, 1:n].T
     m.flags.writeable = False
     return m
 

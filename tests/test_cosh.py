@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import itertools
 import math
 import sys
@@ -39,12 +40,12 @@ from fhtcheb import (
 )
 import fhtcheb.cosh
 from fhtcheb import verify
+from fhtcheb.cli import build_parser
 from fhtcheb.cosh import (
     _BLOCK_STEPS,
     _RANK,
     SolveReport,
     _block_powers,
-    _contract,
     _fold,
     _iterate,
     _plan,
@@ -52,7 +53,7 @@ from fhtcheb.cosh import (
 )
 from fhtcheb.fht import _u_analysis, evaluate
 from fhtcheb.grids import _power_series
-from fhtcheb.transforms import TransformKind, _hd_apply, build
+from fhtcheb.transforms import TransformKind, _hd_apply, _hd_contract, build
 
 
 class TestWeightParam:
@@ -1075,7 +1076,7 @@ def test_contraction_kernel_is_two_hd_products_bit_for_bit(n, p):
     plan = _plan(p, n)
     v = np.random.default_rng(n).standard_normal((3, n))
     for x in (v[0], v):
-        got = _contract(plan, x)
+        got = _hd_contract(x, plan.d_t, plan.d_s_sym)
         want = _hd_apply(plan.d_s * _hd_apply(plan.d_t * x), transposed=True)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -1447,3 +1448,26 @@ class TestCoerciveness:
                                            ResampleMode.WU_SERIES)))
             worst = min(worst, num / den)
         assert worst >= floor - 1e-8
+
+
+def test_iterative_solver_defaults_are_the_cli_defaults():
+    args = build_parser().parse_args(["cosh-invert", "--method", "neumann", "--mu", "1"])
+    for solver in (cosh_invert_neumann, cosh_invert_mean_constrained):
+        params = inspect.signature(solver).parameters
+        got = (params["tol"].default, params["max_iter"].default)
+        assert got == (args.tol, args.max_iter) == (1e-10, 10000)
+
+
+@pytest.mark.parametrize("method", ["neumann", "mean_constrained"])
+def test_iterative_solvers_stop_at_the_default_max_iter(method):
+    # Both need more than 10 000 steps here: Neumann at mu = 4 on f = w e^t,
+    # mean-constrained at mu = 6 on F = u with fbar = 0.
+    n = 64
+    if method == "neumann":
+        p, tg = WeightParam.cosh_real(4.0), cgl_nodes(GridKind.TNODES, n)
+        _, rep = cosh_invert_neumann(cosh_forward(GridFn(tg, tg.weights * np.exp(tg.nodes)), p), p)
+    else:
+        ug = cgl_nodes(GridKind.UNODES, n)
+        _, rep = cosh_invert_mean_constrained(GridFn(ug, ug.nodes), WeightParam.cosh_real(6.0), 0.0)
+    assert rep.iterations == len(rep.residual_history) == 10000
+    assert not rep.converged and rep.residual_history[-1] >= 1e-10

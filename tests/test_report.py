@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fhtcheb.errors import InputError
 from fhtcheb.grids import MAX_DEGREE
 from fhtcheb.report import (
-    _H, _MB, _ML, _MR, _MT, _TEXT_ENTRIES, _TEXTS, _W, _csv_body, _parse_x, _svg_points,
+    _H, _MB, _ML, _MR, _MT, _TEXT_ENTRIES, _TEXTS, _W, _parse_x, _template,
     read_csv, write_csv, write_json_report, write_svg,
 )
 
@@ -62,7 +62,7 @@ def test_write_csv_hit_writes_the_bytes_of_a_miss(tmp_path, capsys, ncol):
     rng = np.random.default_rng(ncol)
     x, other_x = np.cos(np.arange(50) * 0.1), np.linspace(-1.0, 1.0, 50)
     values = [rng.standard_normal(50) for _ in range(ncol - 1)]
-    _csv_body.cache_clear()
+    _template.cache_clear()
     header = "x,value,reference" if ncol == 3 else "x,value"
     for xs in (x, other_x):  # two x columns of one length: two templates
         want = _reference_csv(header, [xs, *values])
@@ -72,8 +72,29 @@ def test_write_csv_hit_writes_the_bytes_of_a_miss(tmp_path, capsys, ncol):
         write_csv(None, xs, *values)
         assert capsys.readouterr().out == want
         values = [v[::-1] for v in values]  # the template holds no value column
-    info = _csv_body.cache_info()
+    info = _template.cache_info()
     assert (info.misses, info.hits) == (2, 4)
+
+
+@pytest.mark.parametrize("rows", [1, MAX_DEGREE + 1])
+@pytest.mark.parametrize("ncol", [1, 2, 3])
+def test_write_csv_of_one_to_three_columns_formats_each_value(tmp_path, rows, ncol):
+    # The template's rows are joined with no separator: no row lost or doubled at either end.
+    rng = np.random.default_rng([rows, ncol])
+    cols = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(ncol)]
+    header = ",".join(["x", "value", "reference"][:ncol])
+    want = _reference_csv(header, cols)
+    for _ in range(2):  # a miss, then a hit
+        write_csv(tmp_path / "t.csv", *cols)
+        assert (tmp_path / "t.csv").read_bytes() == want.encode("ascii")
+
+
+def test_template_cache_is_bounded():
+    _template.cache_clear()
+    for k in range(40):
+        write_csv(None, np.linspace(-1.0, 1.0, 8) + k, np.zeros(8))
+    info = _template.cache_info()
+    assert info.maxsize == 32 and info.currsize == 32 and info.misses == 40
 
 
 @pytest.mark.parametrize("raw", [b"\xef\xbb\xbfx,value\n0.5,1\n", b"x,value\n0.5,1\xb5\n"])
@@ -119,14 +140,14 @@ def test_write_svg_hit_writes_the_bytes_of_a_miss(tmp_path):
     y = np.sin(3.0 * x)
     y_nan = y.copy()
     y_nan[[4, 20]] = math.nan  # the same x, fewer good points: another template
-    _svg_points.cache_clear()
+    _template.cache_clear()
     for ys in (y, y_nan, 2.0 * y, y_nan + 1.0):
         series = [("a", x, ys)]
         write_svg(tmp_path / "p.svg", series)
         got = re.findall(r'<polyline points="([^"]*)"', (tmp_path / "p.svg").read_text())
         assert got == _reference_points(series)
     assert len(got[0].split()) == 28
-    info = _svg_points.cache_info()
+    info = _template.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 
 

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from fhtcheb import GridMismatchError, InvalidSizeError
+import fhtcheb.cosh
+from fhtcheb import (GridFn, GridKind, GridMismatchError, InvalidSizeError, WeightParam,
+                     cgl_nodes, cosh_forward, cosh_invert_direct)
 from fhtcheb.transforms import (
     TransformKind,
     _c3,
     _c3t_apply,
     _hd_apply,
+    _hd_columns,
     _hd_generator,
     _hd_spectrum,
     _s1,
@@ -193,6 +196,56 @@ class TestApply:
             batched = _hd_apply(v, transposed)
             for row in range(3):
                 np.testing.assert_array_equal(batched[row], _hd_apply(v[row], transposed))
+
+
+def _column_ranges(n):
+    """Empty, one-column, clipped-at-n and seeded random column ranges of HD of size n."""
+    a, b = np.sort(np.random.default_rng(n).choice(n + 1, size=2, replace=False))
+    return [(0, 0), (n, n), (n // 2, n // 2), (0, 1), (n - 1, n), (n // 2, n // 2 + 1),
+            (n // 3, n + 100), (0, n), (int(a), int(b))]
+
+
+class TestHdColumns:
+    @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 257, 2049])
+    def test_columns_are_the_matrix_columns_bit_for_bit(self, n):
+        # Also against HD[m, j] = s[N+m+j] + s[N-1-m+j] by index, with no window view.
+        s, m = _hd_generator(n), np.arange(n)[:, None]
+        for a, b in _column_ranges(n):
+            got = _hd_columns(n, a, b)
+            want = build(TransformKind.HD, n)[:, a:b]
+            j = np.arange(a, min(b, n))
+            assert got.shape == want.shape == (n, len(j))
+            assert got.tobytes() == want.tobytes()  # signs of zeros too
+            assert got.tobytes() == (s[n + m + j] + s[n - 1 - m + j]).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 255, 256, 257, 2049])
+    def test_columns_match_the_product_of_the_factors(self, n):
+        c3, s1 = _c3(n), _s1(n)
+        for a, b in _column_ranges(n):
+            np.testing.assert_allclose(_hd_columns(n, a, b), c3 @ s1[a:b].T, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 257])
+    def test_generator_is_read_only(self, n):
+        s = _hd_generator(n)
+        assert s.shape == (3 * n - 1,) and not s.flags.writeable
+        with pytest.raises(ValueError):
+            s[0] = 1.0
+
+    def test_a_cold_direct_solve_computes_the_generator_once(self, monkeypatch):
+        # cosh_forward, then the four system_matrix calls of a cold Woodbury solve at
+        # N = 2049: one generator between them (a weight no other test solves at).
+        n, p = 2049, WeightParam.cosh_real(2.75)
+        g = cgl_nodes(GridKind.TNODES, n)
+        calls, system_matrix = [], fhtcheb.cosh.system_matrix
+        def counted(*args):
+            calls.append(args)
+            return system_matrix(*args)
+        monkeypatch.setattr(fhtcheb.cosh, "system_matrix", counted)
+        _hd_generator.cache_clear()
+        F = cosh_forward(GridFn(g, g.weights * np.exp(g.nodes)), p)
+        _, rep = cosh_invert_direct(F, p)
+        assert rep.form == "woodbury" and len(calls) == 4
+        assert _hd_generator.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("check, fast", [(check_c3_orthogonality, _c3t_apply),
