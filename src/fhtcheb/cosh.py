@@ -341,7 +341,7 @@ _PLAN_CACHE_SIZE = 4
 _INVERSE_LIMIT = 1e-5
 _RANK = 24  # probes of the range finder: the columns of Q in _woodbury
 
-_PANEL = 256  # columns of HD per panel of system_matrix
+_PANEL = 256  # columns of HD per product of system_matrix, and rows of HD^T per panel to N = 256
 
 
 @dataclass
@@ -398,9 +398,11 @@ def _products(n: int, start: int, stop: int) -> list[tuple[int, int]]:
 
 def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarray:
     """I - HD^T D_s HD D_t (HD = C3 S1^T), the direct solver's matrix, or its columns cols (a
-    non-empty range of step 1), to the same bits. From _hd_columns, no dense HD: _PANEL rows
-    of HD^T at a time times one panel of D_s HD D_t, one matrix product per range of _products
-    that meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps eye - x's zero signs."""
+    non-empty range of step 1), to the same bits. From _hd_columns, no dense HD: panels of HD^T,
+    _PANEL rows up to N = _PANEL and _PANEL / 2 above (0.69, not 0.82, N^2 float64 at a cold
+    Woodbury build's peak at N = 1024), times one panel of D_s HD D_t, one matrix product per range
+    of _products that meets cols. Up to N = _PANEL the dense formula's bits; 0 - x keeps eye - x's
+    zero signs."""
     start, stop, step = cols.indices(n)
     if step != 1 or stop <= start:
         raise ParameterError(f"need a non-empty column range of step 1, got {cols}")
@@ -410,13 +412,12 @@ def system_matrix(p: WeightParam, n: int, cols: slice = slice(None)) -> np.ndarr
     scaled = _hd_columns(n, lo, hi)
     scaled *= plan.d_s[:, None]
     scaled *= plan.d_t[lo:hi]
-    out = np.empty((n, hi - lo))
-    for i in range(0, n, _PANEL):
-        rows = _hd_columns(n, i, i + _PANEL).T
+    out, height = np.empty((n, hi - lo)), _PANEL if n <= _PANEL else _PANEL // 2
+    for i in range(0, n, height):
+        rows = _hd_columns(n, i, i + height).T
         for a, b in products:
-            np.matmul(rows, scaled[:, a - lo:b - lo], out=out[i:i + _PANEL, a - lo:b - lo])
+            np.matmul(rows, scaled[:, a - lo:b - lo], out=out[i:i + height, a - lo:b - lo])
         del rows  # before the next panel is built
-    del scaled
     np.subtract(0.0, out, out=out)
     out[lo:hi].flat[::hi - lo + 1] += 1.0
     return out[:, start - lo:stop - lo]

@@ -52,11 +52,14 @@ EXIT_CASES = [
     ("cosh-overflow", ["cosh-forward", "--mu", "800", "--input", "{f}"], 4),
     ("cond-sweep-mu-limit", ["cond-sweep", "--mu-list", "20", "--n", "64"], 4),
     ("cond-sweep-n-too-large", ["cond-sweep", "--mu-list", "1", "--n", "2050"], 4),
+    ("cond-sweep-n-too-small", ["cond-sweep", "--mu-list", "1", "--n", "4"], 4),
+    ("cond-sweep-mu-list-not-a-number", ["cond-sweep", "--mu-list", "1,x", "--n", "64"], 4),
     ("cosh-invert-direct-mu-limit", ["cosh-invert", "--method", "direct", "--mu", "20",
                                      "--input", "{F}"], 4),
     ("size-too-small", ["null-experiment", "--mu", "3", "--sizes", "1"], 4),
     ("size-negative", ["null-experiment", "--mu", "3", "--sizes", "64,-4"], 4),
     ("size-too-large", ["null-experiment", "--mu", "3", "--sizes", "2050"], 4),
+    ("size-not-a-number", ["null-experiment", "--mu", "3", "--sizes", "64,x"], 4),
     ("mu-not-a-number", ["cosh-forward", "--mu", "abc", "--input", "{f}"], 4),
     ("unknown-flag", ["forward", "--bogus", "--input", "{f}"], 4),
     ("unknown-method", ["cosh-invert", "--method", "lu", "--mu", "3", "--input", "{F}"], 4),

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fhtcheb.cli import main
 from fhtcheb.errors import InputError
-from fhtcheb.grids import MAX_DEGREE
+from fhtcheb.grids import MAX_DEGREE, GridKind, cgl_nodes
 from fhtcheb.report import (
     _H, _MB, _ML, _MR, _MT, _TEXT_ENTRIES, _TEXTS, _W, _parse_x, _template,
     read_csv, write_csv, write_json_report, write_svg,
@@ -149,6 +150,35 @@ def test_write_svg_hit_writes_the_bytes_of_a_miss(tmp_path):
     assert len(got[0].split()) == 28
     info = _template.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+
+
+def _svg_coordinates(text):
+    """Every coordinate of a whole SVG text: the x, y, size and points attributes."""
+    assert text.startswith("<svg ") and text.endswith("</svg>\n")
+    values = re.findall(r' (?:x|y|x1|y1|x2|y2|width|height)="([^"]*)"', text)
+    points = re.findall(r'<polyline points="([^"]*)"', text)
+    return [float(v) for v in values], [[tuple(map(float, xy.split(","))) for xy in pts.split()]
+                                        for pts in points]
+
+
+def test_write_svg_of_a_zero_forward_collapses_the_y_range(tmp_path):
+    # f = 0 and its F are 0 at every node: y1 = y0 + 1 puts both lines on the plot's bottom edge
+    g = cgl_nodes(GridKind.TNODES, 64)
+    write_csv(tmp_path / "f.csv", g.nodes, np.zeros(64))
+    assert main(["forward", "--input", str(tmp_path / "f.csv"), "--output",
+                 str(tmp_path / "F.csv"), "--plot", str(tmp_path / "F.svg")]) == 0
+    values, lines = _svg_coordinates((tmp_path / "F.svg").read_text(encoding="ascii"))
+    assert all(math.isfinite(v) for v in values + [c for ln in lines for xy in ln for c in xy])
+    assert [len(ln) for ln in lines] == [64, 64]
+    assert {y for ln in lines for _, y in ln} == {_H - _MB}
+
+
+def test_write_svg_of_one_point_collapses_the_x_range(tmp_path):
+    # x1 = x0 + 1 and y1 = y0 + 1 put the one point at the plot's lower left corner
+    write_svg(tmp_path / "p.svg", [("a", [0.5], [2.0])])
+    values, points = _svg_coordinates((tmp_path / "p.svg").read_text(encoding="ascii"))
+    assert all(math.isfinite(v) for v in values)
+    assert points == [[(float(_ML), float(_H - _MB))]]
 
 
 @pytest.mark.parametrize("row, message", [
